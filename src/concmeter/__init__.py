@@ -5,11 +5,14 @@ the cavity realization with flight kinematics, and shot statistics."""
 from .concurrence import PureState, concurrence_pure, concurrence_wootters, spin_flip
 from .estimation import ReadoutModel, ShotSummary, confidence_interval, simulate_shots
 from .protocol import (
+    BatchResult,
     Phi1Coefficients,
     ProtocolResult,
     analytic_phi1,
+    analytic_phi1_batch,
     extract_concurrence,
     prepare_input,
+    run_batch,
     run_circuit,
     verify_egeg_variant,
 )
@@ -28,6 +31,7 @@ from .statevec import (
     Register,
     apply_1q,
     apply_2q,
+    apply_gate,
     basis_probability,
     from_amplitudes,
     ground_register,
@@ -39,12 +43,13 @@ from .statevec import (
 __all__ = [
     "PureState", "concurrence_pure", "concurrence_wootters", "spin_flip",
     "ReadoutModel", "ShotSummary", "confidence_interval", "simulate_shots",
-    "Phi1Coefficients", "ProtocolResult", "analytic_phi1", "extract_concurrence",
-    "prepare_input", "run_circuit", "verify_egeg_variant",
+    "BatchResult", "Phi1Coefficients", "ProtocolResult", "analytic_phi1",
+    "analytic_phi1_batch", "extract_concurrence", "prepare_input", "run_batch",
+    "run_circuit", "verify_egeg_variant",
     "DelaySolution", "FlightConfig", "OrderingReport",
     "kinematics_report", "run_cavity_realization", "solve_delays",
     "Gate1Q", "Gate2Q", "InvariantViolation", "Register",
-    "apply_1q", "apply_2q", "basis_probability", "from_amplitudes",
+    "apply_1q", "apply_2q", "apply_gate", "basis_probability", "from_amplitudes",
     "ground_register", "overlap_fidelity", "sample_outcomes", "tensor",
 ]
 

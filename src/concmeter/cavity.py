@@ -23,6 +23,10 @@ CAVITY_MATCH_TOL = 1e-10
 PHOTON_VACUUM_TOL = 1e-12
 MIN_SPEED_GAP = 1e-6  # m/s; below this the overtake position degenerates
 BISECTION_TOL = 1e-9  # m, on the overtake position
+# float64 spans 2^-1074 .. 2^1024, so this many halvings or doublings
+# exhaust any interval: the delay search ends even where the tolerance
+# underflows, falls below one ulp of the bracket, or the bracket overflows
+MAX_SEARCH_STEPS = 2100
 
 # slot positions (1-based qubit indices) in the relay register
 ATOM1, ATOM2, ATOM3, ATOM4, PHOTON, ATOM5 = 1, 2, 3, 4, 5, 6
@@ -32,28 +36,29 @@ ATOM1, ATOM2, ATOM3, ATOM4, PHOTON, ATOM5 = 1, 2, 3, 4, 5, 6
 # gate decomposition
 
 
-def _swap_2q() -> Gate2Q:
-    return Gate2Q(
-        [
-            [1, 0, 0, 0],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-        ]
-    )
+_SWAP = Gate2Q(
+    [
+        [1, 0, 0, 0],
+        [0, 0, 1, 0],
+        [0, 1, 0, 0],
+        [0, 0, 0, 1],
+    ]
+)
+_SIGMA_Y, _R_PLUS, _R_MINUS = gates.sigma_y(), gates.r_plus(), gates.r_minus()
+_CPHASE = gates.cphase()
+# R-/R+ on the target, embedded as gates on the ordered (control, target) pair
+_R_MINUS_TARGET = Gate2Q(np.kron(np.eye(2), _R_MINUS.matrix))
+_R_PLUS_TARGET = Gate2Q(np.kron(np.eye(2), _R_PLUS.matrix))
 
 
 def decomposed_cnot() -> list[tuple[str, Gate2Q]]:
     """CNOT(control, target) as R-(target), CPHASE, R+(target), in
     application order. Each step is embedded as a gate on the ordered
     (control, target) pair."""
-    eye = np.eye(2)
-    r_minus_t = Gate2Q(np.kron(eye, gates.r_minus().matrix))
-    r_plus_t = Gate2Q(np.kron(eye, gates.r_plus().matrix))
     return [
-        ("r_minus_target", r_minus_t),
-        ("cphase", gates.cphase()),
-        ("r_plus_target", r_plus_t),
+        ("r_minus_target", _R_MINUS_TARGET),
+        ("cphase", _CPHASE),
+        ("r_plus_target", _R_PLUS_TARGET),
     ]
 
 
@@ -85,16 +90,19 @@ def _slot_excited_probability(r: Register, slot: int) -> float:
 
 def map_atom_to_photon(r: RelayRegister) -> RelayRegister:
     """Hand the atom-2 qubit to the cavity-D photon; atom 2 exits in |g>."""
-    if _slot_excited_probability(r.register, PHOTON) > PHOTON_VACUUM_TOL:
-        raise InvariantViolation("photon must be in vacuum before the atom-2 map")
-    reg = statevec.apply_2q(r.register, ATOM2, PHOTON, _swap_2q())
+    p_photon = _slot_excited_probability(r.register, PHOTON)
+    if p_photon > PHOTON_VACUUM_TOL:
+        raise InvariantViolation("photon must be in vacuum before the atom-2 map",
+                                 stage="atom-to-photon map", value=p_photon,
+                                 tol=PHOTON_VACUUM_TOL)
+    reg = statevec.apply_2q(r.register, ATOM2, PHOTON, _SWAP)
     return RelayRegister(reg, r.aux_population)
 
 
 def photonic_cphase(r: RelayRegister) -> RelayRegister:
     """2pi Rabi cycle through the auxiliary level: |e>_4 |1>_photon picks
     up a -1 phase, everything else untouched, auxiliary level empty."""
-    reg = statevec.apply_2q(r.register, ATOM4, PHOTON, gates.cphase())
+    reg = statevec.apply_2q(r.register, ATOM4, PHOTON, _CPHASE)
     out = RelayRegister(reg, 0.0)
     if out.aux_population > 1e-12:
         raise InvariantViolation("auxiliary level left populated after the 2pi pulse")
@@ -103,9 +111,12 @@ def photonic_cphase(r: RelayRegister) -> RelayRegister:
 
 def map_photon_to_atom5(r: RelayRegister) -> RelayRegister:
     """Retrieve the photonic qubit into atom 5; photon left in vacuum."""
-    if _slot_excited_probability(r.register, ATOM5) > PHOTON_VACUUM_TOL:
-        raise InvariantViolation("atom 5 must start in the ground state")
-    reg = statevec.apply_2q(r.register, PHOTON, ATOM5, _swap_2q())
+    p_atom5 = _slot_excited_probability(r.register, ATOM5)
+    if p_atom5 > PHOTON_VACUUM_TOL:
+        raise InvariantViolation("atom 5 must start in the ground state",
+                                 stage="photon-to-atom map", value=p_atom5,
+                                 tol=PHOTON_VACUUM_TOL)
+    reg = statevec.apply_2q(r.register, PHOTON, ATOM5, _SWAP)
     return RelayRegister(reg, r.aux_population)
 
 
@@ -125,28 +136,27 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
     )
     reg = statevec.tensor(copies, statevec.ground_register(2))  # photon + atom 5
 
-    sy = gates.sigma_y()
-    reg = statevec.apply_1q(reg, ATOM3, sy)  # Ramsey region, second copy only
-    reg = statevec.apply_1q(reg, ATOM4, sy)
-    reg = statevec.apply_1q(reg, ATOM4, gates.r_minus())
+    reg = statevec.apply_1q(reg, ATOM3, _SIGMA_Y)  # Ramsey region, second copy only
+    reg = statevec.apply_1q(reg, ATOM4, _SIGMA_Y)
+    reg = statevec.apply_1q(reg, ATOM4, _R_MINUS)
 
     relay = RelayRegister(reg)
     relay = map_atom_to_photon(relay)
     relay = photonic_cphase(relay)
-    relay = RelayRegister(statevec.apply_1q(relay.register, ATOM4, gates.r_plus()),
+    relay = RelayRegister(statevec.apply_1q(relay.register, ATOM4, _R_PLUS),
                           relay.aux_population)
     relay = map_photon_to_atom5(relay)
 
     # atom 5 now carries the logical qubit 2; final rotation of the protocol
-    final = statevec.apply_1q(relay.register, ATOM5, gates.r_minus())
+    final = statevec.apply_1q(relay.register, ATOM5, _R_MINUS)
 
     p_all_ground = _all_ground_probability(final, (ATOM5, ATOM3, ATOM1, ATOM4))
     ideal = run_circuit(psi)
-    if abs(p_all_ground - ideal.p_gggg) > CAVITY_MATCH_TOL:
-        raise InvariantViolation(
-            f"cavity realization deviates from the ideal circuit by "
-            f"{abs(p_all_ground - ideal.p_gggg):.3e}"
-        )
+    deviation = abs(p_all_ground - ideal.p_gggg)
+    if not deviation <= CAVITY_MATCH_TOL:
+        raise InvariantViolation("cavity realization deviates from the ideal circuit",
+                                 stage="cavity vs ideal P_gggg", value=deviation,
+                                 tol=CAVITY_MATCH_TOL)
     # P_egeg analogue in logical-qubit order (1, 2, 3, 4) = atoms (1, 5, 3, 4)
     psi6 = final.amplitudes.reshape([2] * 6)
     idx = [slice(None)] * 6
@@ -157,7 +167,7 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
         p_gggg=p_all_ground,
         p_egeg=p_egeg,
         concurrence_measured=extract_concurrence(p_all_ground),
-        oracle_residual=abs(p_all_ground - ideal.p_gggg),
+        oracle_residual=deviation,
     )
 
 
@@ -287,10 +297,17 @@ def solve_delays(v: float, w: float, x_C: float, x_D: float,
                  L_C: float, L_D: float) -> DelaySolution:
     """Pick tau so each pair crosses at the cavity-C center and tau_prime
     (by bisection) so the atom-1/atom-4 swap lands midway between the
-    cavities; the result is re-validated by kinematics_report."""
+    cavities; the result is re-validated by kinematics_report.
+
+    Raises ValueError unless every speed and length is finite and
+    positive."""
+    values = {"v": v, "w": w, "x_C": x_C, "x_D": x_D, "L_C": L_C, "L_D": L_D}
+    bad = [name for name, x in values.items() if not (math.isfinite(x) and x > 0.0)]
+    if bad:
+        raise ValueError(f"speeds and geometry must be finite and positive: {', '.join(bad)}")
     if w - v < MIN_SPEED_GAP:
         return DelaySolution(feasible=False, binding_constraint="speed_gap")
-    if not (x_D > x_C > 0.0) or L_C <= 0.0 or L_D <= 0.0:
+    if not x_D > x_C:
         return DelaySolution(feasible=False, binding_constraint="geometry")
 
     tau = x_C * (1.0 / v - 1.0 / w)
@@ -304,9 +321,13 @@ def solve_delays(v: float, w: float, x_C: float, x_D: float,
         tau_prime = 0.0
     else:
         lo, hi = 0.0, (w - v) * x_mid / (v * w)  # swap14(hi) > x_mid
-        while swap14(hi) < x_mid:
+        for _ in range(MAX_SEARCH_STEPS):
+            if not swap14(hi) < x_mid:
+                break
             hi *= 2.0
-        while hi - lo > BISECTION_TOL * (w - v) / (v * w):
+        for _ in range(MAX_SEARCH_STEPS):
+            if not hi - lo > BISECTION_TOL * (w - v) / (v * w):
+                break
             mid = 0.5 * (lo + hi)
             if swap14(mid) < x_mid:
                 lo = mid

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -16,13 +17,16 @@ import numpy as np
 from . import cavity as cavity_mod
 from .concurrence import PureState, concurrence_pure
 from .estimation import ReadoutModel, simulate_shots
-from .protocol import run_circuit
+from .protocol import extract_concurrence, run_batch, run_circuit
 from .statevec import InvariantViolation
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INVARIANT = 2
 EXIT_INFEASIBLE = 3
+
+# sweep rows verified per run_batch call; bounds memory for any n_states
+SWEEP_BLOCK = 256
 
 SWEEP_COLUMNS = [
     "seed",
@@ -34,6 +38,15 @@ SWEEP_COLUMNS = [
 
 class InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: exit code 1, not argparse's 2,
+    which this CLI reserves for invariant violations."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
 
 
 def load_state_file(path: str, force_normalize: bool = False) -> PureState:
@@ -53,11 +66,16 @@ def load_state_file(path: str, force_normalize: bool = False) -> PureState:
         raise InputError("'amplitudes' must list exactly four [re, im] pairs")
     amps = []
     for i, pair in enumerate(raw):
+        # bool is a subclass of int, but true/false are not amplitudes
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                           for x in pair)):
             raise InputError(f"'amplitudes[{i}]' must be a [re, im] number pair")
         amps.append(complex(pair[0], pair[1]))
-    normalize = bool(doc.get("normalize", False)) or force_normalize
+    normalize = doc.get("normalize", False)
+    if not isinstance(normalize, bool):
+        raise InputError("'normalize' must be true or false")
+    normalize = normalize or force_normalize
     try:
         return PureState.from_amplitudes(amps, normalize=normalize)
     except ValueError as exc:
@@ -87,19 +105,30 @@ def cmd_sweep(args) -> int:
     with out:
         writer = csv.writer(out)
         writer.writerow(SWEEP_COLUMNS)
-        for i in range(args.n_states):
-            rng = np.random.default_rng([args.seed, i])
-            psi = PureState.haar_random(rng)
-            result = run_circuit(psi)
-            c_analytic = concurrence_pure(psi)
-            max_dev = max(max_dev, abs(result.concurrence_measured - c_analytic))
-            max_residual = max(max_residual, result.oracle_residual)
-            row = [i]
-            for c in (psi.c0, psi.c1, psi.c2, psi.c3):
-                row += [repr(float(c.real)), repr(float(c.imag))]
-            row += [repr(c_analytic), repr(result.p_gggg), repr(result.p_egeg),
-                    repr(result.concurrence_measured), repr(result.oracle_residual)]
-            writer.writerow(row)
+        for start in range(0, args.n_states, SWEEP_BLOCK):
+            # row i is reproducible on its own from default_rng([seed, i])
+            states = [PureState.haar_random(np.random.default_rng([args.seed, i]))
+                      for i in range(start, min(start + SWEEP_BLOCK, args.n_states))]
+            try:
+                batch = run_batch([psi.amplitudes for psi in states])
+            except InvariantViolation as exc:
+                exc.row, exc.seed = start + exc.row, args.seed
+                raise
+            rows = []
+            for k, (psi, p_gggg, p_egeg, residual) in enumerate(zip(
+                    states, batch.p_gggg.tolist(), batch.p_egeg.tolist(),
+                    batch.oracle_residual.tolist())):
+                c_analytic = concurrence_pure(psi)
+                c_measured = extract_concurrence(p_gggg)
+                max_dev = max(max_dev, abs(c_measured - c_analytic))
+                max_residual = max(max_residual, residual)
+                row = [start + k]
+                for c in (psi.c0, psi.c1, psi.c2, psi.c3):
+                    row += [repr(float(c.real)), repr(float(c.imag))]
+                row += [repr(c_analytic), repr(p_gggg), repr(p_egeg),
+                        repr(c_measured), repr(residual)]
+                rows.append(row)
+            writer.writerows(rows)
     print(f"wrote {args.n_states} rows to {args.out}; "
           f"max |C_measured - C_analytic| = {max_dev:.3e}, "
           f"max oracle residual = {max_residual:.3e}")
@@ -154,7 +183,7 @@ def cmd_cavity(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="concmeter",
         description="Two-copy concurrence measurement: circuit simulation, "
                     "shot statistics, cavity realization, flight kinematics.",
@@ -170,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep",
         help="verify the protocol on random states, writing one CSV row per "
-             f"state with columns: {', '.join(SWEEP_COLUMNS)}",
+             f"state with columns: {', '.join(SWEEP_COLUMNS)}; row i is the "
+             "Haar state drawn from numpy's default_rng([seed, i])",
     )
     p_sweep.add_argument("n_states", type=int)
     p_sweep.add_argument("--seed", type=int, default=0)
@@ -178,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_shots = sub.add_parser("shots", help="finite-shot estimate with the "
-                                           "global shelving readout")
+                                           "global shelving readout (pure input "
+                                           "states only: for a mixed pair the "
+                                           "readout is not its concurrence)")
     p_shots.add_argument("state_file")
     p_shots.add_argument("--shots", type=int, default=10000)
     p_shots.add_argument("--seed", type=int, default=0)
@@ -202,16 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on first use, then shared by every main() call of the process
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "kinematics", False):
-        missing = [f for f in ("v", "w", "xc", "xd") if getattr(args, f) is None]
-        if missing:
-            print(f"error: --kinematics requires --{' --'.join(missing)}",
-                  file=sys.stderr)
-            return EXIT_INPUT
     try:
+        args = _shared_parser().parse_args(argv)
+        if getattr(args, "kinematics", False):
+            missing = [f for f in ("v", "w", "xc", "xd") if getattr(args, f) is None]
+            if missing:
+                raise InputError(f"--kinematics requires --{' --'.join(missing)}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

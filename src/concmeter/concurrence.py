@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import InvariantViolation
+from .statevec import InvariantViolation, normalized
 
 PURE_NORM_TOL = 1e-9
 DM_HERMITIAN_TOL = 1e-10
@@ -45,10 +45,7 @@ class PureState:
         if a.size != 4:
             raise ValueError(f"a two-qubit state needs 4 amplitudes, got {a.size}")
         if normalize:
-            norm = np.linalg.norm(a)
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            a = a / norm
+            a = normalized(a)
         return cls(*a)
 
     @classmethod

@@ -98,6 +98,11 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
     Equivalent to calling shelving_readout per shot: outcomes are drawn
     multinomially from the Born distribution, then each outcome class is
     thinned binomially by its readout dark probability.
+
+    Domain: pure input states only. The readout C = 2*sqrt(2*P_gggg) is
+    the concurrence only for two copies of a pure state; a mixed pair
+    gives no such relation (the maximally mixed state has P_gggg = 1/16,
+    which reads as C = 0.707 where its concurrence is 0).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

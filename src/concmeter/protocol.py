@@ -4,9 +4,10 @@ Pipeline: |psi> x (sigma_y x sigma_y)|psi>, then CNOT(control=2, target=4),
 then R- on qubit 2. The concurrence of |psi> is read out from the
 all-ground probability as C = 2*sqrt(2*P_gggg).
 
-`analytic_phi1` computes the post-circuit amplitudes directly as
-polynomials in c0..c3, never touching the gate simulator, so the two
-paths cross-check each other.
+`run_batch` runs the circuit on N input states at once; `run_circuit` is
+a batch of one. `analytic_phi1_batch` computes the post-circuit
+amplitudes directly as polynomials in c0..c3, never touching the gate
+simulator, so the two paths cross-check each other row by row.
 """
 from __future__ import annotations
 
@@ -20,9 +21,22 @@ from .concurrence import PureState
 from .statevec import InvariantViolation, Register
 
 ORACLE_TOL = 1e-10
+TABLE_NORM_TOL = 1e-10
 P_MAX = 0.125  # |A-|^2/2 <= 1/8 since C <= 1
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+# the circuit's gates, looked up once
+_SIGMA_Y = gates.sigma_y()
+_CNOT = gates.cnot()
+_R_MINUS = gates.r_minus()
+
+_KETS = tuple(statevec.basis_string(i, 4) for i in range(16))
+_GGGG, _EGEG = statevec.basis_index("gggg"), statevec.basis_index("egeg")
+# kets of the non-zero table entries, in the order analytic_phi1_batch stacks them
+_PHI1_INDEX = np.array([statevec.basis_index(k) for k in (
+    "gggg", "gegg", "ggge", "gege", "eegg", "geeg", "ggee", "geee",
+    "egge", "eege", "egeg", "eeeg", "eeee", "egee")])
 
 
 @dataclass(frozen=True)
@@ -33,8 +47,10 @@ class Phi1Coefficients:
 
     def __post_init__(self):
         norm2 = sum(abs(a) ** 2 for a in self.table.values())
-        if abs(norm2 - 1.0) > 1e-10:
-            raise InvariantViolation(f"analytic amplitude table norm^2 = {norm2!r}")
+        if abs(norm2 - 1.0) > TABLE_NORM_TOL:
+            raise InvariantViolation("analytic amplitude table is not normalised",
+                                     stage="analytic table", value=abs(norm2 - 1.0),
+                                     tol=TABLE_NORM_TOL)
 
     def as_register(self) -> Register:
         amps = np.zeros(16, dtype=complex)
@@ -52,19 +68,44 @@ class ProtocolResult:
     oracle_residual: float
 
 
+@dataclass(frozen=True)
+class BatchResult:
+    """Row i of each array belongs to input state i."""
+
+    amplitudes: np.ndarray  # (N, 16) final amplitudes
+    p_gggg: np.ndarray
+    p_egeg: np.ndarray
+    oracle_residual: np.ndarray  # max |simulated - analytic| per row
+
+
+def _input_batch(amps) -> np.ndarray:
+    a = np.asarray(amps, dtype=complex)
+    if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] != 4:
+        raise ValueError(f"expected a non-empty (N, 4) amplitude array, got shape {a.shape}")
+    statevec.check_batch(a, statevec.NORM_TOL_INPUT)
+    return a
+
+
+def _prepare(a: np.ndarray) -> np.ndarray:
+    """(N, 4) two-qubit states -> (N, 2, 2, 2, 2) inputs of the circuit:
+    |psi> on qubits 1,2 and (sigma_y x sigma_y)|psi> on qubits 3,4."""
+    copy2 = a.reshape(-1, 2, 2)
+    copy2 = statevec.apply_gate(copy2, _SIGMA_Y, (1,))
+    copy2 = statevec.apply_gate(copy2, _SIGMA_Y, (2,))
+    joint = a[:, :, None] * copy2.reshape(-1, 1, 4)
+    statevec.check_batch(joint, statevec.NORM_TOL_UNITARY)
+    return joint.reshape(-1, 2, 2, 2, 2)
+
+
 def prepare_input(psi: PureState) -> Register:
     """|psi> on qubits 1,2 tensored with (sigma_y x sigma_y)|psi> on 3,4."""
-    copy1 = statevec.from_amplitudes(psi.amplitudes)
-    copy2 = statevec.from_amplitudes(psi.amplitudes)
-    sy = gates.sigma_y()
-    copy2 = statevec.apply_1q(copy2, 1, sy)
-    copy2 = statevec.apply_1q(copy2, 2, sy)
-    return statevec.tensor(copy1, copy2)
+    return statevec.from_amplitudes(_prepare(_input_batch(psi.amplitudes[None])).reshape(16))
 
 
-def analytic_phi1(psi: PureState) -> Phi1Coefficients:
-    """Post-circuit amplitudes evaluated symbolically from c0..c3."""
-    c0, c1, c2, c3 = psi.c0, psi.c1, psi.c2, psi.c3
+def analytic_phi1_batch(amps) -> np.ndarray:
+    """(N, 4) states -> (N, 16) post-circuit amplitudes, evaluated as
+    polynomials in c0..c3; each row's norm is checked (TABLE_NORM_TOL)."""
+    c0, c1, c2, c3 = np.asarray(amps, dtype=complex).T
     a_minus = c1 * c2 - c0 * c3
     a_plus = c1 * c2 + c0 * c3
     b_minus = c0 * c2 - c1 * c3
@@ -73,25 +114,27 @@ def analytic_phi1(psi: PureState) -> Phi1Coefficients:
     c10_plus = c1 * c1 + c0 * c0
     c23_minus = c2 * c2 - c3 * c3
     c23_plus = c2 * c2 + c3 * c3
-    table = {
-        "gggg": a_minus,
-        "gegg": a_plus,
-        "ggge": b_minus,
-        "gege": -b_plus,
-        "eegg": 2.0 * c2 * c3,
-        "geeg": -2.0 * c0 * c1,
-        "ggee": c10_minus,
-        "geee": c10_plus,
-        "egge": c23_minus,
-        "eege": -c23_plus,
-        "egeg": a_minus,
-        "eeeg": -a_plus,
-        "eeee": b_plus,
-        "egee": -b_minus,
-        "ggeg": 0.0,
-        "eggg": 0.0,
-    }
-    return Phi1Coefficients({k: v * _SQRT2_INV for k, v in table.items()})
+    table = np.zeros((len(c0), 16), dtype=complex)
+    table[:, _PHI1_INDEX] = np.stack([
+        a_minus, a_plus, b_minus, -b_plus,  # gggg gegg ggge gege
+        2.0 * c2 * c3, -2.0 * c0 * c1,  # eegg geeg
+        c10_minus, c10_plus, c23_minus, -c23_plus,  # ggee geee egge eege
+        a_minus, -a_plus, b_plus, -b_minus,  # egeg eeeg eeee egee
+    ], axis=1) * _SQRT2_INV  # ggeg and eggg stay 0
+    deviation = np.abs(np.einsum("ij,ij->i", table.view(float), table.view(float)) - 1.0)
+    bad = ~(deviation <= TABLE_NORM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvariantViolation("analytic amplitude table is not normalised",
+                                 stage="analytic table", value=float(deviation[i]),
+                                 tol=TABLE_NORM_TOL, row=i)
+    return table
+
+
+def analytic_phi1(psi: PureState) -> Phi1Coefficients:
+    """Post-circuit amplitudes evaluated symbolically from c0..c3."""
+    row = analytic_phi1_batch(psi.amplitudes[None])[0]
+    return Phi1Coefficients(dict(zip(_KETS, row.tolist())))
 
 
 def extract_concurrence(p: float) -> float:
@@ -101,30 +144,41 @@ def extract_concurrence(p: float) -> float:
     return min(1.0, 2.0 * math.sqrt(2.0 * max(0.0, p)))
 
 
+def run_batch(amps) -> BatchResult:
+    """Run the circuit on N states given as an (N, 4) amplitude array.
+
+    Every row is checked: its input norm, its norm after each gate, and
+    its final state against the analytic table, phase-strict, within
+    ORACLE_TOL. A failed oracle check raises InvariantViolation naming
+    the row."""
+    a = _input_batch(amps)
+    psi = _prepare(a)
+    psi = statevec.apply_gate(psi, _CNOT, (2, 4))
+    psi = statevec.apply_gate(psi, _R_MINUS, (2,))
+    final = psi.reshape(-1, 16)
+
+    residual = np.max(np.abs(final - analytic_phi1_batch(a)), axis=1)
+    bad = ~(residual <= ORACLE_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvariantViolation("simulated state deviates from the analytic table",
+                                 stage="amplitude table", value=float(residual[i]),
+                                 tol=ORACLE_TOL, row=i)
+    return BatchResult(amplitudes=final, p_gggg=np.abs(final[:, _GGGG]) ** 2,
+                       p_egeg=np.abs(final[:, _EGEG]) ** 2, oracle_residual=residual)
+
+
 def run_circuit(psi: PureState) -> ProtocolResult:
     """Execute the full circuit and extract concurrence, with the analytic
-    amplitude table checked ket-by-ket (phase-strict)."""
-    reg = prepare_input(psi)
-    reg = statevec.apply_2q(reg, 2, 4, gates.cnot())
-    reg = statevec.apply_1q(reg, 2, gates.r_minus())
-
-    oracle = analytic_phi1(psi)
-    residual = float(
-        np.max(np.abs(reg.amplitudes - oracle.as_register().amplitudes))
-    )
-    if residual > ORACLE_TOL:
-        raise InvariantViolation(
-            f"simulated state deviates from the analytic table by {residual:.3e}"
-        )
-
-    p_gggg = statevec.basis_probability(reg, "gggg")
-    p_egeg = statevec.basis_probability(reg, "egeg")
+    amplitude table checked ket-by-ket (phase-strict): a batch of one."""
+    batch = run_batch(psi.amplitudes[None])
+    p_gggg = float(batch.p_gggg[0])
     return ProtocolResult(
-        final_state=reg,
+        final_state=statevec.from_amplitudes(batch.amplitudes[0]),
         p_gggg=p_gggg,
-        p_egeg=p_egeg,
+        p_egeg=float(batch.p_egeg[0]),
         concurrence_measured=extract_concurrence(p_gggg),
-        oracle_residual=residual,
+        oracle_residual=float(batch.oracle_residual[0]),
     )
 
 

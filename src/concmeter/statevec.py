@@ -7,6 +7,10 @@ Conventions (pinned by the test suite):
 
 All operations are pure: registers are treated as immutable values and
 every gate application returns a new register.
+
+`apply_gate` is the one gate-application kernel. It works on a batch of
+states, shape (N,) + (2,)*n, and checks every row after each gate in one
+vectorised pass; `apply_1q` / `apply_2q` call it with a batch of one.
 """
 from __future__ import annotations
 
@@ -19,7 +23,26 @@ MAX_QUBITS = 8
 
 
 class InvariantViolation(Exception):
-    """An internal consistency check failed (not a user-input problem)."""
+    """An internal consistency check failed (not a user-input problem).
+
+    Carries, where known, the stage that failed, the measured value and
+    its tolerance, and the batch row and sweep seed it came from."""
+
+    def __init__(self, message: str, *, stage: str | None = None,
+                 value: float | None = None, tol: float | None = None,
+                 row: int | None = None, seed: int | None = None):
+        super().__init__(message)
+        self.message, self.stage = message, stage
+        self.value, self.tol = value, tol
+        self.row, self.seed = row, seed
+
+    def __str__(self) -> str:
+        text = f"{self.stage}: {self.message}" if self.stage else self.message
+        where = [f"{name} {v}" for name, v in (("row", self.row), ("seed", self.seed))
+                 if v is not None]
+        if self.value is not None:
+            where.append(f"measured {self.value:.3e}, tolerance {self.tol:.0e}")
+        return f"{text} ({'; '.join(where)})" if where else text
 
 
 def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
@@ -35,22 +58,63 @@ def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
     return m
 
 
-class Gate1Q:
+class _Gate:
+    """A validated, immutable gate: unitarity is checked once, at
+    construction, and neither the matrix nor the attribute can change."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix):
+        object.__setattr__(self, "matrix", _check_unitary(matrix, self.DIM))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Gate1Q(_Gate):
     """A single-qubit gate; unitarity is validated once at construction."""
 
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        self.matrix = _check_unitary(matrix, 2)
+    __slots__ = ()
+    DIM = 2
 
 
-class Gate2Q:
+class Gate2Q(_Gate):
     """A two-qubit gate on an ordered qubit pair, validated at construction."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
+    DIM = 4
 
-    def __init__(self, matrix):
-        self.matrix = _check_unitary(matrix, 4)
+
+def check_batch(states: np.ndarray, tol: float) -> None:
+    """Validate a batch of states, one per row (axis 0), in one vectorised
+    pass: each row must be finite with a norm within tol of 1. Raises
+    ValueError for the first row that is not, naming it by index when the
+    batch has more than one row."""
+    parts = np.ascontiguousarray(states.reshape(states.shape[0], -1)).view(float)
+    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    bad = ~(np.abs(norms - 1.0) <= tol)  # NaN/Inf fail the comparison
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    where = f"row {i}: " if len(parts) > 1 else ""
+    if not np.all(np.isfinite(parts[i])):
+        raise ValueError(f"{where}amplitudes contain NaN/Inf")
+    raise ValueError(f"{where}state norm {float(norms[i])!r} deviates from 1 "
+                     f"beyond tolerance {tol}")
+
+
+def normalized(amps) -> np.ndarray:
+    """amps / ||amps||, scaled by the largest component first so that
+    amplitudes of any finite magnitude neither underflow nor overflow."""
+    parts = np.ascontiguousarray(amps, dtype=complex).reshape(-1).view(float)
+    if not np.all(np.isfinite(parts)):
+        raise ValueError("amplitudes contain NaN/Inf")
+    scale = np.max(np.abs(parts), initial=0.0)
+    if scale == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    # real division: a complex one by a subnormal scale overflows
+    a = (parts / scale).view(complex)
+    return a / np.linalg.norm(a)
 
 
 class Register:
@@ -58,30 +122,28 @@ class Register:
 
     __slots__ = ("n_qubits", "amplitudes")
 
-    def __init__(self, amplitudes, *, normalize: bool = False, _tol: float = NORM_TOL_INPUT):
+    def __init__(self, amplitudes, *, normalize: bool = False):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         n = int(np.log2(amps.size)) if amps.size > 0 else 0
         if amps.size == 0 or 2**n != amps.size:
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the supported maximum of {MAX_QUBITS}")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes contain NaN/Inf")
-        norm = np.linalg.norm(amps)
         if normalize:
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            amps = amps / norm
-        elif abs(norm - 1.0) > _tol:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond tolerance {_tol}")
+            amps = normalized(amps)
+        check_batch(amps[None], NORM_TOL_INPUT)
         amps.flags.writeable = False
         self.n_qubits = n
         self.amplitudes = amps
 
     @classmethod
     def _wrap(cls, amps: np.ndarray) -> "Register":
-        # internal: amplitudes produced by a unitary, tighter tolerance
-        return cls(amps, _tol=NORM_TOL_UNITARY)
+        # internal: amplitudes already checked by check_batch; no second pass
+        r = cls.__new__(cls)
+        r.n_qubits = int(amps.size).bit_length() - 1
+        amps.flags.writeable = False
+        r.amplitudes = amps
+        return r
 
 
 def ground_register(n: int) -> Register:
@@ -104,7 +166,9 @@ def tensor(a: Register, b: Register) -> Register:
         raise ValueError(
             f"combined register of {a.n_qubits + b.n_qubits} qubits exceeds {MAX_QUBITS}"
         )
-    return Register._wrap(np.kron(a.amplitudes, b.amplitudes))
+    amps = np.kron(a.amplitudes, b.amplitudes)
+    check_batch(amps[None], NORM_TOL_UNITARY)
+    return Register._wrap(amps)
 
 
 def _check_qubit_index(q: int, n: int) -> None:
@@ -112,28 +176,43 @@ def _check_qubit_index(q: int, n: int) -> None:
         raise ValueError(f"qubit index {q} out of range 1..{n}")
 
 
+def apply_gate(states: np.ndarray, gate: Gate1Q | Gate2Q,
+               qubits: tuple[int, ...]) -> np.ndarray:
+    """The gate-application kernel: apply a one- or two-qubit gate to the
+    given qubits (1-based, 1 = leftmost, in the gate's order) of every
+    state in a batch of shape (N,) + (2,)*n. Returns a new contiguous
+    array whose rows have been checked for finiteness and for a norm
+    within NORM_TOL_UNITARY of 1, once for the whole batch."""
+    n, k = states.ndim - 1, len(qubits)
+    if gate.matrix.shape[0] != 2**k:
+        raise ValueError(f"{type(gate).__name__} acts on {gate.matrix.shape[0].bit_length() - 1} "
+                         f"qubits, got {k} qubit indices")
+    for q in qubits:
+        _check_qubit_index(q, n)
+    if len(set(qubits)) != k:
+        raise ValueError("q1 and q2 must be distinct")
+    # gate axes first, so the gate is one matrix product over all the rest
+    perm = [*qubits, *(ax for ax in range(n + 1) if ax not in qubits)]
+    moved = states.transpose(perm)
+    out = (gate.matrix @ moved.reshape(2**k, -1)).reshape(moved.shape)
+    out = np.ascontiguousarray(out.transpose(np.argsort(perm)))
+    check_batch(out, NORM_TOL_UNITARY)
+    return out
+
+
 def apply_1q(r: Register, q: int, g: Gate1Q) -> Register:
     """Apply a single-qubit gate to qubit q (1-based, 1 = leftmost)."""
-    _check_qubit_index(q, r.n_qubits)
-    ax = q - 1
-    psi = r.amplitudes.reshape([2] * r.n_qubits)
-    psi = np.tensordot(g.matrix, psi, axes=([1], [ax]))
-    psi = np.moveaxis(psi, 0, ax)
-    return Register._wrap(np.ascontiguousarray(psi).reshape(-1))
+    return _apply_to_register(r, g, (q,))
 
 
 def apply_2q(r: Register, q1: int, q2: int, g: Gate2Q) -> Register:
     """Apply a two-qubit gate to the ordered pair (q1, q2)."""
-    _check_qubit_index(q1, r.n_qubits)
-    _check_qubit_index(q2, r.n_qubits)
-    if q1 == q2:
-        raise ValueError("q1 and q2 must be distinct")
-    ax1, ax2 = q1 - 1, q2 - 1
-    psi = r.amplitudes.reshape([2] * r.n_qubits)
-    gate = g.matrix.reshape(2, 2, 2, 2)  # (out1, out2, in1, in2)
-    psi = np.tensordot(gate, psi, axes=([2, 3], [ax1, ax2]))
-    psi = np.moveaxis(psi, [0, 1], [ax1, ax2])
-    return Register._wrap(np.ascontiguousarray(psi).reshape(-1))
+    return _apply_to_register(r, g, (q1, q2))
+
+
+def _apply_to_register(r: Register, g, qubits: tuple[int, ...]) -> Register:
+    out = apply_gate(r.amplitudes.reshape((1,) + (2,) * r.n_qubits), g, qubits)
+    return Register._wrap(out.reshape(-1))
 
 
 def basis_index(basis: str) -> int:
