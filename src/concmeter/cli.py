@@ -17,7 +17,7 @@ import numpy as np
 from . import cavity as cavity_mod
 from .concurrence import PureState, concurrence_pure
 from .estimation import ReadoutModel, simulate_shots
-from .protocol import extract_concurrence, run_batch, run_circuit
+from .protocol import run_batch, run_circuit
 from .statevec import InvariantViolation
 
 EXIT_OK = 0
@@ -115,18 +115,16 @@ def cmd_sweep(args) -> int:
                 exc.row, exc.seed = start + exc.row, args.seed
                 raise
             rows = []
-            for k, (psi, p_gggg, p_egeg, residual) in enumerate(zip(
-                    states, batch.p_gggg.tolist(), batch.p_egeg.tolist(),
-                    batch.oracle_residual.tolist())):
+            for k, psi in enumerate(states):
+                result = run_circuit(psi, batch, k)
                 c_analytic = concurrence_pure(psi)
-                c_measured = extract_concurrence(p_gggg)
-                max_dev = max(max_dev, abs(c_measured - c_analytic))
-                max_residual = max(max_residual, residual)
+                max_dev = max(max_dev, abs(result.concurrence_measured - c_analytic))
+                max_residual = max(max_residual, result.oracle_residual)
                 row = [start + k]
                 for c in (psi.c0, psi.c1, psi.c2, psi.c3):
                     row += [repr(float(c.real)), repr(float(c.imag))]
-                row += [repr(c_analytic), repr(p_gggg), repr(p_egeg),
-                        repr(c_measured), repr(residual)]
+                row += [repr(c_analytic), repr(result.p_gggg), repr(result.p_egeg),
+                        repr(result.concurrence_measured), repr(result.oracle_residual)]
                 rows.append(row)
             writer.writerows(rows)
     print(f"wrote {args.n_states} rows to {args.out}; "

@@ -5,7 +5,8 @@ then R- on qubit 2. The concurrence of |psi> is read out from the
 all-ground probability as C = 2*sqrt(2*P_gggg).
 
 `run_batch` runs the circuit on N input states at once; `run_circuit` is
-a batch of one. `analytic_phi1_batch` computes the post-circuit
+a batch of one, or reads one state's result out of a batch already run.
+`analytic_phi1_batch` computes the post-circuit
 amplitudes directly as polynomials in c0..c3, never touching the gate
 simulator, so the two paths cross-check each other row by row.
 """
@@ -72,6 +73,7 @@ class ProtocolResult:
 class BatchResult:
     """Row i of each array belongs to input state i."""
 
+    inputs: np.ndarray  # (N, 4) input amplitudes
     amplitudes: np.ndarray  # (N, 16) final amplitudes
     p_gggg: np.ndarray
     p_egeg: np.ndarray
@@ -164,21 +166,30 @@ def run_batch(amps) -> BatchResult:
         raise InvariantViolation("simulated state deviates from the analytic table",
                                  stage="amplitude table", value=float(residual[i]),
                                  tol=ORACLE_TOL, row=i)
-    return BatchResult(amplitudes=final, p_gggg=np.abs(final[:, _GGGG]) ** 2,
+    return BatchResult(inputs=a, amplitudes=final, p_gggg=np.abs(final[:, _GGGG]) ** 2,
                        p_egeg=np.abs(final[:, _EGEG]) ** 2, oracle_residual=residual)
 
 
-def run_circuit(psi: PureState) -> ProtocolResult:
+def run_circuit(psi: PureState, batch: BatchResult | None = None,
+                row: int = 0) -> ProtocolResult:
     """Execute the full circuit and extract concurrence, with the analytic
-    amplitude table checked ket-by-ket (phase-strict): a batch of one."""
-    batch = run_batch(psi.amplitudes[None])
-    p_gggg = float(batch.p_gggg[0])
+    amplitude table checked ket-by-ket (phase-strict).
+
+    Without `batch` the circuit runs as a batch of one. With `batch`, a
+    run_batch result whose row `row` was run on psi, that row, already
+    checked, is read out instead of running the circuit again."""
+    if batch is None:
+        batch = run_batch(psi.amplitudes[None])
+        row = 0
+    elif batch.inputs[row].tolist() != psi.amplitudes.tolist():
+        raise ValueError(f"row {row} of the batch was not run on this state")
+    p_gggg = float(batch.p_gggg[row])
     return ProtocolResult(
-        final_state=statevec.from_amplitudes(batch.amplitudes[0]),
+        final_state=Register._wrap(batch.amplitudes[row]),  # checked by apply_gate
         p_gggg=p_gggg,
-        p_egeg=float(batch.p_egeg[0]),
+        p_egeg=float(batch.p_egeg[row]),
         concurrence_measured=extract_concurrence(p_gggg),
-        oracle_residual=float(batch.oracle_residual[0]),
+        oracle_residual=float(batch.oracle_residual[row]),
     )
 
 

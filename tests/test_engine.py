@@ -36,6 +36,23 @@ class TestRunBatch:
             assert abs(batch.p_egeg[i] - single.p_egeg) <= 1e-15
             assert abs(batch.oracle_residual[i] - single.oracle_residual) <= 1e-15
 
+    def test_run_circuit_reads_batch_row(self):
+        amps = haar_batch(5, 3)
+        states = [PureState(*row) for row in amps]
+        batch = run_batch([psi.amplitudes for psi in states])
+        for k, psi in enumerate(states):
+            row, single = run_circuit(psi, batch, k), run_circuit(psi)
+            assert np.max(np.abs(row.final_state.amplitudes
+                                 - single.final_state.amplitudes)) <= 1e-15
+            for field in ("p_gggg", "p_egeg", "concurrence_measured", "oracle_residual"):
+                assert abs(getattr(row, field) - getattr(single, field)) <= 1e-15
+
+    def test_run_circuit_rejects_foreign_row(self):
+        states = [PureState(*row) for row in haar_batch(2, 4)]
+        batch = run_batch([psi.amplitudes for psi in states])
+        with pytest.raises(ValueError, match="row 1 of the batch was not run on this state"):
+            run_circuit(states[0], batch, 1)
+
     def test_bell_and_product_rows(self):
         batch = run_batch([[0, SQ2, SQ2, 0], [1, 0, 0, 0]])
         np.testing.assert_allclose(batch.p_gggg, [0.125, 0.0], atol=1e-15)
