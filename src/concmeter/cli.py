@@ -17,16 +17,13 @@ import numpy as np
 from . import cavity as cavity_mod
 from .concurrence import PureState, concurrence_pure
 from .estimation import ReadoutModel, simulate_shots
-from .protocol import run_batch, run_circuit
+from .protocol import run_circuit
 from .statevec import InvariantViolation
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INVARIANT = 2
 EXIT_INFEASIBLE = 3
-
-# sweep rows verified per run_batch call; bounds memory for any n_states
-SWEEP_BLOCK = 256
 
 SWEEP_COLUMNS = [
     "seed",
@@ -105,28 +102,21 @@ def cmd_sweep(args) -> int:
     with out:
         writer = csv.writer(out)
         writer.writerow(SWEEP_COLUMNS)
-        for start in range(0, args.n_states, SWEEP_BLOCK):
+        for i in range(args.n_states):
             # row i is reproducible on its own from default_rng([seed, i])
-            states = [PureState.haar_random(np.random.default_rng([args.seed, i]))
-                      for i in range(start, min(start + SWEEP_BLOCK, args.n_states))]
+            psi = PureState.haar_random(np.random.default_rng([args.seed, i]))
             try:
-                batch = run_batch([psi.amplitudes for psi in states])
+                result = run_circuit(psi)
             except InvariantViolation as exc:
-                exc.row, exc.seed = start + exc.row, args.seed
+                exc.row, exc.seed = i, args.seed
                 raise
-            rows = []
-            for k, psi in enumerate(states):
-                result = run_circuit(psi, batch, k)
-                c_analytic = concurrence_pure(psi)
-                max_dev = max(max_dev, abs(result.concurrence_measured - c_analytic))
-                max_residual = max(max_residual, result.oracle_residual)
-                row = [start + k]
-                for c in (psi.c0, psi.c1, psi.c2, psi.c3):
-                    row += [repr(float(c.real)), repr(float(c.imag))]
-                row += [repr(c_analytic), repr(result.p_gggg), repr(result.p_egeg),
-                        repr(result.concurrence_measured), repr(result.oracle_residual)]
-                rows.append(row)
-            writer.writerows(rows)
+            c_analytic = concurrence_pure(psi)
+            max_dev = max(max_dev, abs(result.concurrence_measured - c_analytic))
+            max_residual = max(max_residual, result.oracle_residual)
+            row = [i, *map(repr, psi.amplitudes.view(float).tolist()),
+                   repr(c_analytic), repr(result.p_gggg), repr(result.p_egeg),
+                   repr(result.concurrence_measured), repr(result.oracle_residual)]
+            writer.writerow(row)
     print(f"wrote {args.n_states} rows to {args.out}; "
           f"max |C_measured - C_analytic| = {max_dev:.3e}, "
           f"max oracle residual = {max_residual:.3e}")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import InvariantViolation, normalized
+from .statevec import InvariantViolation, check_batch, normalized
 
 PURE_NORM_TOL = 1e-9
 DM_HERMITIAN_TOL = 1e-10
@@ -28,12 +28,7 @@ class PureState:
     c3: complex
 
     def __post_init__(self):
-        amps = self.amplitudes
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes contain NaN/Inf")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > PURE_NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {PURE_NORM_TOL}")
+        check_batch(self.amplitudes[None], PURE_NORM_TOL)
 
     @property
     def amplitudes(self) -> np.ndarray:

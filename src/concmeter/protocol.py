@@ -5,8 +5,7 @@ then R- on qubit 2. The concurrence of |psi> is read out from the
 all-ground probability as C = 2*sqrt(2*P_gggg).
 
 `run_batch` runs the circuit on N input states at once; `run_circuit` is
-a batch of one, or reads one state's result out of a batch already run.
-`analytic_phi1_batch` computes the post-circuit
+a batch of one. `analytic_phi1_batch` computes the post-circuit
 amplitudes directly as polynomials in c0..c3, never touching the gate
 simulator, so the two paths cross-check each other row by row.
 """
@@ -27,17 +26,47 @@ P_MAX = 0.125  # |A-|^2/2 <= 1/8 since C <= 1
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-# the circuit's gates, looked up once
-_SIGMA_Y = gates.sigma_y()
+# the circuit's gates, looked up once; sigma_y x sigma_y acts on the
+# second copy as one two-qubit gate, validated here once
+_SIGMA_Y_PAIR = statevec.Gate2Q(np.kron(gates.sigma_y().matrix, gates.sigma_y().matrix))
 _CNOT = gates.cnot()
 _R_MINUS = gates.r_minus()
 
 _KETS = tuple(statevec.basis_string(i, 4) for i in range(16))
 _GGGG, _EGEG = statevec.basis_index("gggg"), statevec.basis_index("egeg")
-# kets of the non-zero table entries, in the order analytic_phi1_batch stacks them
-_PHI1_INDEX = np.array([statevec.basis_index(k) for k in (
-    "gggg", "gegg", "ggge", "gege", "eegg", "geeg", "ggee", "geee",
-    "egge", "eege", "egeg", "eeeg", "eeee", "egee")])
+
+# The post-circuit amplitudes as quadratic forms in c0..c3, before the
+# common factor 1/sqrt(2): ket -> {(i, j): coefficient of c_i c_j}. With
+# A+- = c1 c2 +- c0 c3 and B+- = c0 c2 +- c1 c3, the first four rows are
+# A-, A+, B-, -B+. ggeg and eggg are 0.
+_PHI1_TERMS = {
+    "gggg": {(1, 2): 1, (0, 3): -1},
+    "gegg": {(1, 2): 1, (0, 3): 1},
+    "ggge": {(0, 2): 1, (1, 3): -1},
+    "gege": {(0, 2): -1, (1, 3): -1},
+    "eegg": {(2, 3): 2},
+    "geeg": {(0, 1): -2},
+    "ggee": {(1, 1): 1, (0, 0): -1},
+    "geee": {(1, 1): 1, (0, 0): 1},
+    "egge": {(2, 2): 1, (3, 3): -1},
+    "eege": {(2, 2): -1, (3, 3): -1},
+    "egeg": {(1, 2): 1, (0, 3): -1},
+    "eeeg": {(1, 2): -1, (0, 3): -1},
+    "eeee": {(0, 2): 1, (1, 3): 1},
+    "egee": {(0, 2): -1, (1, 3): 1},
+}
+
+
+def _terms_matrix(terms: dict) -> np.ndarray:
+    """(16 products c_i c_j, row 4i + j) x (16 kets) coefficient matrix."""
+    m = np.zeros((16, 16), dtype=complex)
+    for ket, coefs in terms.items():
+        for (i, j), coef in coefs.items():
+            m[4 * i + j, statevec.basis_index(ket)] = coef
+    return m
+
+
+_PHI1_MATRIX = _terms_matrix(_PHI1_TERMS)
 
 
 @dataclass(frozen=True)
@@ -45,13 +74,6 @@ class Phi1Coefficients:
     """The sixteen post-circuit amplitudes, keyed by 4-letter basis ket."""
 
     table: dict[str, complex]
-
-    def __post_init__(self):
-        norm2 = sum(abs(a) ** 2 for a in self.table.values())
-        if abs(norm2 - 1.0) > TABLE_NORM_TOL:
-            raise InvariantViolation("analytic amplitude table is not normalised",
-                                     stage="analytic table", value=abs(norm2 - 1.0),
-                                     tol=TABLE_NORM_TOL)
 
     def as_register(self) -> Register:
         amps = np.zeros(16, dtype=complex)
@@ -73,7 +95,6 @@ class ProtocolResult:
 class BatchResult:
     """Row i of each array belongs to input state i."""
 
-    inputs: np.ndarray  # (N, 4) input amplitudes
     amplitudes: np.ndarray  # (N, 16) final amplitudes
     p_gggg: np.ndarray
     p_egeg: np.ndarray
@@ -90,13 +111,10 @@ def _input_batch(amps) -> np.ndarray:
 
 def _prepare(a: np.ndarray) -> np.ndarray:
     """(N, 4) two-qubit states -> (N, 2, 2, 2, 2) inputs of the circuit:
-    |psi> on qubits 1,2 and (sigma_y x sigma_y)|psi> on qubits 3,4."""
-    copy2 = a.reshape(-1, 2, 2)
-    copy2 = statevec.apply_gate(copy2, _SIGMA_Y, (1,))
-    copy2 = statevec.apply_gate(copy2, _SIGMA_Y, (2,))
-    joint = a[:, :, None] * copy2.reshape(-1, 1, 4)
-    statevec.check_batch(joint, statevec.NORM_TOL_UNITARY)
-    return joint.reshape(-1, 2, 2, 2, 2)
+    |psi> on qubits 1,2 and (sigma_y x sigma_y)|psi> on qubits 3,4. The
+    product of two checked rows needs no check of its own."""
+    copy2 = statevec.apply_gate(a.reshape(-1, 2, 2), _SIGMA_Y_PAIR, (1, 2))
+    return (a[:, :, None] * copy2.reshape(-1, 1, 4)).reshape(-1, 2, 2, 2, 2)
 
 
 def prepare_input(psi: PureState) -> Register:
@@ -107,26 +125,12 @@ def prepare_input(psi: PureState) -> Register:
 def analytic_phi1_batch(amps) -> np.ndarray:
     """(N, 4) states -> (N, 16) post-circuit amplitudes, evaluated as
     polynomials in c0..c3; each row's norm is checked (TABLE_NORM_TOL)."""
-    c0, c1, c2, c3 = np.asarray(amps, dtype=complex).T
-    a_minus = c1 * c2 - c0 * c3
-    a_plus = c1 * c2 + c0 * c3
-    b_minus = c0 * c2 - c1 * c3
-    b_plus = c0 * c2 + c1 * c3
-    c10_minus = c1 * c1 - c0 * c0
-    c10_plus = c1 * c1 + c0 * c0
-    c23_minus = c2 * c2 - c3 * c3
-    c23_plus = c2 * c2 + c3 * c3
-    table = np.zeros((len(c0), 16), dtype=complex)
-    table[:, _PHI1_INDEX] = np.stack([
-        a_minus, a_plus, b_minus, -b_plus,  # gggg gegg ggge gege
-        2.0 * c2 * c3, -2.0 * c0 * c1,  # eegg geeg
-        c10_minus, c10_plus, c23_minus, -c23_plus,  # ggee geee egge eege
-        a_minus, -a_plus, b_plus, -b_minus,  # egeg eeeg eeee egee
-    ], axis=1) * _SQRT2_INV  # ggeg and eggg stay 0
+    c = np.asarray(amps, dtype=complex)
+    products = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
+    table = (products @ _PHI1_MATRIX) * _SQRT2_INV
     deviation = np.abs(np.einsum("ij,ij->i", table.view(float), table.view(float)) - 1.0)
-    bad = ~(deviation <= TABLE_NORM_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not deviation.max() <= TABLE_NORM_TOL:  # NaN fails too
+        i = int(np.argmax(~(deviation <= TABLE_NORM_TOL)))
         raise InvariantViolation("analytic amplitude table is not normalised",
                                  stage="analytic table", value=float(deviation[i]),
                                  tol=TABLE_NORM_TOL, row=i)
@@ -151,45 +155,40 @@ def run_batch(amps) -> BatchResult:
 
     Every row is checked: its input norm, its norm after each gate, and
     its final state against the analytic table, phase-strict, within
-    ORACLE_TOL. A failed oracle check raises InvariantViolation naming
-    the row."""
-    a = _input_batch(amps)
+    ORACLE_TOL. A failed check inside the circuit raises
+    InvariantViolation naming the row."""
+    return _run(_input_batch(amps))
+
+
+def _run(a: np.ndarray) -> BatchResult:
+    """run_batch on rows already checked as input states."""
     psi = _prepare(a)
     psi = statevec.apply_gate(psi, _CNOT, (2, 4))
     psi = statevec.apply_gate(psi, _R_MINUS, (2,))
     final = psi.reshape(-1, 16)
 
     residual = np.max(np.abs(final - analytic_phi1_batch(a)), axis=1)
-    bad = ~(residual <= ORACLE_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not residual.max() <= ORACLE_TOL:  # NaN fails too
+        i = int(np.argmax(~(residual <= ORACLE_TOL)))
         raise InvariantViolation("simulated state deviates from the analytic table",
                                  stage="amplitude table", value=float(residual[i]),
                                  tol=ORACLE_TOL, row=i)
-    return BatchResult(inputs=a, amplitudes=final, p_gggg=np.abs(final[:, _GGGG]) ** 2,
+    return BatchResult(amplitudes=final, p_gggg=np.abs(final[:, _GGGG]) ** 2,
                        p_egeg=np.abs(final[:, _EGEG]) ** 2, oracle_residual=residual)
 
 
-def run_circuit(psi: PureState, batch: BatchResult | None = None,
-                row: int = 0) -> ProtocolResult:
+def run_circuit(psi: PureState) -> ProtocolResult:
     """Execute the full circuit and extract concurrence, with the analytic
-    amplitude table checked ket-by-ket (phase-strict).
-
-    Without `batch` the circuit runs as a batch of one. With `batch`, a
-    run_batch result whose row `row` was run on psi, that row, already
-    checked, is read out instead of running the circuit again."""
-    if batch is None:
-        batch = run_batch(psi.amplitudes[None])
-        row = 0
-    elif batch.inputs[row].tolist() != psi.amplitudes.tolist():
-        raise ValueError(f"row {row} of the batch was not run on this state")
-    p_gggg = float(batch.p_gggg[row])
+    amplitude table checked ket-by-ket (phase-strict): a batch of one,
+    whose input PureState has already been validated."""
+    batch = _run(psi.amplitudes[None])
+    p_gggg = float(batch.p_gggg[0])
     return ProtocolResult(
-        final_state=Register._wrap(batch.amplitudes[row]),  # checked by apply_gate
+        final_state=Register._wrap(batch.amplitudes[0]),  # checked by apply_gate
         p_gggg=p_gggg,
-        p_egeg=float(batch.p_egeg[row]),
+        p_egeg=float(batch.p_egeg[0]),
         concurrence_measured=extract_concurrence(p_gggg),
-        oracle_residual=float(batch.oracle_residual[row]),
+        oracle_residual=float(batch.oracle_residual[0]),
     )
 
 

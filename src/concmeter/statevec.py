@@ -14,6 +14,8 @@ vectorised pass; `apply_1q` / `apply_2q` call it with a batch of one.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 NORM_TOL_INPUT = 1e-9
@@ -85,21 +87,36 @@ class Gate2Q(_Gate):
     DIM = 4
 
 
+def _squared_norms(states: np.ndarray) -> np.ndarray:
+    """The squared norm of each row (axis 0) of a batch; NaN or Inf for a
+    row with non-finite amplitudes."""
+    parts = np.ascontiguousarray(states.reshape(len(states), -1)).view(float)
+    return np.einsum("ij,ij->i", parts, parts)
+
+
+def _first_bad_row(squared: np.ndarray, tol: float) -> int:
+    """Index of the first row whose norm is not within tol of 1, or -1.
+    |norm - 1| <= tol is tested as (1 - tol)^2 <= norm^2 <= (1 + tol)^2;
+    NaN fails both comparisons."""
+    low, high = (1.0 - tol) ** 2, (1.0 + tol) ** 2
+    if low <= squared.min() and squared.max() <= high:
+        return -1
+    return int(np.argmax(~((low <= squared) & (squared <= high))))
+
+
 def check_batch(states: np.ndarray, tol: float) -> None:
     """Validate a batch of states, one per row (axis 0), in one vectorised
     pass: each row must be finite with a norm within tol of 1. Raises
     ValueError for the first row that is not, naming it by index when the
     batch has more than one row."""
-    parts = np.ascontiguousarray(states.reshape(states.shape[0], -1)).view(float)
-    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    bad = ~(np.abs(norms - 1.0) <= tol)  # NaN/Inf fail the comparison
-    if not bad.any():
+    squared = _squared_norms(states)
+    i = _first_bad_row(squared, tol)
+    if i < 0:
         return
-    i = int(np.argmax(bad))
-    where = f"row {i}: " if len(parts) > 1 else ""
-    if not np.all(np.isfinite(parts[i])):
+    where = f"row {i}: " if len(squared) > 1 else ""
+    if not np.all(np.isfinite(states[i])):
         raise ValueError(f"{where}amplitudes contain NaN/Inf")
-    raise ValueError(f"{where}state norm {float(norms[i])!r} deviates from 1 "
+    raise ValueError(f"{where}state norm {math.sqrt(squared[i])!r} deviates from 1 "
                      f"beyond tolerance {tol}")
 
 
@@ -138,7 +155,7 @@ class Register:
 
     @classmethod
     def _wrap(cls, amps: np.ndarray) -> "Register":
-        # internal: amplitudes already checked by check_batch; no second pass
+        # internal: amplitudes already checked (check_batch or apply_gate)
         r = cls.__new__(cls)
         r.n_qubits = int(amps.size).bit_length() - 1
         amps.flags.writeable = False
@@ -181,8 +198,9 @@ def apply_gate(states: np.ndarray, gate: Gate1Q | Gate2Q,
     """The gate-application kernel: apply a one- or two-qubit gate to the
     given qubits (1-based, 1 = leftmost, in the gate's order) of every
     state in a batch of shape (N,) + (2,)*n. Returns a new contiguous
-    array whose rows have been checked for finiteness and for a norm
-    within NORM_TOL_UNITARY of 1, once for the whole batch."""
+    array. Every row is checked once, for the whole batch, to be finite
+    with a norm within NORM_TOL_UNITARY of 1; since the gate is unitary
+    and its input normalised, a row that fails is an InvariantViolation."""
     n, k = states.ndim - 1, len(qubits)
     if gate.matrix.shape[0] != 2**k:
         raise ValueError(f"{type(gate).__name__} acts on {gate.matrix.shape[0].bit_length() - 1} "
@@ -195,8 +213,13 @@ def apply_gate(states: np.ndarray, gate: Gate1Q | Gate2Q,
     perm = [*qubits, *(ax for ax in range(n + 1) if ax not in qubits)]
     moved = states.transpose(perm)
     out = (gate.matrix @ moved.reshape(2**k, -1)).reshape(moved.shape)
-    out = np.ascontiguousarray(out.transpose(np.argsort(perm)))
-    check_batch(out, NORM_TOL_UNITARY)
+    out = out.transpose(sorted(range(n + 1), key=perm.__getitem__)).copy()
+    squared = _squared_norms(out)
+    i = _first_bad_row(squared, NORM_TOL_UNITARY)
+    if i >= 0:
+        raise InvariantViolation("state norm not preserved", stage="gate application",
+                                 value=abs(math.sqrt(squared[i]) - 1.0),
+                                 tol=NORM_TOL_UNITARY, row=i)
     return out
 
 

@@ -8,12 +8,15 @@ import json
 import math
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concmeter import cli
 from concmeter.cli import build_parser, main
+from concmeter.concurrence import PureState
+from concmeter.protocol import run_circuit
 
 SQ2 = 1.0 / math.sqrt(2.0)
 TIME_BOUND_S = 5.0
@@ -142,7 +145,8 @@ class TestStateFileBoundary:
 
 class TestSweepStream:
     # SHA-256 of the seed, amplitude and concurrence_analytic columns of
-    # `sweep 50 --seed 0`, as written before sweep was batched
+    # `sweep 50 --seed 0`, as written by the engine that built one
+    # validated register per gate
     GOLDEN = "3069d0fcb4c785f80f9e5356886762bbf8c4c6ec20bbc7c0a72b49d2060f066f"
     HASHED = ("seed", "c0_re", "c0_im", "c1_re", "c1_im", "c2_re", "c2_im",
               "c3_re", "c3_im", "concurrence_analytic")
@@ -156,15 +160,14 @@ class TestSweepStream:
                 digest.update((",".join(row[k] for k in self.HASHED) + "\n").encode())
         assert digest.hexdigest() == self.GOLDEN
 
-    def test_rows_independent_of_block_size(self, tmp_path, monkeypatch):
-        whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
-        assert main(["sweep", "11", "--seed", "6", "--out", str(whole)]) == 0
-        monkeypatch.setattr(cli, "SWEEP_BLOCK", 4)
-        assert main(["sweep", "11", "--seed", "6", "--out", str(blocks)]) == 0
-        with open(whole, newline="") as a, open(blocks, newline="") as b:
-            rows_a, rows_b = list(csv.DictReader(a)), list(csv.DictReader(b))
-        assert len(rows_a) == len(rows_b) == 11
-        for ra, rb in zip(rows_a, rows_b):
-            assert [ra[k] for k in self.HASHED] == [rb[k] for k in self.HASHED]
-            for k in ("p_gggg", "p_egeg", "concurrence_measured", "oracle_residual"):
-                assert abs(float(ra[k]) - float(rb[k])) <= 1e-15
+    def test_row_reproducible_alone(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "11", "--seed", "6", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 11
+        for i in (0, 7, 10):
+            psi = PureState.haar_random(np.random.default_rng([6, i]))
+            amps = [repr(x) for x in psi.amplitudes.view(float).tolist()]
+            assert [rows[i][k] for k in self.HASHED[1:9]] == amps
+            assert rows[i]["p_gggg"] == repr(run_circuit(psi).p_gggg)

@@ -36,23 +36,6 @@ class TestRunBatch:
             assert abs(batch.p_egeg[i] - single.p_egeg) <= 1e-15
             assert abs(batch.oracle_residual[i] - single.oracle_residual) <= 1e-15
 
-    def test_run_circuit_reads_batch_row(self):
-        amps = haar_batch(5, 3)
-        states = [PureState(*row) for row in amps]
-        batch = run_batch([psi.amplitudes for psi in states])
-        for k, psi in enumerate(states):
-            row, single = run_circuit(psi, batch, k), run_circuit(psi)
-            assert np.max(np.abs(row.final_state.amplitudes
-                                 - single.final_state.amplitudes)) <= 1e-15
-            for field in ("p_gggg", "p_egeg", "concurrence_measured", "oracle_residual"):
-                assert abs(getattr(row, field) - getattr(single, field)) <= 1e-15
-
-    def test_run_circuit_rejects_foreign_row(self):
-        states = [PureState(*row) for row in haar_batch(2, 4)]
-        batch = run_batch([psi.amplitudes for psi in states])
-        with pytest.raises(ValueError, match="row 1 of the batch was not run on this state"):
-            run_circuit(states[0], batch, 1)
-
     def test_bell_and_product_rows(self):
         batch = run_batch([[0, SQ2, SQ2, 0], [1, 0, 0, 0]])
         np.testing.assert_allclose(batch.p_gggg, [0.125, 0.0], atol=1e-15)
@@ -118,9 +101,13 @@ class TestApplyGate:
 
     def test_norm_checked_after_the_gate(self):
         states = haar_batch(3, 7).reshape(3, 2, 2)
-        states[0] *= 2.0
-        with pytest.raises(ValueError, match="row 0: state norm"):
+        states[1] *= 2.0
+        with pytest.raises(InvariantViolation) as info:
             statevec.apply_gate(states, gates.sigma_y(), (1,))
+        exc = info.value
+        assert (exc.stage, exc.row, exc.tol) == ("gate application", 1,
+                                                 statevec.NORM_TOL_UNITARY)
+        assert exc.value == pytest.approx(1.0)
 
     def test_input_left_untouched(self):
         states = haar_batch(2, 8).reshape(2, 2, 2)
@@ -158,19 +145,24 @@ class TestDiagnosableFailure:
         assert "amplitude table" in err and "row 0" in err and "seed 17" in err
         assert "tolerance 1e-10" in err and "measured" in err
 
-    def test_sweep_row_counts_across_blocks(self, monkeypatch, tmp_path, capsys):
+    def test_sweep_names_the_absolute_row_of_a_gate_failure(self, monkeypatch, tmp_path,
+                                                             capsys):
         from concmeter import cli
+
+        class Stretch:  # not unitary: doubles every amplitude
+            matrix = 2.0 * np.eye(2)
 
         calls = []
 
-        def second_block_fails(amps):
-            calls.append(len(amps))
-            if len(calls) == 2:
-                raise InvariantViolation("injected", stage="test", row=1, value=1.0, tol=0.5)
-            return run_batch(amps)
+        def breaks_from_row_5(psi):
+            calls.append(psi)
+            if len(calls) == 6:
+                monkeypatch.setattr(protocol, "_R_MINUS", Stretch())
+            return run_circuit(psi)
 
-        monkeypatch.setattr(cli, "SWEEP_BLOCK", 4)
-        monkeypatch.setattr(cli, "run_batch", second_block_fails)
+        monkeypatch.setattr(cli, "run_circuit", breaks_from_row_5)
         assert main(["sweep", "10", "--seed", "3", "--out", str(tmp_path / "s.csv")]) == 2
-        assert "row 5; seed 3" in capsys.readouterr().err
-        assert calls == [4, 4]
+        err = capsys.readouterr().err
+        assert "gate application" in err and "row 5; seed 3" in err
+        assert "tolerance 1e-12" in err
+        assert len(calls) == 6
