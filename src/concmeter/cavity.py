@@ -10,13 +10,13 @@ register after its qubit is handed to the photon; it is deterministically
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates, statevec
 from .concurrence import PureState
-from .protocol import ProtocolResult, analytic_phi1, extract_concurrence, run_circuit
+from .protocol import ProtocolResult, extract_concurrence, run_circuit
 from .statevec import Gate2Q, InvariantViolation, Register
 
 CAVITY_MATCH_TOL = 1e-10
@@ -69,63 +69,34 @@ def composed_cnot_matrix() -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# photonic relay
+# photonic relay, on the six-slot register (atoms 1-4, cavity-D photon, atom 5)
 
 
-@dataclass(frozen=True)
-class RelayRegister:
-    """Six-slot register (atoms 1-4, cavity-D photon, atom 5) plus the
-    population left in the auxiliary level after the 2pi pulse (always 0
-    in this logical model)."""
-
-    register: Register
-    aux_population: float = 0.0
-
-
-def _slot_excited_probability(r: Register, slot: int) -> float:
-    psi = r.amplitudes.reshape([2] * r.n_qubits)
-    axes = tuple(i for i in range(r.n_qubits) if i != slot - 1)
-    return float(np.sum(np.abs(psi) ** 2, axis=axes)[1])
-
-
-def map_atom_to_photon(r: RelayRegister) -> RelayRegister:
+def map_atom_to_photon(r: Register) -> Register:
     """Hand the atom-2 qubit to the cavity-D photon; atom 2 exits in |g>."""
-    p_photon = _slot_excited_probability(r.register, PHOTON)
+    p_photon = statevec.marginal(r, {PHOTON: 1})
     if p_photon > PHOTON_VACUUM_TOL:
         raise InvariantViolation("photon must be in vacuum before the atom-2 map",
                                  stage="atom-to-photon map", value=p_photon,
                                  tol=PHOTON_VACUUM_TOL)
-    reg = statevec.apply_2q(r.register, ATOM2, PHOTON, _SWAP)
-    return RelayRegister(reg, r.aux_population)
+    return statevec.apply_2q(r, ATOM2, PHOTON, _SWAP)
 
 
-def photonic_cphase(r: RelayRegister) -> RelayRegister:
+def photonic_cphase(r: Register) -> Register:
     """2pi Rabi cycle through the auxiliary level: |e>_4 |1>_photon picks
-    up a -1 phase, everything else untouched, auxiliary level empty."""
-    reg = statevec.apply_2q(r.register, ATOM4, PHOTON, _CPHASE)
-    out = RelayRegister(reg, 0.0)
-    if out.aux_population > 1e-12:
-        raise InvariantViolation("auxiliary level left populated after the 2pi pulse")
-    return out
+    up a -1 phase, everything else untouched. The logical model has no
+    auxiliary level, so nothing is left in it."""
+    return statevec.apply_2q(r, ATOM4, PHOTON, _CPHASE)
 
 
-def map_photon_to_atom5(r: RelayRegister) -> RelayRegister:
+def map_photon_to_atom5(r: Register) -> Register:
     """Retrieve the photonic qubit into atom 5; photon left in vacuum."""
-    p_atom5 = _slot_excited_probability(r.register, ATOM5)
+    p_atom5 = statevec.marginal(r, {ATOM5: 1})
     if p_atom5 > PHOTON_VACUUM_TOL:
         raise InvariantViolation("atom 5 must start in the ground state",
                                  stage="photon-to-atom map", value=p_atom5,
                                  tol=PHOTON_VACUUM_TOL)
-    reg = statevec.apply_2q(r.register, PHOTON, ATOM5, _SWAP)
-    return RelayRegister(reg, r.aux_population)
-
-
-def _all_ground_probability(r: Register, slots: tuple[int, ...]) -> float:
-    psi = r.amplitudes.reshape([2] * r.n_qubits)
-    idx = [slice(None)] * r.n_qubits
-    for s in slots:
-        idx[s - 1] = 0
-    return float(np.sum(np.abs(psi[tuple(idx)]) ** 2))
+    return statevec.apply_2q(r, PHOTON, ATOM5, _SWAP)
 
 
 def run_cavity_realization(psi: PureState) -> ProtocolResult:
@@ -140,32 +111,24 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
     reg = statevec.apply_1q(reg, ATOM4, _SIGMA_Y)
     reg = statevec.apply_1q(reg, ATOM4, _R_MINUS)
 
-    relay = RelayRegister(reg)
-    relay = map_atom_to_photon(relay)
-    relay = photonic_cphase(relay)
-    relay = RelayRegister(statevec.apply_1q(relay.register, ATOM4, _R_PLUS),
-                          relay.aux_population)
-    relay = map_photon_to_atom5(relay)
+    reg = photonic_cphase(map_atom_to_photon(reg))
+    reg = map_photon_to_atom5(statevec.apply_1q(reg, ATOM4, _R_PLUS))
 
     # atom 5 now carries the logical qubit 2; final rotation of the protocol
-    final = statevec.apply_1q(relay.register, ATOM5, _R_MINUS)
+    final = statevec.apply_1q(reg, ATOM5, _R_MINUS)
 
-    p_all_ground = _all_ground_probability(final, (ATOM5, ATOM3, ATOM1, ATOM4))
+    p_all_ground = statevec.marginal(final, {ATOM5: 0, ATOM3: 0, ATOM1: 0, ATOM4: 0})
     ideal = run_circuit(psi)
     deviation = abs(p_all_ground - ideal.p_gggg)
     if not deviation <= CAVITY_MATCH_TOL:
         raise InvariantViolation("cavity realization deviates from the ideal circuit",
                                  stage="cavity vs ideal P_gggg", value=deviation,
                                  tol=CAVITY_MATCH_TOL)
-    # P_egeg analogue in logical-qubit order (1, 2, 3, 4) = atoms (1, 5, 3, 4)
-    psi6 = final.amplitudes.reshape([2] * 6)
-    idx = [slice(None)] * 6
-    idx[ATOM1 - 1], idx[ATOM5 - 1], idx[ATOM3 - 1], idx[ATOM4 - 1] = 1, 0, 1, 0
-    p_egeg = float(np.sum(np.abs(psi6[tuple(idx)]) ** 2))
     return ProtocolResult(
         final_state=final,
         p_gggg=p_all_ground,
-        p_egeg=p_egeg,
+        # P_egeg in logical-qubit order (1, 2, 3, 4) = atoms (1, 5, 3, 4)
+        p_egeg=statevec.marginal(final, {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0}),
         concurrence_measured=extract_concurrence(p_all_ground),
         oracle_residual=deviation,
     )
@@ -248,9 +211,8 @@ def kinematics_report(cfg: FlightConfig) -> OrderingReport:
     d_entry = cfg.x_D - cfg.L_D / 2.0
 
     # both pairs share the intra-pair delay tau, so they cross at the
-    # same position; the 1-4 swap is driven by the full emission gap
+    # same position, x12; the 1-4 swap is driven by the full emission gap
     x12 = _overtake_position(cfg, cfg.tau)
-    x34 = _overtake_position(cfg, cfg.tau)
     x14 = _overtake_position(cfg, cfg.emission_times[4])
 
     t4 = cfg.emission_times[4]
@@ -261,8 +223,6 @@ def kinematics_report(cfg: FlightConfig) -> OrderingReport:
     violations: list[str] = []
     if not c_entry <= x12 <= c_exit:
         violations.append("pair12_cross_outside_C")
-    if not c_entry <= x34 <= c_exit:
-        violations.append("pair34_cross_outside_C")
     if order_after != (3, 4, 1, 2):
         violations.append("order_after_C_wrong")
     if not c_exit < x14 < d_entry:
@@ -278,7 +238,7 @@ def kinematics_report(cfg: FlightConfig) -> OrderingReport:
         order_after_C=order_after,
         order_at_D=order_d,
         pair12_cross_position=x12,
-        pair34_cross_position=x34,
+        pair34_cross_position=x12,
         swap14_position=x14,
         feasible=not violations,
         violations=tuple(violations),

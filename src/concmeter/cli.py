@@ -68,7 +68,10 @@ def load_state_file(path: str, force_normalize: bool = False) -> PureState:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                            for x in pair)):
             raise InputError(f"'amplitudes[{i}]' must be a [re, im] number pair")
-        amps.append(complex(pair[0], pair[1]))
+        try:
+            amps.append(complex(pair[0], pair[1]))
+        except OverflowError as exc:  # a JSON integer beyond float range
+            raise InputError(f"'amplitudes[{i}]': {exc}") from exc
     normalize = doc.get("normalize", False)
     if not isinstance(normalize, bool):
         raise InputError("'normalize' must be true or false")
@@ -233,11 +236,10 @@ def main(argv=None) -> int:
             missing = [f for f in ("v", "w", "xc", "xd") if getattr(args, f) is None]
             if missing:
                 raise InputError(f"--kinematics requires --{' --'.join(missing)}")
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take only seeds >= 0
+            raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantViolation as exc:

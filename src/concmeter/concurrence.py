@@ -6,13 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import InvariantViolation, check_batch, normalized
+from .statevec import NORM_TOL_INPUT, NORM_TOL_UNITARY, check_batch, normalized
 
-PURE_NORM_TOL = 1e-9
 DM_HERMITIAN_TOL = 1e-10
 DM_TRACE_TOL = 1e-10
 DM_EIG_FLOOR = -1e-10
-EIG_BREAKDOWN_TOL = 1e-8
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -28,7 +26,7 @@ class PureState:
     c3: complex
 
     def __post_init__(self):
-        check_batch(self.amplitudes[None], PURE_NORM_TOL)
+        check_batch(self.amplitudes[None], NORM_TOL_INPUT)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -36,9 +34,14 @@ class PureState:
 
     @classmethod
     def from_amplitudes(cls, amps, *, normalize: bool = False) -> "PureState":
+        """Unless normalize is set, the norm must be 1 within NORM_TOL_INPUT;
+        input off by more than the gates' NORM_TOL_UNITARY is renormalised."""
         a = np.asarray(amps, dtype=complex).reshape(-1)
         if a.size != 4:
             raise ValueError(f"a two-qubit state needs 4 amplitudes, got {a.size}")
+        if not normalize:
+            check_batch(a[None], NORM_TOL_INPUT)
+            normalize = abs(np.vdot(a, a).real - 1.0) > NORM_TOL_UNITARY
         if normalize:
             a = normalized(a)
         return cls(*a)
@@ -88,10 +91,8 @@ def concurrence_wootters(rho) -> float:
     taking square roots of roundoff-sized eigenvalues, which would cost
     half the digits exactly where the formula subtracts near-equal terms.
     """
-    rho = validate_density_matrix(rho)
+    rho = validate_density_matrix(rho)  # eigenvalues >= DM_EIG_FLOOR
     w, v = np.linalg.eigh(rho)
-    if w.min() < -EIG_BREAKDOWN_TOL:
-        raise InvariantViolation(f"rho eigenvalue {w.min():.3e} is negative")
     factor = v * np.sqrt(np.clip(w, 0.0, None))
     lam = np.linalg.svd(factor.T @ _SYSY @ factor, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import statevec
 from .concurrence import PureState
-from .protocol import run_circuit
+from .protocol import extract_concurrence, run_circuit
 
 # Phi^-1(0.975), for the 95% Wilson score interval
 _Z95 = 1.959963984540054
@@ -59,11 +59,6 @@ def shelving_readout(outcome: str, model: ReadoutModel,
     return bool(rng.random() < p)
 
 
-def concurrence_from_probability(p: float) -> float:
-    """2*sqrt(2*max(0,p)) clamped to [0,1]; tolerant of noisy p > 1/8."""
-    return min(1.0, 2.0 * math.sqrt(2.0 * max(0.0, p)))
-
-
 def wilson_interval(k: int, n: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval on a binomial proportion."""
     if n < 1 or not 0 <= k <= n:
@@ -88,16 +83,17 @@ def confidence_interval(k: int, n: int) -> tuple[float, float]:
     """95% interval on the concurrence, from the Wilson interval on the
     no-fluorescence probability mapped through the monotone 2*sqrt(2p)."""
     p_low, p_high = wilson_interval(k, n)
-    return concurrence_from_probability(p_low), concurrence_from_probability(p_high)
+    return extract_concurrence(p_low), extract_concurrence(p_high)
 
 
 def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
                    seed: int = 0) -> ShotSummary:
     """Sample n protocol shots and summarize the yes/no readout record.
 
-    Equivalent to calling shelving_readout per shot: outcomes are drawn
-    multinomially from the Born distribution, then each outcome class is
-    thinned binomially by its readout dark probability.
+    Equivalent to calling shelving_readout per shot: sample_outcomes
+    draws the outcomes from the Born distribution, then each outcome class
+    is thinned binomially by its readout dark probability, from one
+    generator seeded once.
 
     Domain: pure input states only. The readout C = 2*sqrt(2*P_gggg) is
     the concurrence only for two copies of a pure state; a mixed pair
@@ -107,26 +103,21 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
     if n < 1:
         raise ValueError("n must be >= 1")
     result = run_circuit(psi)
-    probs = np.abs(result.final_state.amplitudes) ** 2
-    probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, probs)
     k = 0
-    for i, c in enumerate(counts):
-        if c == 0:
-            continue
-        q = model.no_fluorescence_probability(statevec.basis_string(i, 4))
+    for outcome, c in statevec.sample_outcomes(result.final_state, n, rng).items():
+        q = model.no_fluorescence_probability(outcome)
         if q == 1.0:
-            k += int(c)
+            k += c
         elif q > 0.0:
-            k += int(rng.binomial(int(c), q))
+            k += int(rng.binomial(c, q))
     p_hat = k / n
     ci_low, ci_high = confidence_interval(k, n)
     return ShotSummary(
         n_shots=n,
         n_no_fluorescence=k,
         p_hat=p_hat,
-        c_hat=concurrence_from_probability(p_hat),
+        c_hat=extract_concurrence(p_hat),
         ci_low=ci_low,
         ci_high=ci_high,
     )

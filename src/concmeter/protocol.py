@@ -22,7 +22,6 @@ from .statevec import InvariantViolation, Register
 
 ORACLE_TOL = 1e-10
 TABLE_NORM_TOL = 1e-10
-P_MAX = 0.125  # |A-|^2/2 <= 1/8 since C <= 1
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -144,9 +143,9 @@ def analytic_phi1(psi: PureState) -> Phi1Coefficients:
 
 
 def extract_concurrence(p: float) -> float:
-    """Invert P_gggg = C^2/8: returns 2*sqrt(2p), clamped to [0, 1]."""
-    if p < 0.0 or p > P_MAX + 1e-9:
-        raise ValueError(f"all-ground probability {p!r} outside [0, 1/8]")
+    """Invert P_gggg = C^2/8: returns 2*sqrt(2*max(0, p)), clamped to
+    [0, 1], so a noisy estimate of p outside [0, 1/8] still maps to a
+    concurrence."""
     return min(1.0, 2.0 * math.sqrt(2.0 * max(0.0, p)))
 
 

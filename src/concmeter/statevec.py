@@ -263,6 +263,19 @@ def basis_probability(r: Register, basis: str) -> float:
     return float(abs(r.amplitudes[basis_index(basis)]) ** 2)
 
 
+def marginal(r: Register, bits: dict[int, int]) -> float:
+    """Probability that each given qubit (1-based) reads its bit (0 = g,
+    1 = e), summed over all other qubits."""
+    idx = [slice(None)] * r.n_qubits
+    for q, bit in bits.items():
+        _check_qubit_index(q, r.n_qubits)
+        if bit not in (0, 1):
+            raise ValueError(f"bit for qubit {q} must be 0 or 1, got {bit!r}")
+        idx[q - 1] = bit
+    psi = r.amplitudes.reshape((2,) * r.n_qubits)
+    return float(np.sum(np.abs(psi[tuple(idx)]) ** 2))
+
+
 def overlap_fidelity(a: Register, b: Register) -> float:
     """|<a|b>|^2, insensitive to global phase."""
     if a.n_qubits != b.n_qubits:
@@ -270,8 +283,9 @@ def overlap_fidelity(a: Register, b: Register) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def sample_outcomes(r: Register, n_shots: int, seed: int) -> dict[str, int]:
-    """Born-rule sampling: map of basis string -> count, deterministic per seed."""
+def sample_outcomes(r: Register, n_shots: int, seed: int | np.random.Generator) -> dict[str, int]:
+    """Born-rule sampling: map of basis string -> count, in index order,
+    deterministic per seed; a Generator given as seed is drawn from as is."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     probs = np.abs(r.amplitudes) ** 2

@@ -4,9 +4,12 @@ files with booleans or extreme magnitudes, and the sweep's row stream."""
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 import signal
+import tempfile
 
 import numpy as np
 import pytest
@@ -141,6 +144,81 @@ class TestStateFileBoundary:
         assert main(["run", path]) == 0
         fields = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
         assert abs(float(fields["C_measured       "]) - 1.0) < 1e-12
+
+
+    @pytest.mark.parametrize("command", ["run", "shots", "cavity"])
+    @pytest.mark.parametrize("amps, concurrence", [
+        # typed to 11 digits: |norm - 1| is 9e-12 and 5e-10, inside the
+        # input tolerance 1e-9 but outside the gates' 1e-12
+        ([[0, 0], [0.70710678118, 0], [0.70710678118, 0], [0, 0]], 1.0),
+        ([[0.70710678155, 0], [0.70710678155, 0], [0, 0], [0, 0]], 0.0),
+    ])
+    def test_near_normalised_file_accepted(self, tmp_path, capsys, command, amps, concurrence):
+        path = write_doc(tmp_path / "near.json", {"amplitudes": amps})
+        assert main([command, path]) == 0
+        fields = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        if command != "shots":  # shots prints a finite-sample estimate
+            assert abs(float(fields["C_measured       "]) - concurrence) < 1e-9
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "big.json",
+                         {"amplitudes": [[10**400, 0], [0, 0], [0, 0], [0, 0]]})
+        assert main(["run", path]) == 1
+        assert "amplitudes[0]" in capsys.readouterr().err
+
+
+def _json_documents():
+    number = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(),
+        st.sampled_from([True, False, 10**400, -(2**1024), 5e-324, 1.7e308, 1e-200]),
+    )
+    scalar = st.one_of(number, st.none(), st.text(max_size=3))
+    pair = st.one_of(st.lists(number, min_size=2, max_size=2),
+                     st.lists(scalar, max_size=3), scalar)
+    amplitudes = st.one_of(st.lists(pair, min_size=4, max_size=4),
+                           st.lists(pair, max_size=5), scalar)
+    state_file = st.fixed_dictionaries(
+        {"amplitudes": amplitudes},
+        optional={"normalize": st.one_of(st.booleans(), scalar)})
+    # unit-norm amplitudes scaled by 1 + eps, |eps| <= 1e-9
+    near_unit = st.tuples(
+        st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False), min_size=4,
+                 max_size=4).filter(lambda c: sum(abs(x) ** 2 for x in c) > 1e-6),
+        st.floats(-1e-9, 1e-9),
+    ).map(lambda t: {"amplitudes": [
+        [x.real * (1 + t[1]) / n, x.imag * (1 + t[1]) / n]
+        for n in [math.sqrt(sum(abs(x) ** 2 for x in t[0]))] for x in t[0]]})
+    anything = st.recursive(scalar, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+        max_leaves=8)
+    return st.one_of(state_file, near_unit, anything)
+
+
+class TestStateFileProperty:
+    @given(_json_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_document_ends_with_exit_0_or_1(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "state.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            for command in ("run", "shots", "cavity"):
+                with bounded(), contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command, path])
+                assert code in (0, 1), (command, doc)
+
+
+class TestSeedBoundary:
+    @pytest.mark.parametrize("command", ["sweep", "shots"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        bell = write_doc(tmp_path / "bell.json",
+                         {"amplitudes": [[0, 0], [SQ2, 0], [SQ2, 0], [0, 0]]})
+        argv = {"sweep": ["sweep", "2", "--out", str(tmp_path / "s.csv")],
+                "shots": ["shots", bell]}[command]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestSweepStream:

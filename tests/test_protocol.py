@@ -113,11 +113,9 @@ class TestExtractConcurrence:
     def test_half(self):
         assert abs(extract_concurrence(1 / 32) - 0.5) < 1e-15
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            extract_concurrence(0.2)
-        with pytest.raises(ValueError):
-            extract_concurrence(-0.01)
+    def test_out_of_range_clamped(self):
+        assert extract_concurrence(0.2) == 1.0
+        assert extract_concurrence(-0.01) == 0.0
 
 
 class TestEgegVariant:

@@ -210,6 +210,27 @@ class TestBasisProbability:
             basis_probability(from_amplitudes(BELL), "g")
 
 
+class TestMarginal:
+    def test_sums_basis_probabilities(self):
+        r = random_register(np.random.default_rng(21), 4)
+        expected = sum(basis_probability(r, ket) for ket in
+                       ("egeg", "egee", "eeeg", "eeee"))  # qubit 1 = e, qubit 3 = e
+        assert abs(statevec.marginal(r, {1: 1, 3: 1}) - expected) < 1e-15
+
+    def test_all_qubits_fixed_is_basis_probability(self):
+        r = random_register(np.random.default_rng(22), 3)
+        assert statevec.marginal(r, {1: 0, 2: 1, 3: 1}) == basis_probability(r, "gee")
+
+    def test_no_qubit_fixed_is_total(self):
+        r = random_register(np.random.default_rng(23), 3)
+        assert abs(statevec.marginal(r, {}) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("bits", [{0: 1}, {4: 0}, {1: 2}, {2: -1}])
+    def test_bad_qubit_or_bit_rejected(self, bits):
+        with pytest.raises(ValueError):
+            statevec.marginal(ground_register(3), bits)
+
+
 class TestOverlapFidelity:
     def test_self(self):
         r = from_amplitudes(BELL)
