@@ -2,19 +2,15 @@
 state-vector simulation of the four-qubit circuit, analytic oracles,
 the cavity realization with flight kinematics, and shot statistics."""
 
-from .concurrence import PureState, concurrence_pure, concurrence_wootters, spin_flip
+from .concurrence import PureState, concurrence_pure, concurrence_wootters
 from .estimation import ReadoutModel, ShotSummary, confidence_interval, simulate_shots
 from .protocol import (
     BatchResult,
-    Phi1Coefficients,
     ProtocolResult,
-    analytic_phi1,
     analytic_phi1_batch,
     extract_concurrence,
-    prepare_input,
     run_batch,
     run_circuit,
-    verify_egeg_variant,
 )
 from .cavity import (
     DelaySolution,
@@ -25,32 +21,23 @@ from .cavity import (
     solve_delays,
 )
 from .statevec import (
-    Gate1Q,
-    Gate2Q,
+    Gate,
     InvariantViolation,
     Register,
-    apply_1q,
-    apply_2q,
     apply_gate,
-    basis_probability,
-    from_amplitudes,
     ground_register,
-    overlap_fidelity,
     sample_outcomes,
-    tensor,
 )
 
 __all__ = [
-    "PureState", "concurrence_pure", "concurrence_wootters", "spin_flip",
+    "PureState", "concurrence_pure", "concurrence_wootters",
     "ReadoutModel", "ShotSummary", "confidence_interval", "simulate_shots",
-    "BatchResult", "Phi1Coefficients", "ProtocolResult", "analytic_phi1",
-    "analytic_phi1_batch", "extract_concurrence", "prepare_input", "run_batch",
-    "run_circuit", "verify_egeg_variant",
+    "BatchResult", "ProtocolResult", "analytic_phi1_batch", "extract_concurrence",
+    "run_batch", "run_circuit",
     "DelaySolution", "FlightConfig", "OrderingReport",
     "kinematics_report", "run_cavity_realization", "solve_delays",
-    "Gate1Q", "Gate2Q", "InvariantViolation", "Register",
-    "apply_1q", "apply_2q", "apply_gate", "basis_probability", "from_amplitudes",
-    "ground_register", "overlap_fidelity", "sample_outcomes", "tensor",
+    "Gate", "InvariantViolation", "Register", "apply_gate", "ground_register",
+    "sample_outcomes",
 ]
 
 __version__ = "0.1.0"

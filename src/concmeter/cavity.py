@@ -1,6 +1,7 @@
-"""Microwave-cavity realization: CNOT decomposed through a photonic qubit,
-the atom-2 -> cavity photon -> atom-5 relay, and the ballistic flight
-kinematics that put the atoms in the right order at each cavity.
+"""Microwave-cavity realization: the atom-2 -> cavity photon -> atom-5
+relay, which runs the CNOT as the steps of `decomposed_cnot()` with the
+photon as control, and the ballistic flight kinematics that put the atoms
+in the right order at each cavity.
 
 Atom layout in the relay register (left to right, qubit 1 = MSB):
 atom1, atom2, atom3, atom4, photon (|0>=|g>), atom5. Atom 2 stays in the
@@ -17,7 +18,7 @@ import numpy as np
 from . import gates, statevec
 from .concurrence import PureState
 from .protocol import ProtocolResult, extract_concurrence, run_circuit
-from .statevec import Gate2Q, InvariantViolation, Register
+from .statevec import Gate, InvariantViolation, Register
 
 CAVITY_MATCH_TOL = 1e-10
 PHOTON_VACUUM_TOL = 1e-12
@@ -36,7 +37,7 @@ ATOM1, ATOM2, ATOM3, ATOM4, PHOTON, ATOM5 = 1, 2, 3, 4, 5, 6
 # gate decomposition
 
 
-_SWAP = Gate2Q(
+_SWAP = Gate(
     [
         [1, 0, 0, 0],
         [0, 0, 1, 0],
@@ -44,17 +45,19 @@ _SWAP = Gate2Q(
         [0, 0, 0, 1],
     ]
 )
-_SIGMA_Y, _R_PLUS, _R_MINUS = gates.sigma_y(), gates.r_plus(), gates.r_minus()
+_SIGMA_Y, _R_MINUS = gates.sigma_y(), gates.r_minus()
 _CPHASE = gates.cphase()
 # R-/R+ on the target, embedded as gates on the ordered (control, target) pair
-_R_MINUS_TARGET = Gate2Q(np.kron(np.eye(2), _R_MINUS.matrix))
-_R_PLUS_TARGET = Gate2Q(np.kron(np.eye(2), _R_PLUS.matrix))
+_R_MINUS_TARGET = Gate(np.kron(np.eye(2), _R_MINUS.matrix))
+_R_PLUS_TARGET = Gate(np.kron(np.eye(2), gates.r_plus().matrix))
 
 
-def decomposed_cnot() -> list[tuple[str, Gate2Q]]:
+def decomposed_cnot() -> list[tuple[str, Gate]]:
     """CNOT(control, target) as R-(target), CPHASE, R+(target), in
     application order. Each step is embedded as a gate on the ordered
-    (control, target) pair."""
+    (control, target) pair. In the relay the control is the cavity
+    photon and the target atom 4; the CPHASE is a 2pi Rabi cycle through
+    an auxiliary level, in which |e>_4 |1>_photon picks up a -1 phase."""
     return [
         ("r_minus_target", _R_MINUS_TARGET),
         ("cphase", _CPHASE),
@@ -62,14 +65,13 @@ def decomposed_cnot() -> list[tuple[str, Gate2Q]]:
     ]
 
 
-def composed_cnot_matrix() -> np.ndarray:
-    """Product of the decomposition steps (last step leftmost)."""
-    steps = [g.matrix for _, g in decomposed_cnot()]
-    return steps[2] @ steps[1] @ steps[0]
-
-
 # ---------------------------------------------------------------------------
 # photonic relay, on the six-slot register (atoms 1-4, cavity-D photon, atom 5)
+
+
+def _apply(r: Register, gate: Gate, *qubits: int) -> Register:
+    out = statevec.apply_gate(r.amplitudes.reshape((1,) + (2,) * r.n_qubits), gate, qubits)
+    return Register._wrap(out.reshape(-1))  # checked by apply_gate
 
 
 def map_atom_to_photon(r: Register) -> Register:
@@ -79,14 +81,7 @@ def map_atom_to_photon(r: Register) -> Register:
         raise InvariantViolation("photon must be in vacuum before the atom-2 map",
                                  stage="atom-to-photon map", value=p_photon,
                                  tol=PHOTON_VACUUM_TOL)
-    return statevec.apply_2q(r, ATOM2, PHOTON, _SWAP)
-
-
-def photonic_cphase(r: Register) -> Register:
-    """2pi Rabi cycle through the auxiliary level: |e>_4 |1>_photon picks
-    up a -1 phase, everything else untouched. The logical model has no
-    auxiliary level, so nothing is left in it."""
-    return statevec.apply_2q(r, ATOM4, PHOTON, _CPHASE)
+    return _apply(r, _SWAP, ATOM2, PHOTON)
 
 
 def map_photon_to_atom5(r: Register) -> Register:
@@ -96,26 +91,25 @@ def map_photon_to_atom5(r: Register) -> Register:
         raise InvariantViolation("atom 5 must start in the ground state",
                                  stage="photon-to-atom map", value=p_atom5,
                                  tol=PHOTON_VACUUM_TOL)
-    return statevec.apply_2q(r, PHOTON, ATOM5, _SWAP)
+    return _apply(r, _SWAP, PHOTON, ATOM5)
 
 
 def run_cavity_realization(psi: PureState) -> ProtocolResult:
     """Full cavity sequence; must reproduce the ideal circuit's P_gggg."""
-    copies = statevec.tensor(
-        statevec.from_amplitudes(psi.amplitudes),
-        statevec.from_amplitudes(psi.amplitudes),
-    )
+    copies = statevec.tensor(Register(psi.amplitudes), Register(psi.amplitudes))
     reg = statevec.tensor(copies, statevec.ground_register(2))  # photon + atom 5
 
-    reg = statevec.apply_1q(reg, ATOM3, _SIGMA_Y)  # Ramsey region, second copy only
-    reg = statevec.apply_1q(reg, ATOM4, _SIGMA_Y)
-    reg = statevec.apply_1q(reg, ATOM4, _R_MINUS)
+    reg = _apply(reg, _SIGMA_Y, ATOM3)  # Ramsey region, second copy only
+    reg = _apply(reg, _SIGMA_Y, ATOM4)
 
-    reg = photonic_cphase(map_atom_to_photon(reg))
-    reg = map_photon_to_atom5(statevec.apply_1q(reg, ATOM4, _R_PLUS))
+    # CNOT(control = logical qubit 2, now the photon; target = atom 4)
+    reg = map_atom_to_photon(reg)
+    for _, step in decomposed_cnot():
+        reg = _apply(reg, step, PHOTON, ATOM4)
+    reg = map_photon_to_atom5(reg)
 
     # atom 5 now carries the logical qubit 2; final rotation of the protocol
-    final = statevec.apply_1q(reg, ATOM5, _R_MINUS)
+    final = _apply(reg, _R_MINUS, ATOM5)
 
     p_all_ground = statevec.marginal(final, {ATOM5: 0, ATOM3: 0, ATOM1: 0, ATOM4: 0})
     ideal = run_circuit(psi)

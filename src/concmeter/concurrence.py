@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import NORM_TOL_INPUT, NORM_TOL_UNITARY, check_batch, normalized
+from .statevec import accept_input, normalized
 
 DM_HERMITIAN_TOL = 1e-10
 DM_TRACE_TOL = 1e-10
@@ -18,7 +18,9 @@ _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 @dataclass(frozen=True)
 class PureState:
-    """Two-qubit pure state c0|gg> + c1|ge> + c2|eg> + c3|ee>."""
+    """Two-qubit pure state c0|gg> + c1|ge> + c2|eg> + c3|ee>, checked on
+    construction by statevec.accept_input, which renormalises a state
+    within its input tolerance."""
 
     c0: complex
     c1: complex
@@ -26,7 +28,11 @@ class PureState:
     c3: complex
 
     def __post_init__(self):
-        check_batch(self.amplitudes[None], NORM_TOL_INPUT)
+        amps = self.amplitudes[None]
+        accepted = accept_input(amps)
+        if accepted is not amps:
+            for name, c in zip(("c0", "c1", "c2", "c3"), accepted[0]):
+                object.__setattr__(self, name, c)
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -34,17 +40,12 @@ class PureState:
 
     @classmethod
     def from_amplitudes(cls, amps, *, normalize: bool = False) -> "PureState":
-        """Unless normalize is set, the norm must be 1 within NORM_TOL_INPUT;
-        input off by more than the gates' NORM_TOL_UNITARY is renormalised."""
+        """Unless normalize is set, the input must pass
+        statevec.accept_input."""
         a = np.asarray(amps, dtype=complex).reshape(-1)
         if a.size != 4:
             raise ValueError(f"a two-qubit state needs 4 amplitudes, got {a.size}")
-        if not normalize:
-            check_batch(a[None], NORM_TOL_INPUT)
-            normalize = abs(np.vdot(a, a).real - 1.0) > NORM_TOL_UNITARY
-        if normalize:
-            a = normalized(a)
-        return cls(*a)
+        return cls(*(normalized(a) if normalize else a))
 
     @classmethod
     def haar_random(cls, rng: np.random.Generator) -> "PureState":
@@ -66,6 +67,8 @@ def validate_density_matrix(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix contains NaN/Inf")
     if np.max(np.abs(rho - rho.conj().T)) > DM_HERMITIAN_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > DM_TRACE_TOL or abs(np.trace(rho).imag) > DM_TRACE_TOL:
@@ -76,15 +79,9 @@ def validate_density_matrix(rho) -> np.ndarray:
     return rho
 
 
-def spin_flip(rho) -> np.ndarray:
-    """(sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
-    rho = validate_density_matrix(rho)
-    return _SYSY @ rho.conj() @ _SYSY
-
-
 def concurrence_wootters(rho) -> float:
     """max{0, l1 - l2 - l3 - l4} over the sorted square-rooted spectrum
-    of rho * spin_flip(rho).
+    of rho (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y).
 
     With rho factored as A A^dagger, the lambda_i equal the singular
     values of A^T (sigma_y x sigma_y) A. Computing them by SVD avoids

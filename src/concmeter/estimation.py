@@ -46,19 +46,6 @@ class ShotSummary:
     ci_high: float
 
 
-def shelving_readout(outcome: str, model: ReadoutModel,
-                     rng: np.random.Generator) -> bool:
-    """Single-shot global readout: True means no fluorescence observed."""
-    if len(outcome) != 4 or any(ch not in "ge" for ch in outcome):
-        raise ValueError(f"outcome must be a 4-letter g/e string, got {outcome!r}")
-    p = model.no_fluorescence_probability(outcome)
-    if p == 1.0:
-        return True
-    if p == 0.0:
-        return False
-    return bool(rng.random() < p)
-
-
 def wilson_interval(k: int, n: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval on a binomial proportion."""
     if n < 1 or not 0 <= k <= n:
@@ -90,9 +77,9 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
                    seed: int = 0) -> ShotSummary:
     """Sample n protocol shots and summarize the yes/no readout record.
 
-    Equivalent to calling shelving_readout per shot: sample_outcomes
-    draws the outcomes from the Born distribution, then each outcome class
-    is thinned binomially by its readout dark probability, from one
+    sample_outcomes draws the outcomes from the Born distribution, then
+    each outcome class is thinned binomially by its readout dark
+    probability (ReadoutModel.no_fluorescence_probability), from one
     generator seeded once.
 
     Domain: pure input states only. The readout C = 2*sqrt(2*P_gggg) is

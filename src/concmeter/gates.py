@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .statevec import Gate1Q, Gate2Q
+from .statevec import Gate
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
-_IDENTITY = Gate1Q(np.eye(2))
-_SIGMA_Y = Gate1Q([[0.0, -1.0j], [1.0j, 0.0]])
-_R_PLUS = Gate1Q(np.array([[1.0, -1.0], [1.0, 1.0]]) * _SQRT2_INV)
-_R_MINUS = Gate1Q(np.array([[1.0, 1.0], [-1.0, 1.0]]) * _SQRT2_INV)
-_CNOT = Gate2Q(
+_SIGMA_Y = Gate([[0.0, -1.0j], [1.0j, 0.0]])
+_R_PLUS = Gate(np.array([[1.0, -1.0], [1.0, 1.0]]) * _SQRT2_INV)
+_R_MINUS = Gate(np.array([[1.0, 1.0], [-1.0, 1.0]]) * _SQRT2_INV)
+_CNOT = Gate(
     [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
@@ -27,33 +26,29 @@ _CNOT = Gate2Q(
         [0, 0, 1, 0],
     ]
 )
-_CPHASE = Gate2Q(np.diag([1.0, 1.0, 1.0, -1.0]))
+_CPHASE = Gate(np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
-def identity_1q() -> Gate1Q:
-    return _IDENTITY
-
-
-def sigma_y() -> Gate1Q:
+def sigma_y() -> Gate:
     """Pauli Y in the (|g>, |e>) basis."""
     return _SIGMA_Y
 
 
-def r_plus() -> Gate1Q:
+def r_plus() -> Gate:
     """|g> -> (|g>+|e>)/sqrt2, |e> -> (|e>-|g>)/sqrt2."""
     return _R_PLUS
 
 
-def r_minus() -> Gate1Q:
+def r_minus() -> Gate:
     """|g> -> (|g>-|e>)/sqrt2, |e> -> (|e>+|g>)/sqrt2; inverse of r_plus."""
     return _R_MINUS
 
 
-def cnot() -> Gate2Q:
+def cnot() -> Gate:
     """Controlled NOT, first qubit of the pair is the control."""
     return _CNOT
 
 
-def cphase() -> Gate2Q:
+def cphase() -> Gate:
     """Controlled phase: |ee> -> -|ee>, other basis states unchanged."""
     return _CPHASE

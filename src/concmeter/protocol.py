@@ -27,11 +27,10 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 # the circuit's gates, looked up once; sigma_y x sigma_y acts on the
 # second copy as one two-qubit gate, validated here once
-_SIGMA_Y_PAIR = statevec.Gate2Q(np.kron(gates.sigma_y().matrix, gates.sigma_y().matrix))
+_SIGMA_Y_PAIR = statevec.Gate(np.kron(gates.sigma_y().matrix, gates.sigma_y().matrix))
 _CNOT = gates.cnot()
 _R_MINUS = gates.r_minus()
 
-_KETS = tuple(statevec.basis_string(i, 4) for i in range(16))
 _GGGG, _EGEG = statevec.basis_index("gggg"), statevec.basis_index("egeg")
 
 # The post-circuit amplitudes as quadratic forms in c0..c3, before the
@@ -69,19 +68,6 @@ _PHI1_MATRIX = _terms_matrix(_PHI1_TERMS)
 
 
 @dataclass(frozen=True)
-class Phi1Coefficients:
-    """The sixteen post-circuit amplitudes, keyed by 4-letter basis ket."""
-
-    table: dict[str, complex]
-
-    def as_register(self) -> Register:
-        amps = np.zeros(16, dtype=complex)
-        for ket, amp in self.table.items():
-            amps[statevec.basis_index(ket)] = amp
-        return statevec.from_amplitudes(amps)
-
-
-@dataclass(frozen=True)
 class ProtocolResult:
     final_state: Register
     p_gggg: float
@@ -104,8 +90,7 @@ def _input_batch(amps) -> np.ndarray:
     a = np.asarray(amps, dtype=complex)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] != 4:
         raise ValueError(f"expected a non-empty (N, 4) amplitude array, got shape {a.shape}")
-    statevec.check_batch(a, statevec.NORM_TOL_INPUT)
-    return a
+    return statevec.accept_input(a)
 
 
 def _prepare(a: np.ndarray) -> np.ndarray:
@@ -114,11 +99,6 @@ def _prepare(a: np.ndarray) -> np.ndarray:
     product of two checked rows needs no check of its own."""
     copy2 = statevec.apply_gate(a.reshape(-1, 2, 2), _SIGMA_Y_PAIR, (1, 2))
     return (a[:, :, None] * copy2.reshape(-1, 1, 4)).reshape(-1, 2, 2, 2, 2)
-
-
-def prepare_input(psi: PureState) -> Register:
-    """|psi> on qubits 1,2 tensored with (sigma_y x sigma_y)|psi> on 3,4."""
-    return statevec.from_amplitudes(_prepare(_input_batch(psi.amplitudes[None])).reshape(16))
 
 
 def analytic_phi1_batch(amps) -> np.ndarray:
@@ -136,12 +116,6 @@ def analytic_phi1_batch(amps) -> np.ndarray:
     return table
 
 
-def analytic_phi1(psi: PureState) -> Phi1Coefficients:
-    """Post-circuit amplitudes evaluated symbolically from c0..c3."""
-    row = analytic_phi1_batch(psi.amplitudes[None])[0]
-    return Phi1Coefficients(dict(zip(_KETS, row.tolist())))
-
-
 def extract_concurrence(p: float) -> float:
     """Invert P_gggg = C^2/8: returns 2*sqrt(2*max(0, p)), clamped to
     [0, 1], so a noisy estimate of p outside [0, 1/8] still maps to a
@@ -152,8 +126,8 @@ def extract_concurrence(p: float) -> float:
 def run_batch(amps) -> BatchResult:
     """Run the circuit on N states given as an (N, 4) amplitude array.
 
-    Every row is checked: its input norm, its norm after each gate, and
-    its final state against the analytic table, phase-strict, within
+    Every row is checked: its input (statevec.accept_input), its norm
+    after each gate, and its final state against the analytic table, phase-strict, within
     ORACLE_TOL. A failed check inside the circuit raises
     InvariantViolation naming the row."""
     return _run(_input_batch(amps))
@@ -190,7 +164,3 @@ def run_circuit(psi: PureState) -> ProtocolResult:
         oracle_residual=float(batch.oracle_residual[0]),
     )
 
-
-def verify_egeg_variant(result: ProtocolResult, tol: float = 1e-10) -> bool:
-    """The |egeg> probability carries the same information as |gggg>."""
-    return abs(result.p_gggg - result.p_egeg) < tol

@@ -5,12 +5,11 @@ Conventions (pinned by the test suite):
   bit of the amplitude index;
 - |g> maps to bit 0, |e> maps to bit 1.
 
-All operations are pure: registers are treated as immutable values and
-every gate application returns a new register.
-
-`apply_gate` is the one gate-application kernel. It works on a batch of
-states, shape (N,) + (2,)*n, and checks every row after each gate in one
-vectorised pass; `apply_1q` / `apply_2q` call it with a batch of one.
+Registers are immutable values. `apply_gate` is the one call that
+applies a gate: it works on a batch of states, shape (N,) + (2,)*n (a
+register is a batch of one), returns a new array and checks every row
+after the gate in one vectorised pass. `accept_input` is the one rule for
+states entering the library.
 """
 from __future__ import annotations
 
@@ -47,44 +46,27 @@ class InvariantViolation(Exception):
         return f"{text} ({'; '.join(where)})" if where else text
 
 
-def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("gate matrix contains NaN/Inf")
-    err = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
-    if err > UNITARITY_TOL:
-        raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
-    m.flags.writeable = False
-    return m
-
-
-class _Gate:
-    """A validated, immutable gate: unitarity is checked once, at
-    construction, and neither the matrix nor the attribute can change."""
+class Gate:
+    """A validated, immutable one- or two-qubit gate, sized by its matrix
+    (2x2 or 4x4): unitarity is checked once, at construction, and neither
+    the matrix nor the attribute can change."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        object.__setattr__(self, "matrix", _check_unitary(matrix, self.DIM))
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape not in ((2, 2), (4, 4)):
+            raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m.view(float))):
+            raise ValueError("gate matrix contains NaN/Inf")
+        err = np.max(np.abs(m.conj().T @ m - np.eye(len(m))))
+        if err > UNITARITY_TOL:
+            raise ValueError(f"matrix is not unitary (deviation {err:.3e})")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-class Gate1Q(_Gate):
-    """A single-qubit gate; unitarity is validated once at construction."""
-
-    __slots__ = ()
-    DIM = 2
-
-
-class Gate2Q(_Gate):
-    """A two-qubit gate on an ordered qubit pair, validated at construction."""
-
-    __slots__ = ()
-    DIM = 4
 
 
 def _squared_norms(states: np.ndarray) -> np.ndarray:
@@ -120,6 +102,23 @@ def check_batch(states: np.ndarray, tol: float) -> None:
                      f"beyond tolerance {tol}")
 
 
+def accept_input(states: np.ndarray) -> np.ndarray:
+    """The one rule for states entering the library, given as an (N, d)
+    batch, one state per row: each must be finite with a norm within NORM_TOL_INPUT of 1 (else
+    ValueError, as check_batch), and a row whose squared norm is off by
+    more than the gates' NORM_TOL_UNITARY is renormalised, so that no
+    accepted input fails the check after its first gate. With no row off,
+    returns `states` itself after one pass over the squared norms."""
+    squared = _squared_norms(states)
+    if 1.0 - NORM_TOL_UNITARY <= squared.min() and squared.max() <= 1.0 + NORM_TOL_UNITARY:
+        return states
+    check_batch(states, NORM_TOL_INPUT)
+    off = ~(np.abs(squared - 1.0) <= NORM_TOL_UNITARY)
+    out = states.copy()
+    out[off] = [normalized(row) for row in states[off]]
+    return out
+
+
 def normalized(amps) -> np.ndarray:
     """amps / ||amps||, scaled by the largest component first so that
     amplitudes of any finite magnitude neither underflow nor overflow."""
@@ -135,27 +134,26 @@ def normalized(amps) -> np.ndarray:
 
 
 class Register:
-    """Normalized n-qubit state vector, qubit 1 = most significant bit."""
+    """Normalized n-qubit state vector, qubit 1 = most significant bit;
+    its amplitudes are checked and renormalised by accept_input."""
 
     __slots__ = ("n_qubits", "amplitudes")
 
-    def __init__(self, amplitudes, *, normalize: bool = False):
+    def __init__(self, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         n = int(np.log2(amps.size)) if amps.size > 0 else 0
         if amps.size == 0 or 2**n != amps.size:
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the supported maximum of {MAX_QUBITS}")
-        if normalize:
-            amps = normalized(amps)
-        check_batch(amps[None], NORM_TOL_INPUT)
+        amps = accept_input(amps[None])[0]
         amps.flags.writeable = False
         self.n_qubits = n
         self.amplitudes = amps
 
     @classmethod
     def _wrap(cls, amps: np.ndarray) -> "Register":
-        # internal: amplitudes already checked (check_batch or apply_gate)
+        # internal: amplitudes already checked, or normalised by construction
         r = cls.__new__(cls)
         r.n_qubits = int(amps.size).bit_length() - 1
         amps.flags.writeable = False
@@ -170,11 +168,6 @@ def ground_register(n: int) -> Register:
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     return Register._wrap(amps)
-
-
-def from_amplitudes(amps, *, normalize: bool = False) -> Register:
-    """Register from an explicit amplitude list (length a power of two)."""
-    return Register(amps, normalize=normalize)
 
 
 def tensor(a: Register, b: Register) -> Register:
@@ -193,18 +186,19 @@ def _check_qubit_index(q: int, n: int) -> None:
         raise ValueError(f"qubit index {q} out of range 1..{n}")
 
 
-def apply_gate(states: np.ndarray, gate: Gate1Q | Gate2Q,
+def apply_gate(states: np.ndarray, gate: Gate,
                qubits: tuple[int, ...]) -> np.ndarray:
     """The gate-application kernel: apply a one- or two-qubit gate to the
     given qubits (1-based, 1 = leftmost, in the gate's order) of every
-    state in a batch of shape (N,) + (2,)*n. Returns a new contiguous
-    array. Every row is checked once, for the whole batch, to be finite
+    state in a batch of shape (N,) + (2,)*n; a register `r` is the batch
+    `r.amplitudes.reshape((1,) + (2,) * r.n_qubits)`. Returns a new
+    contiguous array. Every row is checked once, for the whole batch, to be finite
     with a norm within NORM_TOL_UNITARY of 1; since the gate is unitary
     and its input normalised, a row that fails is an InvariantViolation."""
     n, k = states.ndim - 1, len(qubits)
     if gate.matrix.shape[0] != 2**k:
-        raise ValueError(f"{type(gate).__name__} acts on {gate.matrix.shape[0].bit_length() - 1} "
-                         f"qubits, got {k} qubit indices")
+        raise ValueError(f"gate acts on {gate.matrix.shape[0].bit_length() - 1} qubits, "
+                         f"got {k} qubit indices")
     for q in qubits:
         _check_qubit_index(q, n)
     if len(set(qubits)) != k:
@@ -221,21 +215,6 @@ def apply_gate(states: np.ndarray, gate: Gate1Q | Gate2Q,
                                  value=abs(math.sqrt(squared[i]) - 1.0),
                                  tol=NORM_TOL_UNITARY, row=i)
     return out
-
-
-def apply_1q(r: Register, q: int, g: Gate1Q) -> Register:
-    """Apply a single-qubit gate to qubit q (1-based, 1 = leftmost)."""
-    return _apply_to_register(r, g, (q,))
-
-
-def apply_2q(r: Register, q1: int, q2: int, g: Gate2Q) -> Register:
-    """Apply a two-qubit gate to the ordered pair (q1, q2)."""
-    return _apply_to_register(r, g, (q1, q2))
-
-
-def _apply_to_register(r: Register, g, qubits: tuple[int, ...]) -> Register:
-    out = apply_gate(r.amplitudes.reshape((1,) + (2,) * r.n_qubits), g, qubits)
-    return Register._wrap(out.reshape(-1))
 
 
 def basis_index(basis: str) -> int:
@@ -256,13 +235,6 @@ def basis_string(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b").replace("0", "g").replace("1", "e")
 
 
-def basis_probability(r: Register, basis: str) -> float:
-    """Probability of projecting onto the given computational basis ket."""
-    if len(basis) != r.n_qubits:
-        raise ValueError(f"basis string length {len(basis)} != {r.n_qubits} qubits")
-    return float(abs(r.amplitudes[basis_index(basis)]) ** 2)
-
-
 def marginal(r: Register, bits: dict[int, int]) -> float:
     """Probability that each given qubit (1-based) reads its bit (0 = g,
     1 = e), summed over all other qubits."""
@@ -274,13 +246,6 @@ def marginal(r: Register, bits: dict[int, int]) -> float:
         idx[q - 1] = bit
     psi = r.amplitudes.reshape((2,) * r.n_qubits)
     return float(np.sum(np.abs(psi[tuple(idx)]) ** 2))
-
-
-def overlap_fidelity(a: Register, b: Register) -> float:
-    """|<a|b>|^2, insensitive to global phase."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("registers have different qubit counts")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def sample_outcomes(r: Register, n_shots: int, seed: int | np.random.Generator) -> dict[str, int]:

@@ -1,0 +1,50 @@
+"""Test references: independent re-implementations that the tests compare
+the package against. The package itself never runs them."""
+import numpy as np
+
+from concmeter import gates
+from concmeter.cavity import decomposed_cnot
+from concmeter.concurrence import validate_density_matrix
+
+_SYSY = np.kron(gates.sigma_y().matrix, gates.sigma_y().matrix)
+
+
+def composed_cnot_matrix() -> np.ndarray:
+    """Product of the cavity's CNOT decomposition steps (last step leftmost)."""
+    steps = [g.matrix for _, g in decomposed_cnot()]
+    return steps[2] @ steps[1] @ steps[0]
+
+
+def shelving_readout(outcome: str, model, rng: np.random.Generator) -> bool:
+    """Single-shot global readout of a 4-letter g/e outcome under a
+    `ReadoutModel`: True means no fluorescence observed. simulate_shots
+    draws the same record a class of outcomes at a time."""
+    if len(outcome) != 4 or any(ch not in "ge" for ch in outcome):
+        raise ValueError(f"outcome must be a 4-letter g/e string, got {outcome!r}")
+    p = model.no_fluorescence_probability(outcome)
+    if p == 1.0:
+        return True
+    if p == 0.0:
+        return False
+    return bool(rng.random() < p)
+
+
+def spin_flip(rho) -> np.ndarray:
+    """(sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
+    rho = validate_density_matrix(rho)
+    return _SYSY @ rho.conj() @ _SYSY
+
+
+def circuit_unitary() -> np.ndarray:
+    """The protocol's four-qubit circuit as one dense 16x16 matrix, built
+    from the gate matrices alone: sigma_y on qubits 3 and 4, CNOT with
+    control 2 and target 4, then R- on qubit 2 (qubit 1 leftmost)."""
+    eye = np.eye(2)
+    ground, excited = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    flip = gates.cnot().matrix[2:, 2:]
+    sy = gates.sigma_y().matrix
+    prepare = np.kron(np.kron(eye, eye), np.kron(sy, sy))
+    cnot_24 = (np.kron(np.kron(eye, ground), np.kron(eye, eye))
+               + np.kron(np.kron(eye, excited), np.kron(eye, flip)))
+    r_minus_2 = np.kron(np.kron(eye, gates.r_minus().matrix), np.kron(eye, eye))
+    return r_minus_2 @ cnot_24 @ prepare

@@ -3,24 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from concmeter import gates, statevec
+from concmeter import cavity, gates, statevec
 from concmeter.cavity import (
     ATOM4,
     ATOM5,
     PHOTON,
     FlightConfig,
-    composed_cnot_matrix,
     decomposed_cnot,
     kinematics_report,
     map_atom_to_photon,
     map_photon_to_atom5,
-    photonic_cphase,
     run_cavity_realization,
     solve_delays,
 )
+from concmeter.cli import main
 from concmeter.concurrence import PureState
 from concmeter.protocol import run_circuit
-from concmeter.statevec import InvariantViolation
+from concmeter.statevec import Gate, InvariantViolation, Register
+from oracles import composed_cnot_matrix
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -35,8 +35,15 @@ def relay_with(atom2_amps, atom4_amps=(1, 0), photon_amps=(1, 0),
     """Six-slot relay register with atoms 1 and 3 in |g>."""
     reg = statevec.ground_register(1)
     for amps in (atom2_amps, (1, 0), atom4_amps, photon_amps, atom5_amps):
-        reg = statevec.tensor(reg, statevec.from_amplitudes(amps))
+        reg = statevec.tensor(reg, Register(amps))
     return reg
+
+
+def photonic_cphase(r):
+    """The relay's CPHASE step on (photon, atom 4); six-qubit amplitudes."""
+    cphase = dict(decomposed_cnot())["cphase"]
+    out = statevec.apply_gate(r.amplitudes.reshape((1,) + (2,) * 6), cphase, (PHOTON, ATOM4))
+    return out.reshape([2] * 6)
 
 
 class TestDecomposedCnot:
@@ -80,20 +87,17 @@ class TestPhotonicRelay:
 
     def test_cphase_flips_e1(self):
         r = relay_with((1, 0), atom4_amps=(0, 1), photon_amps=(0, 1))
-        out = photonic_cphase(r)
-        psi = out.amplitudes.reshape([2] * 6)
+        psi = photonic_cphase(r)
         assert abs(psi[0, 0, 0, 1, 1, 0] + 1.0) < 1e-12
 
     def test_cphase_leaves_g1(self):
         r = relay_with((1, 0), atom4_amps=(1, 0), photon_amps=(0, 1))
-        out = photonic_cphase(r)
-        psi = out.amplitudes.reshape([2] * 6)
+        psi = photonic_cphase(r)
         assert abs(psi[0, 0, 0, 0, 1, 0] - 1.0) < 1e-12
 
     def test_cphase_leaves_e0(self):
         r = relay_with((1, 0), atom4_amps=(0, 1), photon_amps=(1, 0))
-        out = photonic_cphase(r)
-        psi = out.amplitudes.reshape([2] * 6)
+        psi = photonic_cphase(r)
         assert abs(psi[0, 0, 0, 1, 0, 0] - 1.0) < 1e-12
 
     def test_photon_to_atom5(self):
@@ -121,6 +125,21 @@ class TestCavityRealization:
     def test_product(self):
         res = run_cavity_realization(PureState(1, 0, 0, 0))
         assert res.p_gggg < 1e-20
+
+    def test_relay_runs_the_decomposition(self, monkeypatch, tmp_path, capsys):
+        # flip the sign CPHASE puts on |ee>: the relay must notice
+        tested = decomposed_cnot()
+
+        def sign_flipped():
+            return [(name, Gate(g.matrix * [1, 1, 1, -1]) if name == "cphase" else g)
+                    for name, g in tested]
+
+        monkeypatch.setattr(cavity, "decomposed_cnot", sign_flipped)
+        path = tmp_path / "bell.json"
+        path.write_text('{"amplitudes": [[0, 0], [0.7071067811865476, 0], '
+                        '[0.7071067811865476, 0], [0, 0]]}')
+        assert main(["cavity", str(path)]) == 2
+        assert "cavity vs ideal P_gggg" in capsys.readouterr().err
 
     def test_matches_ideal_circuit(self):
         for psi in haar_states(200, seed=31):

@@ -7,9 +7,9 @@ from concmeter.concurrence import (
     PureState,
     concurrence_pure,
     concurrence_wootters,
-    spin_flip,
     validate_density_matrix,
 )
+from oracles import spin_flip
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -133,3 +133,10 @@ def test_validate_density_matrix_rejects_non_hermitian():
     rho[0, 1] = 0.5
     with pytest.raises(ValueError, match="Hermitian"):
         validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("rho", [np.full((4, 4), np.nan), np.diag([0.25, 0.25, np.inf, 0.25])],
+                         ids=["all_nan", "one_inf"])
+def test_non_finite_density_matrix_rejected(rho):
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        concurrence_wootters(rho)

@@ -1,5 +1,6 @@
 """The batched circuit engine: `statevec.apply_gate`, `protocol.run_batch`
-and `protocol.analytic_phi1_batch`, checked against the per-state API."""
+and `protocol.analytic_phi1_batch`, checked against single states and
+dense matrix products."""
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from concmeter import gates, protocol, statevec
 from concmeter.cli import main
 from concmeter.concurrence import PureState
-from concmeter.protocol import analytic_phi1, analytic_phi1_batch, run_batch, run_circuit
+from concmeter.protocol import analytic_phi1_batch, run_batch, run_circuit
 from concmeter.statevec import InvariantViolation
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -64,8 +65,7 @@ class TestAnalyticPhi1Batch:
         amps = haar_batch(20, 3)
         table = analytic_phi1_batch(amps)
         for row, a in zip(table, amps):
-            expected = analytic_phi1(PureState(*a)).as_register().amplitudes
-            np.testing.assert_array_equal(row, expected)
+            np.testing.assert_array_equal(row, analytic_phi1_batch(a[None])[0])
 
     def test_table_norm_checked_per_row(self):
         amps = haar_batch(4, 4)
@@ -77,22 +77,23 @@ class TestAnalyticPhi1Batch:
 
 
 class TestApplyGate:
-    def test_rows_match_apply_1q_and_apply_2q(self):
+    def test_rows_match_dense_matrices(self):
         rng = np.random.default_rng(5)
         states = haar_batch(6, 5).reshape(6, 2, 2)
-        ry = statevec.Gate1Q(np.linalg.qr(rng.standard_normal((2, 2))
-                                          + 1j * rng.standard_normal((2, 2)))[0])
+        ry = statevec.Gate(np.linalg.qr(rng.standard_normal((2, 2))
+                                        + 1j * rng.standard_normal((2, 2)))[0])
         one = statevec.apply_gate(states, ry, (2,))
         two = statevec.apply_gate(states, gates.cnot(), (2, 1))
-        # the matrix product may take another BLAS path for a batch of one
+        # ry on qubit 2, and CNOT with control 2 and target 1, as 4x4 matrices
+        dense_one = np.kron(np.eye(2), ry.matrix)
+        dense_two = gates.cnot().matrix[:, [0, 2, 1, 3]][[0, 2, 1, 3]]
         ulp = 2 * np.finfo(float).eps
-        for i, s in enumerate(states):
-            reg = statevec.from_amplitudes(s.reshape(4))
-            np.testing.assert_allclose(one[i].reshape(4),
-                                       statevec.apply_1q(reg, 2, ry).amplitudes, rtol=0, atol=ulp)
-            np.testing.assert_allclose(two[i].reshape(4),
-                                       statevec.apply_2q(reg, 2, 1, gates.cnot()).amplitudes,
-                                       rtol=0, atol=ulp)
+        for i, s in enumerate(states.reshape(6, 4)):
+            np.testing.assert_allclose(one[i].reshape(4), dense_one @ s, rtol=0, atol=ulp)
+            np.testing.assert_array_equal(two[i].reshape(4), dense_two @ s)
+            # one row alone: the matrix product may take another BLAS path
+            alone = statevec.apply_gate(states[i:i + 1], ry, (2,))
+            np.testing.assert_allclose(alone.reshape(4), one[i].reshape(4), rtol=0, atol=ulp)
 
     def test_qubit_count_must_match_gate(self):
         states = haar_batch(2, 6).reshape(2, 2, 2)

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from concmeter.concurrence import PureState, concurrence_pure
-from concmeter.estimation import (
-    ReadoutModel,
-    confidence_interval,
-    shelving_readout,
-    simulate_shots,
-    wilson_interval,
-)
+from concmeter.estimation import ReadoutModel, confidence_interval, simulate_shots, wilson_interval
+from oracles import shelving_readout
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = PureState(0, SQ2, SQ2, 0)

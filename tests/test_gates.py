@@ -8,9 +8,7 @@ from concmeter import gates
 SQ2 = 1.0 / math.sqrt(2.0)
 
 
-@pytest.mark.parametrize("gate", [
-    gates.sigma_y(), gates.r_plus(), gates.r_minus(), gates.identity_1q(),
-])
+@pytest.mark.parametrize("gate", [gates.sigma_y(), gates.r_plus(), gates.r_minus()])
 def test_1q_unitary(gate):
     assert np.max(np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(2))) < 1e-15
 

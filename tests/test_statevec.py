@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from concmeter import gates, statevec
 from concmeter.statevec import (
+    Gate,
     Register,
-    apply_1q,
-    apply_2q,
-    basis_probability,
-    from_amplitudes,
+    apply_gate,
+    basis_index,
     ground_register,
-    overlap_fidelity,
+    marginal,
+    normalized,
     sample_outcomes,
     tensor,
 )
@@ -24,13 +24,19 @@ BELL = [0.0, SQ2, SQ2, 0.0]
 
 def random_register(rng, n):
     a = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return from_amplitudes(a / np.linalg.norm(a))
+    return Register(a / np.linalg.norm(a))
 
 
 def random_gate_1q(rng):
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, _ = np.linalg.qr(m)
-    return statevec.Gate1Q(q)
+    return Gate(q)
+
+
+def apply(r, gate, *qubits):
+    """apply_gate on one register (a batch of one); flat amplitudes."""
+    batch = r.amplitudes.reshape((1,) + (2,) * r.n_qubits)
+    return apply_gate(batch, gate, qubits).reshape(-1)
 
 
 class TestGroundRegister:
@@ -43,7 +49,7 @@ class TestGroundRegister:
         np.testing.assert_array_equal(r.amplitudes, [1, 0, 0, 0])
 
     def test_four_qubits_all_ground(self):
-        assert basis_probability(ground_register(4), "gggg") == 1.0
+        assert marginal(ground_register(4), {1: 0, 2: 0, 3: 0, 4: 0}) == 1.0
 
     @pytest.mark.parametrize("n", [0, -1, 9])
     def test_out_of_range(self, n):
@@ -52,39 +58,72 @@ class TestGroundRegister:
 
 
 class TestFromAmplitudes:
+    """A Register built from an explicit amplitude list."""
+
     def test_bell_state(self):
-        r = from_amplitudes(BELL)
+        r = Register(BELL)
         assert r.n_qubits == 2
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="norm"):
-            from_amplitudes([1, 1, 0, 0])
+            Register([1, 1, 0, 0])
 
     def test_normalize_flag(self):
-        r = from_amplitudes([1, 1, 0, 0], normalize=True)
+        r = Register(normalized([1, 1, 0, 0]))
         np.testing.assert_allclose(r.amplitudes, [SQ2, SQ2, 0, 0])
 
     def test_complex_amplitudes(self):
-        r = from_amplitudes([0.6, 0, 0, 0.8j])
+        r = Register([0.6, 0, 0, 0.8j])
         assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
-            from_amplitudes([1, 0, 0])
+            Register([1, 0, 0])
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            from_amplitudes([float("nan"), 0])
+            Register([float("nan"), 0])
+
+
+class TestAcceptInput:
+    """The one input rule: within NORM_TOL_INPUT, renormalised when the
+    squared norm is off by more than NORM_TOL_UNITARY."""
+
+    def test_normalised_batch_returned_as_is(self):
+        states = np.array([BELL, [1, 0, 0, 0]], dtype=complex)
+        assert statevec.accept_input(states) is states
+
+    def test_near_normalised_row_renormalised_alone(self):
+        states = np.array([BELL, [0, 0.70710678118, 0.70710678118, 0]], dtype=complex)
+        out = statevec.accept_input(states)
+        np.testing.assert_array_equal(out[0], states[0])
+        np.testing.assert_array_equal(out[1], normalized(states[1]))
+        assert abs(np.vdot(out[1], out[1]).real - 1.0) <= statevec.NORM_TOL_UNITARY
+
+    def test_squared_norm_decides(self):
+        # |norm - 1| is about 1e-12 here, but the squared norm is off by 2e-12
+        row = np.array([[0, 0, 0, 1.000000000001]], dtype=complex)
+        assert statevec.accept_input(row)[0, 3] == 1.0
+
+    def test_beyond_input_tolerance_rejected(self):
+        states = np.array([BELL, [0, 0, 0, 1 + 2e-9]], dtype=complex)
+        with pytest.raises(ValueError, match="row 1: state norm"):
+            statevec.accept_input(states)
+
+    def test_register_follows_the_rule(self):
+        r = Register([0, 0.70710678118, 0.70710678118, 0])
+        out = apply(r, gates.cnot(), 1, 2)  # the gate's 1e-12 norm check passes
+        assert abs(np.vdot(out, out).real - 1.0) <= statevec.NORM_TOL_UNITARY
 
 
 class TestTensor:
     def test_ge(self):
-        r = tensor(ground_register(1), apply_1q(ground_register(1), 1, _flip()))
+        r = tensor(ground_register(1), Register(apply(ground_register(1), _flip(), 1)))
         # |ge> is index 1
         assert abs(abs(r.amplitudes[1]) - 1.0) < 1e-12
 
     def test_bell_bell(self):
-        r = tensor(from_amplitudes(BELL), from_amplitudes(BELL))
+        r = tensor(Register(BELL), Register(BELL))
         for ket in ("gege", "geeg", "egge", "egeg"):
             assert abs(r.amplitudes[statevec.basis_index(ket)] - 0.5) < 1e-12
 
@@ -108,31 +147,31 @@ class TestTensor:
 
 
 def _flip():
-    return statevec.Gate1Q([[0, 1], [1, 0]])
+    return Gate([[0, 1], [1, 0]])
 
 
 class TestApply1Q:
     def test_sigma_y_on_ground(self):
-        r = apply_1q(ground_register(1), 1, gates.sigma_y())
-        np.testing.assert_allclose(r.amplitudes, [0, 1j])
+        out = apply(ground_register(1), gates.sigma_y(), 1)
+        np.testing.assert_allclose(out, [0, 1j])
 
     def test_r_minus_on_ground(self):
-        r = apply_1q(ground_register(1), 1, gates.r_minus())
-        np.testing.assert_allclose(r.amplitudes, [SQ2, -SQ2])
+        out = apply(ground_register(1), gates.r_minus(), 1)
+        np.testing.assert_allclose(out, [SQ2, -SQ2])
 
     def test_identity(self):
         rng = np.random.default_rng(1)
         r = random_register(rng, 3)
-        out = apply_1q(r, 2, gates.identity_1q())
-        np.testing.assert_allclose(out.amplitudes, r.amplitudes, atol=1e-15)
+        out = apply(r, Gate(np.eye(2)), 2)
+        np.testing.assert_allclose(out, r.amplitudes, atol=1e-15)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_1q(ground_register(2), 3, gates.sigma_y())
+            apply(ground_register(2), gates.sigma_y(), 3)
 
     def test_non_unitary_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unitary"):
-            statevec.Gate1Q([[1, 0], [0, 2]])
+            Gate([[1, 0], [0, 2]])
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
@@ -143,35 +182,31 @@ class TestApply1Q:
         direct = np.tensordot(
             g.matrix, mix.reshape(2, 2), axes=([1], [0])
         ).reshape(-1)
-        via_parts = (alpha * apply_1q(r1, 1, g).amplitudes
-                     + beta * apply_1q(r2, 1, g).amplitudes)
+        via_parts = alpha * apply(r1, g, 1) + beta * apply(r2, g, 1)
         np.testing.assert_allclose(direct, via_parts, atol=1e-14)
 
 
 class TestApply2Q:
     def test_cnot_eg(self):
-        r = from_amplitudes([0, 0, 1, 0])  # |eg>
-        out = apply_2q(r, 1, 2, gates.cnot())
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1])  # |ee>
+        out = apply(Register([0, 0, 1, 0]), gates.cnot(), 1, 2)  # |eg>
+        np.testing.assert_allclose(out, [0, 0, 0, 1])  # |ee>
 
     def test_cnot_gg(self):
-        out = apply_2q(ground_register(2), 1, 2, gates.cnot())
-        np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0])
+        out = apply(ground_register(2), gates.cnot(), 1, 2)
+        np.testing.assert_allclose(out, [1, 0, 0, 0])
 
     def test_cphase_ee(self):
-        r = from_amplitudes([0, 0, 0, 1])
-        out = apply_2q(r, 1, 2, gates.cphase())
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, -1])
+        out = apply(Register([0, 0, 0, 1]), gates.cphase(), 1, 2)
+        np.testing.assert_allclose(out, [0, 0, 0, -1])
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            apply_2q(ground_register(2), 1, 1, gates.cnot())
+            apply(ground_register(2), gates.cnot(), 1, 1)
 
     def test_reversed_pair_order(self):
         # control on qubit 2, target on qubit 1: |ge> -> |ee>
-        r = from_amplitudes([0, 1, 0, 0])
-        out = apply_2q(r, 2, 1, gates.cnot())
-        np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1])
+        out = apply(Register([0, 1, 0, 0]), gates.cnot(), 2, 1)
+        np.testing.assert_allclose(out, [0, 0, 0, 1])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -179,35 +214,43 @@ class TestApply2Q:
         rng = np.random.default_rng(seed)
         r = random_register(rng, 4)
         g1, g2 = random_gate_1q(rng), random_gate_1q(rng)
-        ab = apply_1q(apply_1q(r, 1, g1), 3, g2)
-        ba = apply_1q(apply_1q(r, 3, g2), 1, g1)
-        np.testing.assert_allclose(ab.amplitudes, ba.amplitudes, atol=1e-14)
+        ab = apply(Register(apply(r, g1, 1)), g2, 3)
+        ba = apply(Register(apply(r, g2, 3)), g1, 1)
+        np.testing.assert_allclose(ab, ba, atol=1e-14)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_norm_preserved_by_gate_sequence(self, seed):
         rng = np.random.default_rng(seed)
         r = random_register(rng, 3)
+        batch = r.amplitudes.reshape(1, 2, 2, 2)
         for _ in range(5):
             q = int(rng.integers(1, 4))
-            r = apply_1q(r, q, random_gate_1q(rng))
-        assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
+            batch = apply_gate(batch, random_gate_1q(rng), (q,))
+        assert abs(np.linalg.norm(batch) - 1.0) < 1e-12
+
+
+def basis_probability(r, ket):
+    """|amplitude|^2 of one basis ket, read straight from the array."""
+    return float(abs(r.amplitudes[basis_index(ket)]) ** 2)
 
 
 class TestBasisProbability:
+    """The probability of one basis ket: marginal with every qubit fixed."""
+
     def test_bell(self):
-        assert abs(basis_probability(from_amplitudes(BELL), "ge") - 0.5) < 1e-12
+        assert abs(marginal(Register(BELL), {1: 0, 2: 1}) - 0.5) < 1e-12
 
     def test_real_amplitudes(self):
-        assert abs(basis_probability(from_amplitudes([0.6, 0, 0, 0.8]), "ee") - 0.64) < 1e-12
+        assert abs(marginal(Register([0.6, 0, 0, 0.8]), {1: 1, 2: 1}) - 0.64) < 1e-12
 
     def test_malformed_basis(self):
         with pytest.raises(ValueError):
-            basis_probability(from_amplitudes(BELL), "gx")
+            basis_index("gx")
 
     def test_wrong_length(self):
-        with pytest.raises(ValueError, match="length"):
-            basis_probability(from_amplitudes(BELL), "g")
+        with pytest.raises(ValueError, match="out of range"):
+            marginal(Register(BELL), {1: 0, 3: 0})
 
 
 class TestMarginal:
@@ -215,11 +258,11 @@ class TestMarginal:
         r = random_register(np.random.default_rng(21), 4)
         expected = sum(basis_probability(r, ket) for ket in
                        ("egeg", "egee", "eeeg", "eeee"))  # qubit 1 = e, qubit 3 = e
-        assert abs(statevec.marginal(r, {1: 1, 3: 1}) - expected) < 1e-15
+        assert abs(marginal(r, {1: 1, 3: 1}) - expected) < 1e-15
 
     def test_all_qubits_fixed_is_basis_probability(self):
         r = random_register(np.random.default_rng(22), 3)
-        assert statevec.marginal(r, {1: 0, 2: 1, 3: 1}) == basis_probability(r, "gee")
+        assert marginal(r, {1: 0, 2: 1, 3: 1}) == basis_probability(r, "gee")
 
     def test_no_qubit_fixed_is_total(self):
         r = random_register(np.random.default_rng(23), 3)
@@ -231,26 +274,6 @@ class TestMarginal:
             statevec.marginal(ground_register(3), bits)
 
 
-class TestOverlapFidelity:
-    def test_self(self):
-        r = from_amplitudes(BELL)
-        assert abs(overlap_fidelity(r, r) - 1.0) < 1e-12
-
-    def test_global_phase(self):
-        r = from_amplitudes(BELL)
-        phased = Register(np.exp(0.7j) * r.amplitudes)
-        assert abs(overlap_fidelity(r, phased) - 1.0) < 1e-12
-
-    def test_orthogonal(self):
-        g = ground_register(1)
-        e = from_amplitudes([0, 1])
-        assert overlap_fidelity(g, e) == 0.0
-
-    def test_mismatched_sizes(self):
-        with pytest.raises(ValueError):
-            overlap_fidelity(ground_register(1), ground_register(2))
-
-
 class TestSampleOutcomes:
     def test_deterministic_state(self):
         counts = sample_outcomes(ground_register(4), 1000, seed=3)
@@ -258,13 +281,13 @@ class TestSampleOutcomes:
 
     def test_bell_binomial(self):
         n = 10**6
-        counts = sample_outcomes(from_amplitudes(BELL), n, seed=7)
+        counts = sample_outcomes(Register(BELL), n, seed=7)
         sigma = math.sqrt(0.25 / n)
         assert abs(counts["ge"] / n - 0.5) < 5 * sigma
         assert sum(counts.values()) == n
 
     def test_same_seed_identical(self):
-        r = from_amplitudes(BELL)
+        r = Register(BELL)
         assert sample_outcomes(r, 5000, seed=11) == sample_outcomes(r, 5000, seed=11)
 
     def test_chi_square_goodness_of_fit(self):
