@@ -10,6 +10,7 @@ register after its qubit is handed to the photon; it is deterministically
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import gates, statevec
 from .concurrence import PureState
-from .protocol import ProtocolResult, extract_concurrence, run_circuit
+from .protocol import _SIGMA_Y_PAIR, ORACLE_TOL, ProtocolResult, analytic_phi1_batch
+from .protocol import extract_concurrence, run_circuit
 from .statevec import Gate, InvariantViolation, Register
 
 CAVITY_MATCH_TOL = 1e-10
@@ -45,8 +47,7 @@ _SWAP = Gate(
         [0, 0, 0, 1],
     ]
 )
-_SIGMA_Y, _R_MINUS = gates.sigma_y(), gates.r_minus()
-_CPHASE = gates.cphase()
+_R_MINUS, _CPHASE = gates.r_minus(), gates.cphase()
 # R-/R+ on the target, embedded as gates on the ordered (control, target) pair
 _R_MINUS_TARGET = Gate(np.kron(np.eye(2), _R_MINUS.matrix))
 _R_PLUS_TARGET = Gate(np.kron(np.eye(2), gates.r_plus().matrix))
@@ -68,48 +69,56 @@ def decomposed_cnot() -> list[tuple[str, Gate]]:
 # ---------------------------------------------------------------------------
 # photonic relay, on the six-slot register (atoms 1-4, cavity-D photon, atom 5)
 
+_VACUUM = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # photon |0>, atom 5 |g>
 
-def _apply(r: Register, gate: Gate, *qubits: int) -> Register:
-    out = statevec.apply_gate(r.amplitudes.reshape((1,) + (2,) * r.n_qubits), gate, qubits)
-    return Register._wrap(out.reshape(-1))  # checked by apply_gate
+
+def _swap_from_ground(states: np.ndarray, ground: int, pair, message, stage) -> np.ndarray:
+    """SWAP the pair of slots, once slot `ground` is checked to read 0."""
+    population = statevec.marginal(states, {ground: 1})
+    if population > PHOTON_VACUUM_TOL:
+        raise InvariantViolation(message, stage=stage, value=population, tol=PHOTON_VACUUM_TOL)
+    return statevec.apply_gate(states, _SWAP, pair)
+
+
+def _atom_to_photon(states: np.ndarray) -> np.ndarray:
+    return _swap_from_ground(states, PHOTON, (ATOM2, PHOTON),
+                             "photon must be in vacuum before the atom-2 map", "atom-to-photon map")
+
+
+def _photon_to_atom5(states: np.ndarray) -> np.ndarray:
+    return _swap_from_ground(states, ATOM5, (PHOTON, ATOM5),
+                             "atom 5 must start in the ground state", "photon-to-atom map")
 
 
 def map_atom_to_photon(r: Register) -> Register:
     """Hand the atom-2 qubit to the cavity-D photon; atom 2 exits in |g>."""
-    p_photon = statevec.marginal(r, {PHOTON: 1})
-    if p_photon > PHOTON_VACUUM_TOL:
-        raise InvariantViolation("photon must be in vacuum before the atom-2 map",
-                                 stage="atom-to-photon map", value=p_photon,
-                                 tol=PHOTON_VACUUM_TOL)
-    return _apply(r, _SWAP, ATOM2, PHOTON)
+    out = _atom_to_photon(r.amplitudes.reshape((1,) + (2,) * r.n_qubits))
+    return Register._wrap(out.reshape(-1))  # checked by apply_gate
 
 
 def map_photon_to_atom5(r: Register) -> Register:
     """Retrieve the photonic qubit into atom 5; photon left in vacuum."""
-    p_atom5 = statevec.marginal(r, {ATOM5: 1})
-    if p_atom5 > PHOTON_VACUUM_TOL:
-        raise InvariantViolation("atom 5 must start in the ground state",
-                                 stage="photon-to-atom map", value=p_atom5,
-                                 tol=PHOTON_VACUUM_TOL)
-    return _apply(r, _SWAP, PHOTON, ATOM5)
+    out = _photon_to_atom5(r.amplitudes.reshape((1,) + (2,) * r.n_qubits))
+    return Register._wrap(out.reshape(-1))  # checked by apply_gate
 
 
 def run_cavity_realization(psi: PureState) -> ProtocolResult:
-    """Full cavity sequence; must reproduce the ideal circuit's P_gggg."""
-    copies = statevec.tensor(Register(psi.amplitudes), Register(psi.amplitudes))
-    reg = statevec.tensor(copies, statevec.ground_register(2))  # photon + atom 5
-
-    reg = _apply(reg, _SIGMA_Y, ATOM3)  # Ramsey region, second copy only
-    reg = _apply(reg, _SIGMA_Y, ATOM4)
+    """Full cavity sequence on the six-slot register as one (1,) + (2,)*6 array, checked
+    against the ideal circuit's P_gggg, then on atom 2 = g, photon = 0 against the analytic
+    table (phase-strict; its residual is oracle_residual), with no weight outside."""
+    a = psi.amplitudes
+    # both copies, photon in vacuum, atom 5 in |g>: one product; the first gate checks its norm
+    reg = (a[:, None, None] * a[:, None] * _VACUUM).reshape((1,) + (2,) * 6)
+    reg = statevec.apply_gate(reg, _SIGMA_Y_PAIR, (ATOM3, ATOM4))  # Ramsey region, second copy only
 
     # CNOT(control = logical qubit 2, now the photon; target = atom 4)
-    reg = map_atom_to_photon(reg)
+    reg = _atom_to_photon(reg)
     for _, step in decomposed_cnot():
-        reg = _apply(reg, step, PHOTON, ATOM4)
-    reg = map_photon_to_atom5(reg)
+        reg = statevec.apply_gate(reg, step, (PHOTON, ATOM4))
+    reg = _photon_to_atom5(reg)
 
     # atom 5 now carries the logical qubit 2; final rotation of the protocol
-    final = _apply(reg, _R_MINUS, ATOM5)
+    final = statevec.apply_gate(reg, _R_MINUS, (ATOM5,))
 
     p_all_ground = statevec.marginal(final, {ATOM5: 0, ATOM3: 0, ATOM1: 0, ATOM4: 0})
     ideal = run_circuit(psi)
@@ -118,13 +127,24 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
         raise InvariantViolation("cavity realization deviates from the ideal circuit",
                                  stage="cavity vs ideal P_gggg", value=deviation,
                                  tol=CAVITY_MATCH_TOL)
+    # atom 2 = g and photon = 0, in logical-qubit order (1, 2, 3, 4) = atoms (1, 5, 3, 4)
+    logical = final[:, :, 0, :, :, 0, :].transpose(0, 1, 4, 2, 3).reshape(1, 16)
+    residual = float(np.max(np.abs(logical - analytic_phi1_batch(a[None]))))
+    if not residual <= ORACLE_TOL:
+        raise InvariantViolation("cavity register deviates from the analytic table",
+                                 stage="cavity amplitude table", value=residual, tol=ORACLE_TOL)
+    outside = (statevec.marginal(final, {ATOM2: 1})
+               + statevec.marginal(final, {ATOM2: 0, PHOTON: 1}))
+    if not outside <= PHOTON_VACUUM_TOL:
+        raise InvariantViolation("weight outside atom 2 = g, photon = 0", value=outside,
+                                 stage="cavity logical subspace", tol=PHOTON_VACUUM_TOL)
     return ProtocolResult(
-        final_state=final,
+        final_state=Register._wrap(final.reshape(-1)),  # checked by apply_gate
         p_gggg=p_all_ground,
         # P_egeg in logical-qubit order (1, 2, 3, 4) = atoms (1, 5, 3, 4)
         p_egeg=statevec.marginal(final, {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0}),
         concurrence_measured=extract_concurrence(p_all_ground),
-        oracle_residual=deviation,
+        oracle_residual=residual,
     )
 
 
@@ -157,7 +177,8 @@ class FlightConfig:
         if self.tau < 0.0 or self.tau_prime < 0.0:
             raise ValueError("delays must be non-negative")
 
-    @property
+    # computed once per config, and shared: callers must not modify them
+    @functools.cached_property
     def emission_times(self) -> dict[int, float]:
         return {
             1: 0.0,
@@ -166,7 +187,7 @@ class FlightConfig:
             4: 2.0 * self.tau + self.tau_prime,
         }
 
-    @property
+    @functools.cached_property
     def speeds(self) -> dict[int, float]:
         return {1: self.v, 2: self.w, 3: self.v, 4: self.w}
 

@@ -28,15 +28,18 @@ class PureState:
     c3: complex
 
     def __post_init__(self):
-        amps = self.amplitudes[None]
+        amps = np.array([[self.c0, self.c1, self.c2, self.c3]], dtype=complex)
         accepted = accept_input(amps)
         if accepted is not amps:
             for name, c in zip(("c0", "c1", "c2", "c3"), accepted[0]):
                 object.__setattr__(self, name, c)
+        accepted.flags.writeable = False
+        object.__setattr__(self, "_amplitudes", accepted[0])
 
     @property
     def amplitudes(self) -> np.ndarray:
-        return np.array([self.c0, self.c1, self.c2, self.c3], dtype=complex)
+        """(c0, c1, c2, c3) as one read-only array, built once."""
+        return self._amplitudes
 
     @classmethod
     def from_amplitudes(cls, amps, *, normalize: bool = False) -> "PureState":

@@ -13,7 +13,9 @@ states entering the library.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -21,6 +23,9 @@ NORM_TOL_INPUT = 1e-9
 NORM_TOL_UNITARY = 1e-12
 UNITARITY_TOL = 1e-12
 MAX_QUBITS = 8
+_MAX_SHOTS = np.iinfo(np.int64).max  # the largest count numpy's samplers take
+# |norm - 1| <= NORM_TOL_UNITARY, as bounds on the squared norm
+_UNITARY_LOW, _UNITARY_HIGH = (1.0 - NORM_TOL_UNITARY) ** 2, (1.0 + NORM_TOL_UNITARY) ** 2
 
 
 class InvariantViolation(Exception):
@@ -186,6 +191,20 @@ def _check_qubit_index(q: int, n: int) -> None:
         raise ValueError(f"qubit index {q} out of range 1..{n}")
 
 
+@functools.lru_cache(maxsize=64)
+def _gate_plan(n: int, arity: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The checked axis permutation that brings the gate's qubits to the front
+    of a batch of n-qubit states, and its inverse; no failure is cached."""
+    if arity != len(qubits):
+        raise ValueError(f"gate acts on {arity} qubits, got {len(qubits)} qubit indices")
+    for q in qubits:
+        _check_qubit_index(q, n)
+    if len(set(qubits)) != arity:
+        raise ValueError("q1 and q2 must be distinct")
+    perm = (*qubits, *(ax for ax in range(n + 1) if ax not in qubits))
+    return perm, tuple(sorted(range(n + 1), key=perm.__getitem__))
+
+
 def apply_gate(states: np.ndarray, gate: Gate,
                qubits: tuple[int, ...]) -> np.ndarray:
     """The gate-application kernel: apply a one- or two-qubit gate to the
@@ -195,22 +214,16 @@ def apply_gate(states: np.ndarray, gate: Gate,
     contiguous array. Every row is checked once, for the whole batch, to be finite
     with a norm within NORM_TOL_UNITARY of 1; since the gate is unitary
     and its input normalised, a row that fails is an InvariantViolation."""
-    n, k = states.ndim - 1, len(qubits)
-    if gate.matrix.shape[0] != 2**k:
-        raise ValueError(f"gate acts on {gate.matrix.shape[0].bit_length() - 1} qubits, "
-                         f"got {k} qubit indices")
-    for q in qubits:
-        _check_qubit_index(q, n)
-    if len(set(qubits)) != k:
-        raise ValueError("q1 and q2 must be distinct")
+    d = len(gate.matrix)
+    perm, inverse = _gate_plan(states.ndim - 1, d.bit_length() - 1,
+                               tuple(map(operator.index, qubits)))
     # gate axes first, so the gate is one matrix product over all the rest
-    perm = [*qubits, *(ax for ax in range(n + 1) if ax not in qubits)]
     moved = states.transpose(perm)
-    out = (gate.matrix @ moved.reshape(2**k, -1)).reshape(moved.shape)
-    out = out.transpose(sorted(range(n + 1), key=perm.__getitem__)).copy()
+    out = (gate.matrix @ moved.reshape(d, -1)).reshape(moved.shape)
+    out = out.transpose(inverse).copy()
     squared = _squared_norms(out)
-    i = _first_bad_row(squared, NORM_TOL_UNITARY)
-    if i >= 0:
+    if not (_UNITARY_LOW <= squared.min() and squared.max() <= _UNITARY_HIGH):
+        i = _first_bad_row(squared, NORM_TOL_UNITARY)
         raise InvariantViolation("state norm not preserved", stage="gate application",
                                  value=abs(math.sqrt(squared[i]) - 1.0),
                                  tol=NORM_TOL_UNITARY, row=i)
@@ -235,24 +248,27 @@ def basis_string(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b").replace("0", "g").replace("1", "e")
 
 
-def marginal(r: Register, bits: dict[int, int]) -> float:
+def marginal(r: Register | np.ndarray, bits: dict[int, int]) -> float:
     """Probability that each given qubit (1-based) reads its bit (0 = g,
-    1 = e), summed over all other qubits."""
-    idx = [slice(None)] * r.n_qubits
+    1 = e), summed over all other qubits, for a register or one state's
+    2**n amplitudes in an array of any shape (such as a batch of one)."""
+    amps = r.amplitudes if isinstance(r, Register) else r
+    n = amps.size.bit_length() - 1
+    idx = [slice(None)] * n
     for q, bit in bits.items():
-        _check_qubit_index(q, r.n_qubits)
+        _check_qubit_index(q, n)
         if bit not in (0, 1):
             raise ValueError(f"bit for qubit {q} must be 0 or 1, got {bit!r}")
         idx[q - 1] = bit
-    psi = r.amplitudes.reshape((2,) * r.n_qubits)
+    psi = amps.reshape((2,) * n)
     return float(np.sum(np.abs(psi[tuple(idx)]) ** 2))
 
 
 def sample_outcomes(r: Register, n_shots: int, seed: int | np.random.Generator) -> dict[str, int]:
     """Born-rule sampling: map of basis string -> count, in index order,
     deterministic per seed; a Generator given as seed is drawn from as is."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    if not 1 <= n_shots <= _MAX_SHOTS:
+        raise ValueError(f"n_shots must be in [1, {_MAX_SHOTS}]")
     probs = np.abs(r.amplitudes) ** 2
     probs = probs / probs.sum()  # remove roundoff before multinomial
     rng = np.random.default_rng(seed)

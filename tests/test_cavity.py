@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from concmeter import cavity, gates, statevec
 from concmeter.cavity import (
+    ATOM1,
     ATOM4,
     ATOM5,
     PHOTON,
@@ -18,7 +21,7 @@ from concmeter.cavity import (
 )
 from concmeter.cli import main
 from concmeter.concurrence import PureState
-from concmeter.protocol import run_circuit
+from concmeter.protocol import analytic_phi1_batch, run_circuit
 from concmeter.statevec import Gate, InvariantViolation, Register
 from oracles import composed_cnot_matrix
 
@@ -141,6 +144,49 @@ class TestCavityRealization:
         assert main(["cavity", str(path)]) == 2
         assert "cavity vs ideal P_gggg" in capsys.readouterr().err
 
+    @staticmethod
+    def fault_after_relay(monkeypatch, gate, qubit):
+        """Apply `gate` to `qubit` right after the photon-to-atom-5 map."""
+        relay_step = cavity._photon_to_atom5
+
+        def faulty(states):
+            return statevec.apply_gate(relay_step(states), gate, (qubit,))
+
+        monkeypatch.setattr(cavity, "_photon_to_atom5", faulty)
+
+    def test_phase_flip_caught_by_the_table(self, monkeypatch, tmp_path, capsys):
+        # Z on atom 1 changes no probability, so only the phase-strict
+        # table check can see it
+        self.fault_after_relay(monkeypatch, Gate(np.diag([1.0, -1.0])), ATOM1)
+        path = tmp_path / "bell.json"
+        path.write_text('{"amplitudes": [[0, 0], [0.7071067811865476, 0], '
+                        '[0.7071067811865476, 0], [0, 0]]}')
+        assert main(["cavity", str(path)]) == 2
+        assert "cavity amplitude table" in capsys.readouterr().err
+
+    def test_leak_out_of_the_subspace_caught(self, monkeypatch):
+        # a 1e-5 rad photon rotation leaks 1e-10 of weight: below
+        # CAVITY_MATCH_TOL in P_gggg and ORACLE_TOL in the table
+        t = 1e-5
+        leak = Gate([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        self.fault_after_relay(monkeypatch, leak, PHOTON)
+        with pytest.raises(InvariantViolation) as info:
+            run_cavity_realization(PureState(0, SQ2, SQ2, 0))
+        assert info.value.stage == "cavity logical subspace"
+        assert info.value.value == pytest.approx(math.sin(t) ** 2)
+
+    def test_final_register_embeds_the_table(self):
+        states = haar_states(100, seed=41)
+        table = analytic_phi1_batch([s.amplitudes for s in states])
+        for psi, expected in zip(states, table):
+            res = run_cavity_realization(psi)
+            psi6 = res.final_state.amplitudes.reshape([2] * 6)
+            # atom 2 = g, photon = 0; logical qubits (1, 2, 3, 4) = atoms (1, 5, 3, 4)
+            logical = psi6[:, 0, :, :, 0, :].transpose(0, 3, 1, 2).reshape(16)
+            assert res.oracle_residual == np.max(np.abs(logical - expected))
+            assert res.oracle_residual <= 1e-15
+            assert not np.any(psi6[:, 1]) and not np.any(psi6[:, 0, :, :, 1])
+
     def test_matches_ideal_circuit(self):
         for psi in haar_states(200, seed=31):
             real = run_cavity_realization(psi)
@@ -165,6 +211,18 @@ class TestFlightConfig:
                            x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
         assert cfg.emission_times == pytest.approx(
             {1: 0.0, 2: 1e-4, 3: 3e-4, 4: 4e-4})
+
+    def test_schedule_computed_once(self):
+        cfg = FlightConfig(v=300, w=500, tau=1e-4, tau_prime=2e-4,
+                           x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
+        assert cfg.emission_times is cfg.emission_times
+        assert cfg.speeds is cfg.speeds
+        assert cfg.speeds == {1: 300, 2: 500, 3: 300, 4: 500}
+
+    def test_solved_config_survives_copy_and_pickle(self):
+        cfg = solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02).config  # schedule cached
+        assert copy.deepcopy(cfg) == cfg
+        assert pickle.loads(pickle.dumps(cfg)).emission_times == cfg.emission_times
 
 
 class TestKinematicsReport:

@@ -210,6 +210,15 @@ class TestStateFileProperty:
                 assert code in (0, 1), (command, doc)
 
 
+class TestShotCountBoundary:
+    def test_count_beyond_int64_rejected(self, tmp_path, capsys):
+        # numpy's samplers take at most 2**63 - 1; this once ended in a traceback
+        bell = write_doc(tmp_path / "bell.json",
+                         {"amplitudes": [[0, 0], [SQ2, 0], [SQ2, 0], [0, 0]]})
+        assert main(["shots", bell, "--shots", str(2**63)]) == 1
+        assert "n_shots must be in [1, 9223372036854775807]" in capsys.readouterr().err
+
+
 class TestSeedBoundary:
     @pytest.mark.parametrize("command", ["sweep", "shots"])
     def test_negative_seed_rejected(self, tmp_path, capsys, command):
@@ -237,6 +246,38 @@ class TestSweepStream:
             for row in csv.DictReader(fh):
                 digest.update((",".join(row[k] for k in self.HASHED) + "\n").encode())
         assert digest.hexdigest() == self.GOLDEN
+
+    # SHA-256 of every column of `sweep 200 --seed 11`, a column's cells
+    # one per line, as written by the per-call gate checks before gate
+    # plans were cached: a last-bit change in any column fails
+    COLUMN_DIGESTS = {
+        "seed": "ea01ba3592e27c871b63b32e37d6532234edf7eee7077bdcc094061ee72922e6",
+        "c0_re": "1db0c7a0d3dfccebd4d12a55dffa4bce03677d6905a256c3f4113d7aa7e8b8e7",
+        "c0_im": "500992349e8062c878c0bf37b2c1486a3f6e6e1bf3a7ce7233c688c2d0168ae8",
+        "c1_re": "76809c92ea2311ae8a0d1f531a6d3d0c111c690f3c8e1e869e81c1b3c968cd02",
+        "c1_im": "9c1fb5b76398394a20d0c261b86609ac833bb7b176c6f86f4c088c4df3754fe1",
+        "c2_re": "f25e62a85ca2369500fd7a38aad1599cd8fc62f92bb6a3db39b854873f07e8ce",
+        "c2_im": "8056c02bb476254c0fbf90b3227444af8dc2ebdba70718d0a772aa502caa6ced",
+        "c3_re": "1704585663c81f52d5249f4983e733372f696cce5ae6e3f232cccdf037d5bb8c",
+        "c3_im": "3c9bb3fd6c54e65e3936a505c511a11b83efc785f24166bf1a5c09eb7e5c3b86",
+        "concurrence_analytic":
+            "2f7672c417bf1b514a12220d9a5f563984fd287afc7b0e8fe0e454f192a489d4",
+        "p_gggg": "0a8b397fe4ddbe944640451b7923f4b54a7cb32da862b6be5388e50092a8e0ea",
+        "p_egeg": "b8e3b7a50061c5d0f18d1f22e8ad20186640b45017dbc74d466ce7a7b6122498",
+        "concurrence_measured":
+            "026689e50e02091dbc63725c6b9f1e19f0582362297e46b0a7fc803d28dcb1ff",
+        "oracle_residual": "3d113882f7b88a0682140e6086bc989423149164902e9162b994cfe4fc05a238",
+    }
+
+    def test_every_column_pinned(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "200", "--seed", "11", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 200 and list(rows[0]) == cli.SWEEP_COLUMNS
+        digests = {k: hashlib.sha256("".join(row[k] + "\n" for row in rows).encode())
+                   .hexdigest() for k in cli.SWEEP_COLUMNS}
+        assert digests == self.COLUMN_DIGESTS
 
     def test_row_reproducible_alone(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -38,6 +38,17 @@ class TestPureState:
         for s in haar_states(20, seed=3):
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
 
+    def test_amplitudes_built_once_and_read_only(self):
+        s = PureState(0.6, 0.0, 0.0, 0.8j)
+        assert s.amplitudes is s.amplitudes
+        assert not s.amplitudes.flags.writeable
+        assert s.amplitudes.tolist() == [s.c0, s.c1, s.c2, s.c3]
+
+    def test_renormalised_amplitudes_match_fields(self):
+        s = PureState(0.0, 0.70710678118, 0.70710678118, 0.0)  # norm off by ~1e-11
+        assert s.amplitudes.tolist() == [s.c0, s.c1, s.c2, s.c3]
+        assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-15
+
 
 class TestConcurrencePure:
     def test_bell(self):

@@ -230,6 +230,53 @@ class TestApply2Q:
         assert abs(np.linalg.norm(batch) - 1.0) < 1e-12
 
 
+class TestGatePlan:
+    """apply_gate's cached plan: every check runs on each miss, a failed
+    check is never cached, and the cache is bounded."""
+
+    @pytest.mark.parametrize("gate, qubits, message", [
+        (gates.cnot(), (1,), "gate acts on 2 qubits, got 1 qubit indices"),
+        (gates.sigma_y(), (4,), "qubit index 4 out of range 1..3"),
+        (gates.sigma_y(), (0,), "qubit index 0 out of range 1..3"),
+        (gates.cnot(), (2, 2), "q1 and q2 must be distinct"),
+    ])
+    def test_same_message_on_every_call_and_nothing_cached(self, gate, qubits, message):
+        statevec._gate_plan.cache_clear()
+        batch = ground_register(3).amplitudes.reshape(1, 2, 2, 2)
+        for _ in range(3):
+            with pytest.raises(ValueError) as info:
+                apply_gate(batch, gate, qubits)
+            assert str(info.value) == message
+        assert statevec._gate_plan.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("qubits", [[3, 1], (np.int64(3), np.int32(1)), np.array([3, 1])])
+    def test_index_types_give_the_same_array(self, qubits):
+        batch = random_register(np.random.default_rng(5), 3).amplitudes.reshape(1, 2, 2, 2)
+        expected = apply_gate(batch, gates.cnot(), (3, 1))
+        assert np.array_equal(apply_gate(batch, gates.cnot(), qubits), expected)
+
+    def test_float_index_rejected(self):
+        batch = ground_register(2).amplitudes.reshape(1, 2, 2)
+        apply_gate(batch, gates.sigma_y(), (2,))
+        with pytest.raises(TypeError):
+            apply_gate(batch, gates.sigma_y(), (2.0,))
+
+    def test_cache_bounded(self):
+        keys = 0
+        for n in range(1, 9):
+            batch = ground_register(n).amplitudes.reshape((1,) + (2,) * n)
+            for q1 in range(1, n + 1):
+                apply_gate(batch, gates.sigma_y(), (q1,))
+                keys += 1
+                for q2 in range(1, n + 1):
+                    if q2 != q1:
+                        apply_gate(batch, gates.cnot(), (q1, q2))
+                        keys += 1
+        info = statevec._gate_plan.cache_info()
+        assert keys > info.maxsize
+        assert info.currsize <= info.maxsize
+
+
 def basis_probability(r, ket):
     """|amplitude|^2 of one basis ket, read straight from the array."""
     return float(abs(r.amplitudes[basis_index(ket)]) ** 2)
