@@ -116,10 +116,10 @@ def cmd_sweep(args) -> int:
             c_analytic = concurrence_pure(psi)
             max_dev = max(max_dev, abs(result.concurrence_measured - c_analytic))
             max_residual = max(max_residual, result.oracle_residual)
-            row = [i, *map(repr, psi.amplitudes.view(float).tolist()),
-                   repr(c_analytic), repr(result.p_gggg), repr(result.p_egeg),
-                   repr(result.concurrence_measured), repr(result.oracle_residual)]
-            writer.writerow(row)
+            # csv writes a Python float as its repr; every value here is one
+            writer.writerow([i, *psi.amplitudes.view(float).tolist(),
+                             c_analytic, result.p_gggg, result.p_egeg,
+                             result.concurrence_measured, result.oracle_residual])
     print(f"wrote {args.n_states} rows to {args.out}; "
           f"max |C_measured - C_analytic| = {max_dev:.3e}, "
           f"max oracle residual = {max_residual:.3e}")

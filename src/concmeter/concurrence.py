@@ -52,8 +52,10 @@ class PureState:
 
     @classmethod
     def haar_random(cls, rng: np.random.Generator) -> "PureState":
-        # normalized complex Gaussian vector = uniform on the state sphere
-        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        # normalized complex Gaussian vector = uniform on the state sphere;
+        # one draw of 8 is the same stream as two draws of 4
+        x = rng.standard_normal(8)
+        a = x[:4] + 1j * x[4:]
         return cls(*(a / np.linalg.norm(a)))
 
     def density_matrix(self) -> np.ndarray:
@@ -72,7 +74,10 @@ def validate_density_matrix(rho) -> np.ndarray:
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix contains NaN/Inf")
-    if np.max(np.abs(rho - rho.conj().T)) > DM_HERMITIAN_TOL:
+    # rho - rho^H overflows only where rho is not Hermitian: inf is then the right verdict
+    with np.errstate(over="ignore"):
+        asymmetry = np.max(np.abs(rho - rho.conj().T))
+    if asymmetry > DM_HERMITIAN_TOL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     if abs(np.trace(rho).real - 1.0) > DM_TRACE_TOL or abs(np.trace(rho).imag) > DM_TRACE_TOL:
         raise ValueError("density matrix trace deviates from 1")

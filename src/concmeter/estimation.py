@@ -91,13 +91,16 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
         raise ValueError("n must be >= 1")
     result = run_circuit(psi)
     rng = np.random.default_rng(seed)
-    k = 0
+    k, thinned, qs = 0, [], []
     for outcome, c in statevec.sample_outcomes(result.final_state, n, rng).items():
         q = model.no_fluorescence_probability(outcome)
         if q == 1.0:
             k += c
         elif q > 0.0:
-            k += int(rng.binomial(c, q))
+            thinned.append(c)
+            qs.append(q)
+    # one call draws the classes in index order, the same stream as one call per class
+    k += int(np.add.reduce(rng.binomial(thinned, qs)))
     p_hat = k / n
     ci_low, ci_high = confidence_interval(k, n)
     return ShotSummary(

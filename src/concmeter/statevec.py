@@ -24,8 +24,6 @@ NORM_TOL_UNITARY = 1e-12
 UNITARITY_TOL = 1e-12
 MAX_QUBITS = 8
 _MAX_SHOTS = np.iinfo(np.int64).max  # the largest count numpy's samplers take
-# |norm - 1| <= NORM_TOL_UNITARY, as bounds on the squared norm
-_UNITARY_LOW, _UNITARY_HIGH = (1.0 - NORM_TOL_UNITARY) ** 2, (1.0 + NORM_TOL_UNITARY) ** 2
 
 
 class InvariantViolation(Exception):
@@ -75,18 +73,19 @@ class Gate:
 
 
 def _squared_norms(states: np.ndarray) -> np.ndarray:
-    """The squared norm of each row (axis 0) of a batch; NaN or Inf for a
-    row with non-finite amplitudes."""
-    parts = np.ascontiguousarray(states.reshape(len(states), -1)).view(float)
-    return np.einsum("ij,ij->i", parts, parts)
+    """The squared norm of each row (axis 0) of a batch, in one gufunc call;
+    NaN or Inf for a row with non-finite amplitudes."""
+    rows = states.reshape(len(states), -1)
+    return np.vecdot(rows, rows).real
 
 
 def _first_bad_row(squared: np.ndarray, tol: float) -> int:
     """Index of the first row whose norm is not within tol of 1, or -1.
     |norm - 1| <= tol is tested as (1 - tol)^2 <= norm^2 <= (1 + tol)^2;
-    NaN fails both comparisons."""
+    NaN fails both comparisons. The ufunc reductions skip the Python
+    wrappers of ndarray.min/max, a fixed cost paid after every gate."""
     low, high = (1.0 - tol) ** 2, (1.0 + tol) ** 2
-    if low <= squared.min() and squared.max() <= high:
+    if low <= np.minimum.reduce(squared) and np.maximum.reduce(squared) <= high:
         return -1
     return int(np.argmax(~((low <= squared) & (squared <= high))))
 
@@ -114,10 +113,14 @@ def accept_input(states: np.ndarray) -> np.ndarray:
     more than the gates' NORM_TOL_UNITARY is renormalised, so that no
     accepted input fails the check after its first gate. With no row off,
     returns `states` itself after one pass over the squared norms."""
-    squared = _squared_norms(states)
-    if 1.0 - NORM_TOL_UNITARY <= squared.min() and squared.max() <= 1.0 + NORM_TOL_UNITARY:
-        return states
-    check_batch(states, NORM_TOL_INPUT)
+    # amplitudes of any magnitude arrive here: a squared norm that overflows
+    # fails the check below, with no numpy warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared = _squared_norms(states)
+        if (1.0 - NORM_TOL_UNITARY <= np.minimum.reduce(squared)
+                and np.maximum.reduce(squared) <= 1.0 + NORM_TOL_UNITARY):
+            return states
+        check_batch(states, NORM_TOL_INPUT)
     off = ~(np.abs(squared - 1.0) <= NORM_TOL_UNITARY)
     out = states.copy()
     out[off] = [normalized(row) for row in states[off]]
@@ -175,17 +178,6 @@ def ground_register(n: int) -> Register:
     return Register._wrap(amps)
 
 
-def tensor(a: Register, b: Register) -> Register:
-    """Kronecker product; qubits of `a` precede qubits of `b`."""
-    if a.n_qubits + b.n_qubits > MAX_QUBITS:
-        raise ValueError(
-            f"combined register of {a.n_qubits + b.n_qubits} qubits exceeds {MAX_QUBITS}"
-        )
-    amps = np.kron(a.amplitudes, b.amplitudes)
-    check_batch(amps[None], NORM_TOL_UNITARY)
-    return Register._wrap(amps)
-
-
 def _check_qubit_index(q: int, n: int) -> None:
     if not 1 <= q <= n:
         raise ValueError(f"qubit index {q} out of range 1..{n}")
@@ -222,8 +214,8 @@ def apply_gate(states: np.ndarray, gate: Gate,
     out = (gate.matrix @ moved.reshape(d, -1)).reshape(moved.shape)
     out = out.transpose(inverse).copy()
     squared = _squared_norms(out)
-    if not (_UNITARY_LOW <= squared.min() and squared.max() <= _UNITARY_HIGH):
-        i = _first_bad_row(squared, NORM_TOL_UNITARY)
+    i = _first_bad_row(squared, NORM_TOL_UNITARY)
+    if i >= 0:
         raise InvariantViolation("state norm not preserved", stage="gate application",
                                  value=abs(math.sqrt(squared[i]) - 1.0),
                                  tol=NORM_TOL_UNITARY, row=i)
@@ -261,7 +253,7 @@ def marginal(r: Register | np.ndarray, bits: dict[int, int]) -> float:
             raise ValueError(f"bit for qubit {q} must be 0 or 1, got {bit!r}")
         idx[q - 1] = bit
     psi = amps.reshape((2,) * n)
-    return float(np.sum(np.abs(psi[tuple(idx)]) ** 2))
+    return float(np.add.reduce(np.abs(psi[tuple(idx)]) ** 2, axis=None))  # np.sum's reduction
 
 
 def sample_outcomes(r: Register, n_shots: int, seed: int | np.random.Generator) -> dict[str, int]:

@@ -2,9 +2,10 @@
 the package against. The package itself never runs them."""
 import numpy as np
 
-from concmeter import gates
+from concmeter import gates, statevec
 from concmeter.cavity import decomposed_cnot
 from concmeter.concurrence import validate_density_matrix
+from concmeter.statevec import Register
 
 _SYSY = np.kron(gates.sigma_y().matrix, gates.sigma_y().matrix)
 
@@ -48,3 +49,27 @@ def circuit_unitary() -> np.ndarray:
                + np.kron(np.kron(eye, excited), np.kron(eye, flip)))
     r_minus_2 = np.kron(np.kron(eye, gates.r_minus().matrix), np.kron(eye, eye))
     return r_minus_2 @ cnot_24 @ prepare
+
+
+def tensor(a: Register, b: Register) -> Register:
+    """Kronecker product, norm-checked; qubits of `a` precede qubits of `b`."""
+    if a.n_qubits + b.n_qubits > statevec.MAX_QUBITS:
+        raise ValueError(f"combined register of {a.n_qubits + b.n_qubits} qubits "
+                         f"exceeds {statevec.MAX_QUBITS}")
+    amps = np.kron(a.amplitudes, b.amplitudes)
+    statevec.check_batch(amps[None], statevec.NORM_TOL_UNITARY)
+    return Register(amps)
+
+
+def binomial_thinning(outcomes: dict[str, int], model, rng: np.random.Generator) -> int:
+    """The dark count of a sampled outcome record under a `ReadoutModel`,
+    one scalar binomial draw per class in the record's order: a class with
+    q == 1 stays dark whole and a class with q == 0 draws nothing."""
+    k = 0
+    for outcome, c in outcomes.items():
+        q = model.no_fluorescence_probability(outcome)
+        if q == 1.0:
+            k += c
+        elif q > 0.0:
+            k += int(rng.binomial(c, q))
+    return k

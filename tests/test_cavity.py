@@ -23,7 +23,7 @@ from concmeter.cli import main
 from concmeter.concurrence import PureState
 from concmeter.protocol import analytic_phi1_batch, run_circuit
 from concmeter.statevec import Gate, InvariantViolation, Register
-from oracles import composed_cnot_matrix
+from oracles import composed_cnot_matrix, tensor
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -38,7 +38,7 @@ def relay_with(atom2_amps, atom4_amps=(1, 0), photon_amps=(1, 0),
     """Six-slot relay register with atoms 1 and 3 in |g>."""
     reg = statevec.ground_register(1)
     for amps in (atom2_amps, (1, 0), atom4_amps, photon_amps, atom5_amps):
-        reg = statevec.tensor(reg, Register(amps))
+        reg = tensor(reg, Register(amps))
     return reg
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,3 +152,14 @@ def test_validate_density_matrix_rejects_non_hermitian():
 def test_non_finite_density_matrix_rejected(rho):
     with pytest.raises(ValueError, match="NaN/Inf"):
         concurrence_wootters(rho)
+
+
+def test_overflowing_asymmetry_is_a_value_error():
+    # rho - rho^H overflows to inf here; that must read as "not Hermitian",
+    # not reach the caller as a numpy RuntimeWarning first
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1], rho[1, 0] = 1.7e308, -1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not Hermitian"):
+            concurrence_wootters(rho)

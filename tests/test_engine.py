@@ -23,6 +23,19 @@ def haar_batch(n, seed):
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
+def faulty_batch(fault, seed, n=300):
+    """n Haar rows, the last one made NaN or off-norm."""
+    amps = haar_batch(n, seed)
+    if fault == "nan":
+        amps[-1, 2] = np.nan
+    else:
+        amps[-1] *= 1.01
+    return amps
+
+
+FAULTS = pytest.mark.parametrize("fault", ["nan", "off_norm"])
+
+
 class TestRunBatch:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
@@ -75,6 +88,12 @@ class TestAnalyticPhi1Batch:
         assert info.value.row == 3 and info.value.stage == "analytic table"
         assert info.value.tol == protocol.TABLE_NORM_TOL
 
+    @FAULTS
+    def test_table_norm_checked_on_the_last_row(self, fault):
+        with pytest.raises(InvariantViolation) as info:
+            analytic_phi1_batch(faulty_batch(fault, 9))
+        assert (info.value.stage, info.value.row) == ("analytic table", 299)
+
 
 class TestApplyGate:
     def test_rows_match_dense_matrices(self):
@@ -109,6 +128,14 @@ class TestApplyGate:
         assert (exc.stage, exc.row, exc.tol) == ("gate application", 1,
                                                  statevec.NORM_TOL_UNITARY)
         assert exc.value == pytest.approx(1.0)
+
+    @FAULTS
+    def test_norm_checked_on_the_last_row(self, fault):
+        states = faulty_batch(fault, 10).reshape(300, 2, 2)
+        with pytest.raises(InvariantViolation) as info:
+            statevec.apply_gate(states, gates.cnot(), (1, 2))
+        assert (info.value.stage, info.value.row) == ("gate application", 299)
+        assert math.isnan(info.value.value) == (fault == "nan")
 
     def test_input_left_untouched(self):
         states = haar_batch(2, 8).reshape(2, 2, 2)

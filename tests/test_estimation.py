@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from concmeter import statevec
 from concmeter.concurrence import PureState, concurrence_pure
 from concmeter.estimation import ReadoutModel, confidence_interval, simulate_shots, wilson_interval
-from oracles import shelving_readout
+from concmeter.protocol import run_circuit
+from oracles import binomial_thinning, shelving_readout
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = PureState(0, SQ2, SQ2, 0)
@@ -96,6 +98,22 @@ class TestConfidenceInterval:
 
 
 class TestSimulateShots:
+    @pytest.mark.parametrize("p_dark", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("p_bright_false", [0.0, 0.05, 0.5, 1.0])
+    def test_thinning_stream_pinned(self, p_dark, p_bright_false):
+        # the dark count equals one scalar binomial draw per outcome class,
+        # taken from the generator right after the Born sample
+        model = ReadoutModel(p_dark=p_dark, p_bright_false=p_bright_false)
+        states = [BELL, PureState(1, 0, 0, 0)]
+        states += [PureState.haar_random(np.random.default_rng(s)) for s in range(4)]
+        for i, psi in enumerate(states):
+            for seed in (0, 17, 2**40 + i):
+                rng = np.random.default_rng(seed)
+                outcomes = statevec.sample_outcomes(run_circuit(psi).final_state, 5000, rng)
+                expected = binomial_thinning(outcomes, model, rng)
+                got = simulate_shots(psi, 5000, model, seed).n_no_fluorescence
+                assert got == expected, (i, seed)
+
     def test_bell_large_n(self):
         summary = simulate_shots(BELL, 10**6, IDEAL, seed=5)
         sigma = math.sqrt(0.125 * 0.875 / 10**6)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from concmeter.statevec import (
     marginal,
     normalized,
     sample_outcomes,
-    tensor,
 )
+from oracles import tensor
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = [0.0, SQ2, SQ2, 0.0]
@@ -109,6 +110,21 @@ class TestAcceptInput:
         states = np.array([BELL, [0, 0, 0, 1 + 2e-9]], dtype=complex)
         with pytest.raises(ValueError, match="row 1: state norm"):
             statevec.accept_input(states)
+
+    @pytest.mark.parametrize("fault, message", [("nan", "amplitudes contain NaN"),
+                                                ("off_norm", "state norm")])
+    def test_last_row_of_a_large_batch_named(self, fault, message):
+        states = np.tile(np.array(BELL, dtype=complex), (300, 1))
+        states[-1] = [np.nan, 0, 0, 1] if fault == "nan" else [0, 0, 0, 1.01]
+        with pytest.raises(ValueError, match=f"row 299: {message}"):
+            statevec.accept_input(states)
+
+    def test_overflowing_norm_rejected_without_a_warning(self):
+        states = np.array([[1e200, 0, 0, 0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="state norm inf"):
+                statevec.accept_input(states)
 
     def test_register_follows_the_rule(self):
         r = Register([0, 0.70710678118, 0.70710678118, 0])
