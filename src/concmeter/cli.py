@@ -180,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "shot statistics, cavity realization, flight kinematics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its own parser, for main()
 
     p_run = sub.add_parser("run", help="run the ideal circuit on one state")
     p_run.add_argument("state_file")
@@ -229,9 +230,24 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parse a command line once, by its command's own parser (argparse's
+    nested parse scans it twice); the top-level parser takes the rest."""
+    parser = _shared_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
         if getattr(args, "kinematics", False):
             missing = [f for f in ("v", "w", "xc", "xd") if getattr(args, f) is None]
             if missing:

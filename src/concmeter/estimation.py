@@ -13,6 +13,8 @@ from .protocol import extract_concurrence, run_circuit
 
 # Phi^-1(0.975), for the 95% Wilson score interval
 _Z95 = 1.959963984540054
+# the number of excited ions in each of the 16 outcomes, in index order
+_N_EXCITED = np.array([i.bit_count() for i in range(16)])
 
 
 @dataclass(frozen=True)
@@ -28,9 +30,9 @@ class ReadoutModel:
         if not (0.0 <= self.p_dark <= 1.0 and 0.0 <= self.p_bright_false <= 1.0):
             raise ValueError("readout probabilities must lie in [0, 1]")
 
-    def no_fluorescence_probability(self, outcome: str) -> float:
-        """Chance the global readout stays dark for a given true outcome."""
-        n_excited = outcome.count("e")
+    def dark_probability(self, n_excited: int) -> float:
+        """Chance the global readout stays dark when a true outcome has
+        n_excited ions excited (the outcome's count of 'e' letters)."""
         if n_excited == 0:
             return 1.0 - self.p_bright_false
         return self.p_dark**n_excited
@@ -77,10 +79,11 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
                    seed: int = 0) -> ShotSummary:
     """Sample n protocol shots and summarize the yes/no readout record.
 
-    sample_outcomes draws the outcomes from the Born distribution, then
-    each outcome class is thinned binomially by its readout dark
-    probability (ReadoutModel.no_fluorescence_probability), from one
-    generator seeded once.
+    The 16 Born counts are drawn once, in index order, by the sampler
+    behind statevec.sample_outcomes; each outcome class is then thinned
+    binomially by its dark probability, taken from a table of
+    ReadoutModel.dark_probability per excitation count, from one
+    generator seeded once. A class with q == 1 counts whole.
 
     Domain: pure input states only. The readout C = 2*sqrt(2*P_gggg) is
     the concurrence only for two copies of a pure state; a mixed pair
@@ -91,16 +94,11 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
         raise ValueError("n must be >= 1")
     result = run_circuit(psi)
     rng = np.random.default_rng(seed)
-    k, thinned, qs = 0, [], []
-    for outcome, c in statevec.sample_outcomes(result.final_state, n, rng).items():
-        q = model.no_fluorescence_probability(outcome)
-        if q == 1.0:
-            k += c
-        elif q > 0.0:
-            thinned.append(c)
-            qs.append(q)
+    counts = statevec._born_counts(result.final_state, n, rng)
+    q = np.array([model.dark_probability(m) for m in range(5)])[_N_EXCITED]
+    thin = (counts > 0) & (0.0 < q) & (q < 1.0)
     # one call draws the classes in index order, the same stream as one call per class
-    k += int(np.add.reduce(rng.binomial(thinned, qs)))
+    k = int(np.add.reduce(counts[q == 1.0]) + np.add.reduce(rng.binomial(counts[thin], q[thin])))
     p_hat = k / n
     ci_low, ci_high = confidence_interval(k, n)
     return ShotSummary(

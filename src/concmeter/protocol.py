@@ -103,7 +103,10 @@ def _prepare(a: np.ndarray) -> np.ndarray:
 
 def analytic_phi1_batch(amps) -> np.ndarray:
     """(N, 4) states -> (N, 16) post-circuit amplitudes, evaluated as
-    polynomials in c0..c3; each row's norm is checked (TABLE_NORM_TOL)."""
+    polynomials in c0..c3; each row's norm is checked (TABLE_NORM_TOL).
+    Rows are expected normalised (run_batch's accepted input); a row far
+    off, e.g. [1e200, 0, 0, 0], raises InvariantViolation, and numpy may
+    first warn of the overflow (raised instead under -W error)."""
     c = np.asarray(amps, dtype=complex)
     products = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
     table = (products @ _PHI1_MATRIX) * _SQRT2_INV

@@ -205,7 +205,10 @@ def apply_gate(states: np.ndarray, gate: Gate,
     `r.amplitudes.reshape((1,) + (2,) * r.n_qubits)`. Returns a new
     contiguous array. Every row is checked once, for the whole batch, to be finite
     with a norm within NORM_TOL_UNITARY of 1; since the gate is unitary
-    and its input normalised, a row that fails is an InvariantViolation."""
+    and its input normalised, a row that fails is an InvariantViolation.
+    Input outside that contract (never through accept_input) fails the
+    same way, and a squared norm that overflows may first make numpy warn
+    (raised instead under -W error): the kernel sets no np.errstate."""
     d = len(gate.matrix)
     perm, inverse = _gate_plan(states.ndim - 1, d.bit_length() - 1,
                                tuple(map(operator.index, qubits)))
@@ -256,15 +259,18 @@ def marginal(r: Register | np.ndarray, bits: dict[int, int]) -> float:
     return float(np.add.reduce(np.abs(psi[tuple(idx)]) ** 2, axis=None))  # np.sum's reduction
 
 
-def sample_outcomes(r: Register, n_shots: int, seed: int | np.random.Generator) -> dict[str, int]:
-    """Born-rule sampling: map of basis string -> count, in index order,
+def _born_counts(r: Register, n_shots: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Born-rule sampling: the count of each basis state in index order,
     deterministic per seed; a Generator given as seed is drawn from as is."""
     if not 1 <= n_shots <= _MAX_SHOTS:
         raise ValueError(f"n_shots must be in [1, {_MAX_SHOTS}]")
     probs = np.abs(r.amplitudes) ** 2
     probs = probs / probs.sum()  # remove roundoff before multinomial
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n_shots, probs)
-    return {
-        basis_string(i, r.n_qubits): int(c) for i, c in enumerate(counts) if c > 0
-    }
+    return np.random.default_rng(seed).multinomial(n_shots, probs)
+
+
+def sample_outcomes(r: Register, n_shots: int, seed: int | np.random.Generator) -> dict[str, int]:
+    """Born-rule sampling as a map of basis string -> count (counts > 0, in
+    index order): a view of _born_counts, the same draw and stream."""
+    counts = _born_counts(r, n_shots, seed)
+    return {basis_string(i, r.n_qubits): int(c) for i, c in enumerate(counts) if c > 0}

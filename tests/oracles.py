@@ -22,7 +22,7 @@ def shelving_readout(outcome: str, model, rng: np.random.Generator) -> bool:
     draws the same record a class of outcomes at a time."""
     if len(outcome) != 4 or any(ch not in "ge" for ch in outcome):
         raise ValueError(f"outcome must be a 4-letter g/e string, got {outcome!r}")
-    p = model.no_fluorescence_probability(outcome)
+    p = model.dark_probability(outcome.count("e"))
     if p == 1.0:
         return True
     if p == 0.0:
@@ -67,7 +67,7 @@ def binomial_thinning(outcomes: dict[str, int], model, rng: np.random.Generator)
     q == 1 stays dark whole and a class with q == 0 draws nothing."""
     k = 0
     for outcome, c in outcomes.items():
-        q = model.no_fluorescence_probability(outcome)
+        q = model.dark_probability(outcome.count("e"))
         if q == 1.0:
             k += c
         elif q > 0.0:

@@ -81,6 +81,75 @@ class TestSharedParser:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
 
+def _nested_parse(argv):
+    """argparse's own two-pass parse: the top-level parser, then the command's."""
+    return build_parser().parse_args(argv)
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of main(argv); help exits through SystemExit."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSingleParse:
+    """main() parses a command line once, with the command's own parser; it
+    must read every command line as argparse's nested parse does: the same
+    namespace, or the same exit code, stdout and stderr."""
+
+    ARGVS = [
+        ["run", "{bell}"], ["run", "--normalize", "{bell}"], ["run", "{bell}", "--normalize"],
+        ["sweep", "3", "--seed", "4", "--out", "{out}"], ["sweep", "2", "--out={out}"],
+        ["shots", "{bell}", "--shots", "500", "--seed", "9", "--p-dark", "0.1",
+         "--p-bright-false", "0.02", "--normalize"],
+        ["shots", "{bell}", "--p-dark=0.1", "--shots", "10", "--shots", "20"],
+        ["cavity", "{bell}"], ["cavity", "{bell}", "--normalize"],
+        KINEMATICS + ["--lc", "0.01", "--ld", "0.03"], ["cavity", "--kinematics"],
+        ["cavity", "--kinematics", "--v", "300", "--w", "500"],
+        ["cavity", "--kinematics", "--v"], ["cavity"],
+        # help at both levels, and no arguments
+        [], ["-h"], ["--help"], ["-h", "run"], ["run", "-h"], ["sweep", "-h"],
+        ["shots", "-h"], ["cavity", "--help"], ["run", "{bell}", "-h"], ["shots", "{bell}", "--he"],
+        # unknown commands and options, abbreviations
+        ["shot", "{bell}"], ["--bogus"], ["shots", "{bell}", "--bogus"],
+        ["shots", "{bell}", "--sho", "500"], ["shots", "{bell}", "--s", "5"],
+        # '--' before and after the command
+        ["--", "run", "{bell}"], ["run", "--", "{bell}"], ["shots", "--", "{bell}", "--shots", "5"],
+        # extra tokens, missing values, wrong types, out-of-range seeds
+        ["run", "{bell}", "extra"], ["run", "{bell}", "extra", "more"], ["run"], ["sweep", "3"],
+        ["sweep", "x", "--out", "{out}"], ["shots", "{bell}", "--shots", "1e3"],
+        ["shots", "{bell}", "--seed", "-1"], ["sweep", "2", "--seed", "-1", "--out", "{out}"],
+        ["cavity", "--kinematics", "--v", "300", "--xc", "-inf"],
+    ]
+
+    @pytest.mark.parametrize("template", ARGVS, ids=" ".join)
+    def test_same_as_nested_parse(self, template, tmp_path, capsys, monkeypatch):
+        bell = write_doc(tmp_path / "bell.json",
+                         {"amplitudes": [[0, 0], [SQ2, 0], [SQ2, 0], [0, 0]]})
+        argv = [t.format(bell=bell, out=tmp_path / "out.csv") for t in template]
+        try:
+            expected = vars(_nested_parse(argv))
+        except (cli.InputError, SystemExit):
+            expected = None
+        if expected is not None:
+            assert vars(cli._parse(argv)) == expected
+        once = _outcome(argv, capsys)
+        monkeypatch.setattr(cli, "_parse", _nested_parse)
+        assert once == _outcome(argv, capsys)
+
+    def test_argv_none_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["concmeter", "shots", "nonexistent.json", "--bogus"])
+        code, out, err = _outcome(None, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: concmeter [-h] {run,sweep,shots,cavity} ...\n")
+        assert err.endswith("error: concmeter: unrecognized arguments: --bogus\n")
+
+
 class TestKinematicsBoundary:
     @pytest.mark.parametrize("extra", [
         ["--xd", "inf"], ["--xc=-inf"], ["--v", "0"], ["--v", "nan"],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concmeter import statevec
 from concmeter.concurrence import PureState, concurrence_pure
@@ -12,6 +14,14 @@ from oracles import binomial_thinning, shelving_readout
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = PureState(0, SQ2, SQ2, 0)
 IDEAL = ReadoutModel()
+# readout probabilities at the edges of the thinning: 0, 1, subnormals, the
+# float just below 1, and p_dark values whose higher powers underflow to 0
+# (1e-110**3, 1e-160**3, 1e-300**2) or to a subnormal (1e-80**4)
+PROBABILITIES = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2**-53,
+                     1e-80, 1e-110, 1e-160, 1e-300]),
+)
 
 
 class TestShelvingReadout:
@@ -113,6 +123,19 @@ class TestSimulateShots:
                 expected = binomial_thinning(outcomes, model, rng)
                 got = simulate_shots(psi, 5000, model, seed).n_no_fluorescence
                 assert got == expected, (i, seed)
+
+    @given(st.integers(0, 2**32), st.integers(1, 10**6), PROBABILITIES, PROBABILITIES,
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_thinning_stream_property(self, state_seed, n, p_dark, p_bright_false, seed):
+        # the vectorised thinning draws what one scalar draw per class would,
+        # for Haar states and readout probabilities at every edge of q
+        psi = PureState.haar_random(np.random.default_rng(state_seed))
+        model = ReadoutModel(p_dark=p_dark, p_bright_false=p_bright_false)
+        rng = np.random.default_rng(seed)
+        outcomes = statevec.sample_outcomes(run_circuit(psi).final_state, n, rng)
+        expected = binomial_thinning(outcomes, model, rng)
+        assert simulate_shots(psi, n, model, seed).n_no_fluorescence == expected
 
     def test_bell_large_n(self):
         summary = simulate_shots(BELL, 10**6, IDEAL, seed=5)
