@@ -291,8 +291,10 @@ def solve_delays(v: float, w: float, x_C: float, x_D: float,
     def swap14(tau_prime: float) -> float:
         return v * w * (2.0 * tau + tau_prime) / (w - v)
 
-    if swap14(0.0) >= x_mid:
-        # swap already at or past the midpoint with zero inter-pair delay
+    if not swap14(0.0) < x_mid:
+        # swap already at or past the midpoint with zero inter-pair delay, or
+        # NaN, as when 1/v overflows: tau is infinite and v * w, which the
+        # search below divides by, underflows to 0
         tau_prime = 0.0
     else:
         lo, hi = 0.0, (w - v) * x_mid / (v * w)  # swap14(hi) > x_mid

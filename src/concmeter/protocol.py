@@ -111,8 +111,8 @@ def analytic_phi1_batch(amps) -> np.ndarray:
     products = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
     table = (products @ _PHI1_MATRIX) * _SQRT2_INV
     deviation = np.abs(statevec._squared_norms(table) - 1.0)
-    if not np.maximum.reduce(deviation) <= TABLE_NORM_TOL:  # NaN fails too
-        i = int(np.argmax(~(deviation <= TABLE_NORM_TOL)))
+    i = statevec._first_outside(deviation, 0.0, TABLE_NORM_TOL)  # NaN fails too
+    if i >= 0:
         raise InvariantViolation("analytic amplitude table is not normalised",
                                  stage="analytic table", value=float(deviation[i]),
                                  tol=TABLE_NORM_TOL, row=i)
@@ -144,8 +144,8 @@ def _run(a: np.ndarray) -> BatchResult:
     final = psi.reshape(-1, 16)
 
     residual = np.maximum.reduce(np.abs(final - analytic_phi1_batch(a)), axis=1)
-    if not np.maximum.reduce(residual) <= ORACLE_TOL:  # NaN fails too
-        i = int(np.argmax(~(residual <= ORACLE_TOL)))
+    i = statevec._first_outside(residual, 0.0, ORACLE_TOL)  # NaN fails too
+    if i >= 0:
         raise InvariantViolation("simulated state deviates from the analytic table",
                                  stage="amplitude table", value=float(residual[i]),
                                  tol=ORACLE_TOL, row=i)

@@ -79,15 +79,22 @@ def _squared_norms(states: np.ndarray) -> np.ndarray:
     return np.vecdot(rows, rows).real
 
 
+def _first_outside(values: np.ndarray, low: float, high: float) -> int:
+    """Index of the first value not within [low, high], or -1; NaN is never
+    within. A batch of one, as every CLI command sends, is tested as one
+    Python float; a larger one by two ufunc reductions, which skip the
+    Python wrappers of ndarray.min/max, before any elementwise pass."""
+    if len(values) == 1:
+        return -1 if low <= values.item() <= high else 0
+    if low <= np.minimum.reduce(values) and np.maximum.reduce(values) <= high:
+        return -1
+    return int(np.argmax(~((low <= values) & (values <= high))))
+
+
 def _first_bad_row(squared: np.ndarray, tol: float) -> int:
     """Index of the first row whose norm is not within tol of 1, or -1.
-    |norm - 1| <= tol is tested as (1 - tol)^2 <= norm^2 <= (1 + tol)^2;
-    NaN fails both comparisons. The ufunc reductions skip the Python
-    wrappers of ndarray.min/max, a fixed cost paid after every gate."""
-    low, high = (1.0 - tol) ** 2, (1.0 + tol) ** 2
-    if low <= np.minimum.reduce(squared) and np.maximum.reduce(squared) <= high:
-        return -1
-    return int(np.argmax(~((low <= squared) & (squared <= high))))
+    |norm - 1| <= tol is tested as (1 - tol)^2 <= norm^2 <= (1 + tol)^2."""
+    return _first_outside(squared, (1.0 - tol) ** 2, (1.0 + tol) ** 2)
 
 
 def check_batch(states: np.ndarray, tol: float) -> None:
@@ -117,8 +124,7 @@ def accept_input(states: np.ndarray) -> np.ndarray:
     # fails the check below, with no numpy warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
         squared = _squared_norms(states)
-        if (1.0 - NORM_TOL_UNITARY <= np.minimum.reduce(squared)
-                and np.maximum.reduce(squared) <= 1.0 + NORM_TOL_UNITARY):
+        if _first_outside(squared, 1.0 - NORM_TOL_UNITARY, 1.0 + NORM_TOL_UNITARY) < 0:
             return states
         check_batch(states, NORM_TOL_INPUT)
     off = ~(np.abs(squared - 1.0) <= NORM_TOL_UNITARY)
@@ -184,9 +190,14 @@ def _check_qubit_index(q: int, n: int) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _gate_plan(n: int, arity: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The checked axis permutation that brings the gate's qubits to the front
-    of a batch of n-qubit states, and its inverse; no failure is cached."""
+def _gate_plan(n: int, qubits: tuple[int, ...], gate: Gate):
+    """The checked plan for `gate` on the given qubits of a batch of n-qubit
+    states; no failure is cached. It holds the axis permutation that
+    brings the gate's qubits to the front and its inverse, and, for a gate
+    with one nonzero entry per row, each 1, -1, 1j or -1j, the gather that
+    applies it instead (`_monomial_gather`; None, None for any other)."""
+    d = len(gate.matrix)
+    arity = d.bit_length() - 1
     if arity != len(qubits):
         raise ValueError(f"gate acts on {arity} qubits, got {len(qubits)} qubit indices")
     for q in qubits:
@@ -194,7 +205,32 @@ def _gate_plan(n: int, arity: int, qubits: tuple[int, ...]) -> tuple[tuple[int, 
     if len(set(qubits)) != arity:
         raise ValueError("q1 and q2 must be distinct")
     perm = (*qubits, *(ax for ax in range(n + 1) if ax not in qubits))
-    return perm, tuple(sorted(range(n + 1), key=perm.__getitem__))
+    inverse = tuple(sorted(range(n + 1), key=perm.__getitem__))
+    return perm, inverse, *_monomial_gather(gate.matrix, perm, inverse)
+
+
+def _monomial_gather(m: np.ndarray, perm: tuple[int, ...], inverse: tuple[int, ...]):
+    """(source, phase) for a matrix with one nonzero entry per row, each 1,
+    -1, 1j or -1j, moved to a state's qubits as apply_gate moves the axes:
+    amplitude j of the output is amplitude source[j] of the input times
+    phase[j] (phase None when every factor is 1). These are the only terms
+    of the matrix product that are not a product with zero, and a product
+    with +/-1 or +/-1j is exact. (None, None) for any other matrix."""
+    nonzero = m != 0
+    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+        return None, None
+    cols = np.argmax(nonzero, axis=1)
+    entries = m[np.arange(len(m)), cols]
+    if not np.all((entries == 1) | (entries == -1) | (entries == 1j) | (entries == -1j)):
+        return None, None
+    # the basis index of every amplitude, with the gate's axes first
+    moved = np.arange(2 ** (len(perm) - 1)).reshape((1,) + (2,) * (len(perm) - 1))
+    moved = moved.transpose(perm)
+    rows = moved.reshape(len(m), -1)
+    source, phase = (a.reshape(moved.shape).transpose(inverse).reshape(-1)
+                     for a in (rows[cols], np.broadcast_to(entries[:, None], rows.shape)))
+    source.flags.writeable = phase.flags.writeable = False  # shared through the cache
+    return source, (None if np.all(phase == 1) else phase)
 
 
 def apply_gate(states: np.ndarray, gate: Gate,
@@ -203,19 +239,36 @@ def apply_gate(states: np.ndarray, gate: Gate,
     given qubits (1-based, 1 = leftmost, in the gate's order) of every
     state in a batch of shape (N,) + (2,)*n; a register `r` is the batch
     `r.amplitudes.reshape((1,) + (2,) * r.n_qubits)`. Returns a new
-    contiguous array. Every row is checked once, for the whole batch, to be finite
+    contiguous array.
+
+    A gate with one nonzero entry per row, each 1, -1, 1j or -1j (sigma_y,
+    CNOT, CPHASE, SWAP and their tensor products), is applied as one
+    gather of each state's amplitudes, times its phase factors when any
+    is not 1: every other term of the matrix product is a product with
+    zero, and a product with +/-1 or +/-1j is exact, so the result is
+    the product's bit for bit, up to the sign of a zero. Any other gate
+    is one (d, d) @ (d, K) matrix product with its qubits' axes moved
+    to the front. Both plans are cached per (n, qubits, gate).
+
+    Every row is checked once, for the whole batch, to be finite
     with a norm within NORM_TOL_UNITARY of 1; since the gate is unitary
     and its input normalised, a row that fails is an InvariantViolation.
     Input outside that contract (never through accept_input) fails the
     same way, and a squared norm that overflows may first make numpy warn
     (raised instead under -W error): the kernel sets no np.errstate."""
-    d = len(gate.matrix)
-    perm, inverse = _gate_plan(states.ndim - 1, d.bit_length() - 1,
-                               tuple(map(operator.index, qubits)))
-    # gate axes first, so the gate is one matrix product over all the rest
-    moved = states.transpose(perm)
-    out = (gate.matrix @ moved.reshape(d, -1)).reshape(moved.shape)
-    out = out.transpose(inverse).copy()
+    perm, inverse, source, phase = _gate_plan(states.ndim - 1,
+                                              tuple(map(operator.index, qubits)), gate)
+    if source is not None:
+        out = states.reshape(len(states), -1).take(source, axis=1).astype(complex, copy=False)
+        if phase is not None:
+            out *= phase
+        out = out.reshape(states.shape)
+    else:
+        d = len(gate.matrix)
+        # gate axes first, so the gate is one matrix product over all the rest
+        moved = states.transpose(perm)
+        out = (gate.matrix @ moved.reshape(d, -1)).reshape(moved.shape)
+        out = out.transpose(inverse).copy()
     squared = _squared_norms(out)
     i = _first_bad_row(squared, NORM_TOL_UNITARY)
     if i >= 0:

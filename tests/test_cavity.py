@@ -206,6 +206,18 @@ class TestFlightConfig:
             FlightConfig(v=300, w=500, tau=1e-4, tau_prime=0,
                          x_C=0.6, x_D=0.2, L_C=0.02, L_D=0.02)
 
+    @pytest.mark.parametrize("L_C, L_D", [(0.0, 0.02), (0.02, -0.01)])
+    def test_non_positive_mode_length_rejected(self, L_C, L_D):
+        with pytest.raises(ValueError, match="mode lengths must be positive"):
+            FlightConfig(v=300, w=500, tau=1e-4, tau_prime=0,
+                         x_C=0.2, x_D=0.6, L_C=L_C, L_D=L_D)
+
+    @pytest.mark.parametrize("tau, tau_prime", [(-1e-4, 0.0), (1e-4, -1e-9)])
+    def test_negative_delay_rejected(self, tau, tau_prime):
+        with pytest.raises(ValueError, match="delays must be non-negative"):
+            FlightConfig(v=300, w=500, tau=tau, tau_prime=tau_prime,
+                         x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
+
     def test_emission_schedule(self):
         cfg = FlightConfig(v=300, w=500, tau=1e-4, tau_prime=2e-4,
                            x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
@@ -240,6 +252,13 @@ class TestKinematicsReport:
         report = kinematics_report(cfg)
         assert report.pair12_cross_position == 0.0
         assert "pair12_cross_outside_C" in report.violations
+        assert not report.feasible
+
+    def test_zero_delays_put_atoms_2_and_4_together_in_d(self):
+        cfg = FlightConfig(v=300, w=500, tau=0.0, tau_prime=0.0,
+                           x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
+        report = kinematics_report(cfg)
+        assert "atoms_2_4_cross_in_D" in report.violations
         assert not report.feasible
 
     def test_symmetric_pairs(self):
@@ -280,6 +299,22 @@ class TestSolveDelays:
         assert report.order_before_C == (4, 3, 2, 1)
         assert report.order_after_C == (3, 4, 1, 2)
         assert report.order_at_D == (3, 1, 4, 2)
+
+    def test_bracket_doubled_when_it_rounds_below_the_midpoint(self):
+        # x_C is below one ulp of the midpoint, so the first bracket, which
+        # is exact in real numbers, rounds to a swap just short of it
+        sol = solve_delays(244.0, 851.0, 1e-22, 1.7, 0.02, 0.02)
+        assert sol.feasible
+        x_mid = ((1e-22 + 0.01) + (1.7 - 0.01)) / 2.0
+        assert abs(sol.report.swap14_position - x_mid) <= cavity.BISECTION_TOL
+
+    @pytest.mark.parametrize("v", [5e-324, 1e-320])
+    def test_speed_whose_inverse_overflows_is_infeasible(self, v):
+        # 1/v is inf, so tau is; at 5e-324, v * w also underflows to 0
+        sol = solve_delays(v, 0.5, 1.0, 2.0, 1.0, 1.0)
+        assert not sol.feasible
+        assert math.isinf(sol.config.tau) and sol.config.tau_prime == 0.0
+        assert sol.binding_constraint == sol.report.violations[0]
 
     def test_degenerate_speed_gap(self):
         sol = solve_delays(300, 300 + 1e-7, 0.2, 0.6, 0.02, 0.02)

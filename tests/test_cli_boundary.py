@@ -166,6 +166,12 @@ class TestKinematicsBoundary:
         assert main(KINEMATICS + ["--xc", "-inf"]) == 1
         assert "expected one argument" in capsys.readouterr().err
 
+    def test_speed_whose_inverse_overflows_ends(self, capsys):
+        argv = ["cavity", "--kinematics", "--v", "5e-324", "--w", "0.1", "--xc", "1", "--xd", "2"]
+        with bounded():
+            assert main(argv) in (1, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("v, w, xc, xd, lc", [
         # cavities 10^4 km out: the bisection tolerance falls below one
         # ulp of the bracket, and an unbounded bisection never ends

@@ -35,6 +35,14 @@ class TestPureState:
         s = PureState.from_amplitudes([1, 1, 0, 0], normalize=True)
         np.testing.assert_allclose(s.amplitudes, [SQ2, SQ2, 0, 0])
 
+    @pytest.mark.parametrize("amps, message", [
+        ([0, 0, 0, 0], "cannot normalize the zero vector"),
+        ([0, np.nan, 0, 1], "amplitudes contain NaN/Inf"),
+    ])
+    def test_normalize_rejects_zero_and_nan(self, amps, message):
+        with pytest.raises(ValueError, match=message):
+            PureState.from_amplitudes(amps, normalize=True)
+
     def test_haar_states_normalized(self):
         for s in haar_states(20, seed=3):
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
@@ -145,6 +153,12 @@ def test_validate_density_matrix_rejects_non_hermitian():
     rho[0, 1] = 0.5
     with pytest.raises(ValueError, match="Hermitian"):
         validate_density_matrix(rho)
+
+
+def test_non_positive_density_matrix_rejected():
+    # Hermitian with unit trace, but one eigenvalue is -0.5
+    with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+        concurrence_wootters(np.diag([1.5, -0.5, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("rho", [np.full((4, 4), np.nan), np.diag([0.25, 0.25, np.inf, 0.25])],

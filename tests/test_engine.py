@@ -1,6 +1,7 @@
 """The batched circuit engine: `statevec.apply_gate`, `protocol.run_batch`
 and `protocol.analytic_phi1_batch`, checked against single states and
 dense matrix products."""
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concmeter import gates, protocol, statevec
+from concmeter import cavity, gates, protocol, statevec
 from concmeter.cli import main
 from concmeter.concurrence import PureState
 from concmeter.protocol import analytic_phi1_batch, run_batch, run_circuit
@@ -142,6 +143,116 @@ class TestApplyGate:
         before = states.copy()
         statevec.apply_gate(states, gates.r_minus(), (1,))
         np.testing.assert_array_equal(states, before)
+
+
+# every gate the package builds, and whether it is a permutation with signs
+# or phases, which apply_gate takes as a gather
+PACKAGE_GATES = {
+    "sigma_y": (gates.sigma_y(), True),
+    "r_plus": (gates.r_plus(), False),
+    "r_minus": (gates.r_minus(), False),
+    "cnot": (gates.cnot(), True),
+    "cphase": (gates.cphase(), True),
+    "sigma_y_pair": (protocol._SIGMA_Y_PAIR, True),
+    "swap": (cavity._SWAP, True),
+    "r_minus_target": (cavity._R_MINUS_TARGET, False),
+    "r_plus_target": (cavity._R_PLUS_TARGET, False),
+}
+
+
+def product_reference(states, matrix, qubits):
+    """The gate as one matrix product over the batch, with the gate's axes
+    moved to the front: the kernel's product path, written out."""
+    n = states.ndim - 1
+    perm = (*qubits, *(ax for ax in range(n + 1) if ax not in qubits))
+    moved = states.transpose(perm)
+    out = (matrix @ moved.reshape(len(matrix), -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(perm))
+
+
+def random_batch(n_rows, n_qubits, seed):
+    """Random unit rows of 2**n_qubits amplitudes, a fifth of them exactly
+    zero, so that signed zeros meet the gate's zero entries."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_rows, 2**n_qubits)) + 1j * rng.standard_normal((n_rows, 2**n_qubits))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    a[:, 0] += 1.0  # no row is all zero
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    return a.reshape((n_rows,) + (2,) * n_qubits)
+
+
+def same_bits(x, y):
+    """Equal bit for bit once -0.0 is folded into +0.0 (NaN equals NaN)."""
+    return x.shape == y.shape and (x + 0.0).tobytes() == (y + 0.0).tobytes()
+
+
+class TestKernelPaths:
+    """apply_gate's two paths, the gather and the matrix product, against
+    the product written out, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(PACKAGE_GATES))
+    def test_every_package_gate_on_every_placement(self, name):
+        gate, monomial = PACKAGE_GATES[name]
+        arity = len(gate.matrix).bit_length() - 1
+        for n_qubits in range(2, 7):
+            for n_rows in (1, 7, 300):
+                states = random_batch(n_rows, n_qubits, seed=n_qubits * 1000 + n_rows)
+                for qubits in itertools.permutations(range(1, n_qubits + 1), arity):
+                    plan = statevec._gate_plan(n_qubits, qubits, gate)
+                    assert (plan[2] is not None) == monomial
+                    out = statevec.apply_gate(states, gate, qubits)
+                    assert out.flags.c_contiguous
+                    assert same_bits(out, product_reference(states, gate.matrix, qubits)), \
+                        (name, n_qubits, n_rows, qubits)
+
+    def test_a_phase_gate_takes_the_product_path(self):
+        gate = statevec.Gate(np.diag([1.0, np.exp(1j * np.pi / 5)]))
+        for n_rows in (1, 7, 300):
+            states = random_batch(n_rows, 3, seed=n_rows)
+            for q in (1, 2, 3):
+                assert statevec._gate_plan(3, (q,), gate)[2] is None
+                out = statevec.apply_gate(states, gate, (q,))
+                assert same_bits(out, product_reference(states, gate.matrix, (q,)))
+
+    def test_real_input_gives_complex_output_on_both_paths(self):
+        states = np.array([[1.0, 0.0]])
+        for gate in (gates.sigma_y(), gates.r_minus()):
+            out = statevec.apply_gate(states, gate, (1,))
+            assert out.dtype == complex
+            assert same_bits(out, product_reference(states, gate.matrix, (1,)))
+
+    @pytest.mark.parametrize("n_rows", [1, 300])
+    @pytest.mark.parametrize("matrix", [2.0 * np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]])],
+                             ids=["stretch_product", "collapse_gather"])
+    def test_duck_typed_gate_trips_the_norm_check(self, matrix, n_rows):
+        class Stretch:  # not a Gate and not unitary
+            pass
+        gate = Stretch()
+        gate.matrix = matrix
+        with pytest.raises(InvariantViolation) as info:
+            statevec.apply_gate(random_batch(n_rows, 2, seed=4), gate, (2,))
+        exc = info.value
+        assert (exc.stage, exc.row, exc.tol) == ("gate application", 0,
+                                                 statevec.NORM_TOL_UNITARY)
+        assert exc.value > statevec.NORM_TOL_UNITARY
+
+    @FAULTS
+    @pytest.mark.parametrize("n_rows", [1, 300])
+    @pytest.mark.parametrize("name", ["cnot", "sigma_y_pair", "r_minus_target"])
+    def test_fault_caught_on_the_last_row(self, name, n_rows, fault):
+        states = faulty_batch(fault, 11, n=n_rows).reshape(n_rows, 2, 2)
+        with pytest.raises(InvariantViolation) as info:
+            statevec.apply_gate(states, PACKAGE_GATES[name][0], (2, 1))
+        exc = info.value
+        assert (exc.stage, exc.row, exc.tol) == ("gate application", n_rows - 1,
+                                                 statevec.NORM_TOL_UNITARY)
+        assert math.isnan(exc.value) == (fault == "nan")
+
+    @FAULTS
+    def test_table_norm_checked_on_a_single_row(self, fault):
+        with pytest.raises(InvariantViolation) as info:
+            analytic_phi1_batch(faulty_batch(fault, 12, n=1))
+        assert (info.value.stage, info.value.row) == ("analytic table", 0)
 
 
 class TestSharedGates:

@@ -9,7 +9,7 @@ import math
 import signal
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concmeter import (
@@ -124,6 +124,7 @@ class TestLibraryBoundary:
         assert out is None or 0.0 <= out <= 1.0 + 1e-9
 
     @given(st.lists(REALS, min_size=6, max_size=6))
+    @example([5e-324, 0.5, 1.0, 2.0, 1.0, 1.0])  # v * w underflows to 0
     @settings(max_examples=300, deadline=None)
     def test_solve_delays(self, args):
         out = result_or_value_error(lambda: solve_delays(*args))

@@ -58,8 +58,28 @@ class TestGroundRegister:
             ground_register(n)
 
 
+class TestGateValidation:
+    @pytest.mark.parametrize("matrix", [np.eye(3), np.eye(8), np.ones(4), [[1.0, 0.0]]],
+                             ids=["3x3", "8x8", "vector", "1x2"])
+    def test_wrong_shape_rejected(self, matrix):
+        with pytest.raises(ValueError, match="expected a 2x2 or 4x4 matrix"):
+            Gate(matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[2, 2] = bad
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            Gate(m)
+
+
 class TestFromAmplitudes:
     """A Register built from an explicit amplitude list."""
+
+    def test_eight_qubits_accepted_nine_rejected(self):
+        assert Register(np.full(2**8, 2.0**-4)).n_qubits == 8
+        with pytest.raises(ValueError, match="9 qubits exceeds the supported maximum of 8"):
+            Register(np.full(2**9, 2.0**-4.5))
 
     def test_bell_state(self):
         r = Register(BELL)
