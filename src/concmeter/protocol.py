@@ -111,7 +111,7 @@ def analytic_phi1_batch(amps) -> np.ndarray:
     products = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
     table = (products @ _PHI1_MATRIX) * _SQRT2_INV
     deviation = np.abs(statevec._squared_norms(table) - 1.0)
-    i = statevec._first_outside(deviation, 0.0, TABLE_NORM_TOL)  # NaN fails too
+    i = statevec._first_outside(deviation, None, TABLE_NORM_TOL)  # NaN fails too
     if i >= 0:
         raise InvariantViolation("analytic amplitude table is not normalised",
                                  stage="analytic table", value=float(deviation[i]),
@@ -144,7 +144,7 @@ def _run(a: np.ndarray) -> BatchResult:
     final = psi.reshape(-1, 16)
 
     residual = np.maximum.reduce(np.abs(final - analytic_phi1_batch(a)), axis=1)
-    i = statevec._first_outside(residual, 0.0, ORACLE_TOL)  # NaN fails too
+    i = statevec._first_outside(residual, None, ORACLE_TOL)  # NaN fails too
     if i >= 0:
         raise InvariantViolation("simulated state deviates from the analytic table",
                                  stage="amplitude table", value=float(residual[i]),

@@ -79,16 +79,23 @@ def _squared_norms(states: np.ndarray) -> np.ndarray:
     return np.vecdot(rows, rows).real
 
 
-def _first_outside(values: np.ndarray, low: float, high: float) -> int:
+def _first_outside(values: np.ndarray, low: float | None, high: float) -> int:
     """Index of the first value not within [low, high], or -1; NaN is never
-    within. A batch of one, as every CLI command sends, is tested as one
-    Python float; a larger one by two ufunc reductions, which skip the
-    Python wrappers of ndarray.min/max, before any elementwise pass."""
+    within. With low None, for values that cannot be negative, only the
+    upper bound is tested. A batch of one, as every CLI command sends, is
+    tested as one Python float; a larger one by ufunc reductions, which
+    skip the Python wrappers of ndarray.min/max, before any elementwise
+    pass."""
     if len(values) == 1:
-        return -1 if low <= values.item() <= high else 0
-    if low <= np.minimum.reduce(values) and np.maximum.reduce(values) <= high:
+        value = values.item()
+        return -1 if value <= high and (low is None or low <= value) else 0
+    if np.maximum.reduce(values) <= high and (low is None
+                                              or low <= np.minimum.reduce(values)):
         return -1
-    return int(np.argmax(~((low <= values) & (values <= high))))
+    inside = values <= high
+    if low is not None:
+        inside &= low <= values
+    return int(np.argmax(~inside))
 
 
 def _first_bad_row(squared: np.ndarray, tol: float) -> int:
@@ -246,9 +253,13 @@ def apply_gate(states: np.ndarray, gate: Gate,
     gather of each state's amplitudes, times its phase factors when any
     is not 1: every other term of the matrix product is a product with
     zero, and a product with +/-1 or +/-1j is exact, so the result is
-    the product's bit for bit, up to the sign of a zero. Any other gate
-    is one (d, d) @ (d, K) matrix product with its qubits' axes moved
-    to the front. Both plans are cached per (n, qubits, gate).
+    the product's bit for bit for finite rows, up to the sign of a zero
+    (an infinite amplitude stays infinite, where the product's 0 * inf
+    gives NaN). Any other gate is one (d, d) @ (d, K) matrix product
+    with its qubits' axes moved to the front. Both plans are cached per
+    (n, qubits, gate), so `gate` must be hashable and its matrix must not
+    change after its first use (every Gate is hashable, its matrix
+    read-only).
 
     Every row is checked once, for the whole batch, to be finite
     with a norm within NORM_TOL_UNITARY of 1; since the gate is unitary

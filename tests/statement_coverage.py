@@ -1,7 +1,7 @@
 """Statement coverage of src/concmeter under the test suite, with the
 standard library alone (no coverage package is needed).
 
-    PYTHONPATH=src python tests/statement_coverage.py [pytest arguments]
+    PYTHONPATH=src python tests/statement_coverage.py
 
 Runs pytest on tests/ in this process under a `sys.settrace` line
 recorder and exits 1 when a statement of src/concmeter never runs,
@@ -15,7 +15,6 @@ from __future__ import annotations
 import ast
 import os
 import sys
-import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "concmeter")
@@ -53,13 +52,13 @@ def statements(path: str) -> dict[int, tuple[range, str]]:
 
 
 class LineRecorder:
-    """Records every line run in files under `prefix`, from the moment it
-    is started, in this thread and in threads started after it."""
+    """Records every line run in files under `prefix` between start() and
+    stop(), with sys.settrace."""
 
     def __init__(self, prefix: str):
         self.prefix = prefix
         self.lines: dict[str, set[int]] = {}
-        self._previous = (None, None)
+        self._previous = None
 
     def _trace(self, frame, event, arg):
         path = frame.f_code.co_filename
@@ -74,14 +73,12 @@ class LineRecorder:
         return local
 
     def start(self) -> None:
-        self._previous = (sys.gettrace(), threading.gettrace())
-        threading.settrace(self._trace)
+        self._previous = sys.gettrace()
         sys.settrace(self._trace)
 
     def stop(self) -> None:
         """Stop recording and restore the tracer that ran before, if any."""
-        sys.settrace(self._previous[0])
-        threading.settrace(self._previous[1])
+        sys.settrace(self._previous)
 
     def missed(self, path: str) -> list[tuple[int, str]]:
         """(first line, source) of each statement of `path` that never ran."""
@@ -90,7 +87,7 @@ class LineRecorder:
                 if ran.isdisjoint(lines)]
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
     from hypothesis import settings
 
@@ -104,7 +101,7 @@ def main(argv: list[str]) -> int:
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider",
                               "-W", "ignore::pytest.PytestAssertRewriteWarning",
-                              os.path.join(ROOT, "tests"), *argv])
+                              os.path.join(ROOT, "tests")])
     finally:
         recorder.stop()
     files = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
@@ -127,4 +124,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -25,16 +25,31 @@ def haar_batch(n, seed):
 
 
 def faulty_batch(fault, seed, n=300):
-    """n Haar rows, the last one made NaN or off-norm."""
+    """n Haar rows, the last one made NaN, infinite or off-norm."""
     amps = haar_batch(n, seed)
     if fault == "nan":
         amps[-1, 2] = np.nan
+    elif fault == "inf":
+        amps[-1, 2] = np.inf
     else:
         amps[-1] *= 1.01
     return amps
 
 
-FAULTS = pytest.mark.parametrize("fault", ["nan", "off_norm"])
+def check_fault_value(value, fault):
+    """The reported value of a fault: NaN for a NaN row, a finite deviation
+    for an off-norm one. An infinite row may report Inf or NaN (0 * inf in
+    a matrix product), so only its being no finite number is pinned."""
+    if fault == "inf":
+        assert not math.isfinite(value)
+    else:
+        assert math.isnan(value) == (fault == "nan")
+
+
+# an infinite amplitude makes numpy warn of inf * 0 on the way to the check
+FAULTS = pytest.mark.parametrize("fault", [
+    "nan", "off_norm",
+    pytest.param("inf", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))])
 
 
 class TestRunBatch:
@@ -136,7 +151,7 @@ class TestApplyGate:
         with pytest.raises(InvariantViolation) as info:
             statevec.apply_gate(states, gates.cnot(), (1, 2))
         assert (info.value.stage, info.value.row) == ("gate application", 299)
-        assert math.isnan(info.value.value) == (fault == "nan")
+        check_fault_value(info.value.value, fault)
 
     def test_input_left_untouched(self):
         states = haar_batch(2, 8).reshape(2, 2, 2)
@@ -246,7 +261,7 @@ class TestKernelPaths:
         exc = info.value
         assert (exc.stage, exc.row, exc.tol) == ("gate application", n_rows - 1,
                                                  statevec.NORM_TOL_UNITARY)
-        assert math.isnan(exc.value) == (fault == "nan")
+        check_fault_value(exc.value, fault)
 
     @FAULTS
     def test_table_norm_checked_on_a_single_row(self, fault):
