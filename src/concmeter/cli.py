@@ -39,11 +39,69 @@ class InputError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is an input error: exit code 1, not argparse's 2,
-    which this CLI reserves for invariant violations."""
+    which this CLI reserves for invariant violations. The parser keeps
+    the Action that each add_argument call returns, for `read_plain`."""
+
+    def __init__(self, *args, **kwargs):
+        self.arguments = []  # before super().__init__, which adds -h
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.arguments.append(action)
+        return action
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise InputError(f"{self.prog}: {message}")
+
+    @functools.cached_property
+    def _plain_table(self):
+        # the arguments that argparse stores a default for (all but -h):
+        # the positionals in order, the options by name, the required
+        # options, and the namespace of a line that gives none of them
+        actions = [a for a in self.arguments if a.default is not argparse.SUPPRESS]
+        options = {name: a for a in actions for name in a.option_strings}
+        defaults = {a.dest: a.default for a in actions}
+        defaults["func"] = self.get_default("func")
+        return ([a for a in actions if not a.option_strings], options,
+                {a for a in options.values() if a.required}, defaults)
+
+    def read_plain(self, tokens) -> argparse.Namespace | None:
+        """The namespace of a plain line (see `_parse`), read without
+        argparse; None for any other line."""
+        positionals, options, required, defaults = self._plain_table
+        values = defaults.copy()
+        given = []  # (action, token) pairs, converted once the line is known plain
+        i, n = 0, len(tokens)
+        for action in positionals:
+            if i < n and not tokens[i].startswith("-"):
+                given.append((action, tokens[i]))
+                i += 1
+            elif action.required:
+                return None
+        seen = set()
+        while i < n:
+            action = options.get(tokens[i])
+            if action is None or action in seen:
+                return None
+            seen.add(action)
+            if action.nargs == 0:  # a flag
+                values[action.dest] = action.const
+                i += 1
+            elif i + 1 < n and not tokens[i + 1].startswith("-"):
+                given.append((action, tokens[i + 1]))
+                i += 2
+            else:
+                return None
+        if not required <= seen:
+            return None
+        try:
+            for action, token in given:
+                values[action.dest] = action.type(token) if action.type else token
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # argparse reports the failed conversion
+        return argparse.Namespace(**values)
 
 
 def load_state_file(path: str, force_normalize: bool = False) -> PureState:
@@ -56,6 +114,8 @@ def load_state_file(path: str, force_normalize: bool = False) -> PureState:
         raise InputError(f"cannot read state file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"malformed JSON in {path}: nested too deeply") from exc
     if not isinstance(doc, dict) or "amplitudes" not in doc:
         raise InputError("state file must be an object with an 'amplitudes' field")
     raw = doc["amplitudes"]
@@ -231,16 +291,33 @@ _shared_parser = functools.cache(build_parser)
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parse a command line once, by its command's own parser (argparse's
-    nested parse scans it twice); the top-level parser takes the rest."""
+    """Parse a command line as argparse's nested parse would, scanning it
+    at most once.
+
+    A plain line is read straight from its command's arguments: the
+    command's positionals first, as tokens that do not start with "-";
+    then exact option names, each at most once, a valued one followed by
+    one token that does not start with "-"; every value converted by its
+    argument's own type, and no required option missing. On such a line
+    argparse itself takes the same tokens in the same roles and stores the
+    same values and defaults, so the two namespaces agree
+    (`tests/test_cli_boundary.py` checks this against argparse on drawn
+    lines). Every other line (help, abbreviations, "--opt=value", "--",
+    values starting with "-", repeats, reordering, extra tokens, failed
+    conversions) goes to the command's own argparse parser, which prints
+    help and every usage error; a line that does not start with a command
+    name goes to the top-level parser.
+    """
     parser = _shared_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = command.read_plain(argv[1:])
+    if args is None:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     args.command = argv[0]
     return args
 

@@ -321,6 +321,12 @@ class TestSolveDelays:
         assert not sol.feasible
         assert sol.binding_constraint == "speed_gap"
 
+    @pytest.mark.parametrize("gap, binds", [(2e-6, False), (5e-7, True)])
+    def test_speed_gap_boundary(self, gap, binds):
+        # either side of MIN_SPEED_GAP = 1e-6 m/s, and inside ten times it
+        sol = solve_delays(300.0, 300.0 + gap, 0.2, 0.6, 0.02, 0.02)
+        assert (sol.binding_constraint == "speed_gap") == binds
+
     def test_w_below_v_infeasible(self):
         sol = solve_delays(500, 300, 0.2, 0.6, 0.02, 0.02)
         assert not sol.feasible

@@ -125,6 +125,11 @@ class TestSingleParse:
         ["sweep", "x", "--out", "{out}"], ["shots", "{bell}", "--shots", "1e3"],
         ["shots", "{bell}", "--seed", "-1"], ["sweep", "2", "--seed", "-1", "--out", "{out}"],
         ["cavity", "--kinematics", "--v", "300", "--xc", "-inf"],
+        # plain lines without the optional positional and with options after
+        # it; a value that fails its conversion; a repeated flag
+        ["cavity", "--normalize"], ["cavity", "{bell}", *KINEMATICS[1:]],
+        ["sweep", "3", "--out", "{out}", "--seed", "4"], ["shots", "{bell}", "--shots", ""],
+        ["run", "{bell}", "--normalize", "--normalize"],
     ]
 
     @pytest.mark.parametrize("template", ARGVS, ids=" ".join)
@@ -150,6 +155,105 @@ class TestSingleParse:
         assert err.endswith("error: concmeter: unrecognized arguments: --bogus\n")
 
 
+def _parse_outcome(parse, argv):
+    """The namespace parse(argv) returns, or how it fails, with its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except cli.InputError as exc:
+            result = ("input error", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+COMMANDS = cli._shared_parser().commands
+VALUES = st.one_of(
+    st.sampled_from(["", "-1", "-2.5", "-inf", "-1e-05", "-x", "inf", "nan", "1e3", "0",
+                     "7", "0.25", "bell.json", "out dir/s.csv", "x"]),
+    st.integers(-10, 10**20).map(str),
+    st.floats().map(repr),
+)
+
+
+def _typed_value(action):
+    """A token that converts by the action's type."""
+    typed = {int: st.integers(0, 10**6).map(str), float: st.floats(min_value=0.0).map(repr)}
+    return typed.get(action.type, st.just("state.json"))
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line from its command's vocabulary: a plain line, the
+    same with one token inserted, replaced, negated or moved or a pair
+    repeated, or any sequence of option names (help included),
+    abbreviations, "--opt=value" forms, "--" and values."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    arguments = COMMANDS[name].arguments
+    names = [s for a in arguments for s in a.option_strings]
+    longs = [s for s in names if s.startswith("--")]
+    token = st.one_of(
+        VALUES,
+        st.sampled_from(names + ["--"]),
+        st.sampled_from([s[:k] for s in longs for k in range(3, len(s))]),
+        st.tuples(st.sampled_from(longs), VALUES).map("=".join),
+    )
+    edit = draw(st.sampled_from(["none", "insert", "replace", "negate", "move", "repeat",
+                                 "any"]))
+    if edit == "any":
+        return [name, *draw(st.lists(token, max_size=8))]
+    line = [draw(_typed_value(a)) for a in arguments
+            if not a.option_strings and (a.required or draw(st.booleans()))]
+    options = [a for a in arguments if a.option_strings and "-h" not in a.option_strings]
+    for action in draw(st.lists(st.sampled_from(options), unique=True)):
+        line.append(action.option_strings[0])
+        if action.nargs != 0:
+            line.append(draw(_typed_value(action)))
+    k = draw(st.integers(0, len(line)))
+    if edit == "insert":
+        line.insert(k, draw(token))
+    elif edit == "replace":
+        line[k:k + 1] = [draw(st.one_of(VALUES, token))]
+    elif edit == "negate":  # "-1e-05" or "-inf" is an option to argparse, "-1.5" is not
+        line[k:k + 1] = ["-" + t for t in line[k:k + 1]]
+    elif edit == "move":
+        moved = line[k:k + 1]
+        del line[k:k + 1]
+        j = draw(st.integers(0, len(line)))
+        line[j:j] = moved
+    elif edit == "repeat":
+        line += line[k:k + 2]
+    return [name, *line]
+
+
+class TestPlainReader:
+    """The direct reader of plain lines must read every line as argparse's
+    nested parse does, and must be what reads the lines the benchmark sends."""
+
+    @given(_command_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_same_as_nested_parse(self, argv):
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(_nested_parse, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "10", "--seed", "716281737312", "--out", "/tmp/bench/sweep_12.csv"],
+        ["cavity", "/tmp/bench/state_12.json"],
+        ["cavity", "--kinematics", "--v", "312.5", "--w", "640.0625", "--xc", "0.125",
+         "--xd", "0.5512", "--lc", "0.0125", "--ld", "7.5e-03"],
+        ["shots", "/tmp/bench/state_3.json", "--shots", "100000", "--seed", "716281737312"],
+        ["shots", "/tmp/bench/state_3.json", "--shots", "100000", "--seed", "716281737312",
+         "--p-dark", "0.05", "--p-bright-false", "0.02"],
+    ])
+    def test_benchmark_lines_skip_argparse(self, argv, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plain line went to argparse")
+
+        for command in COMMANDS.values():
+            monkeypatch.setattr(command, "parse_known_args", refuse)
+        assert vars(cli._parse(argv)) == vars(_nested_parse(argv))
+
+
 class TestKinematicsBoundary:
     @pytest.mark.parametrize("extra", [
         ["--xd", "inf"], ["--xc=-inf"], ["--v", "0"], ["--v", "nan"],
@@ -165,6 +269,12 @@ class TestKinematicsBoundary:
         # the code reserved for invariant violations
         assert main(KINEMATICS + ["--xc", "-inf"]) == 1
         assert "expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("w, code", [("300.0000005", 1), ("300.000002", 0)])
+    def test_speed_gap_boundary(self, w, code, capsys):
+        argv = ["cavity", "--kinematics", "--v", "300", "--w", w, "--xc", "0.2", "--xd", "0.6"]
+        assert main(argv) == code
+        assert ("speed_gap" in capsys.readouterr().err) == (code == 1)
 
     def test_speed_whose_inverse_overflows_ends(self, capsys):
         argv = ["cavity", "--kinematics", "--v", "5e-324", "--w", "0.1", "--xc", "1", "--xd", "2"]
@@ -234,6 +344,15 @@ class TestStateFileBoundary:
         fields = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
         if command != "shots":  # shots prints a finite-sample estimate
             assert abs(float(fields["C_measured       "]) - concurrence) < 1e-9
+
+    @pytest.mark.parametrize("command", ["run", "shots", "cavity"])
+    def test_deeply_nested_document_rejected(self, tmp_path, capsys, command):
+        # json.load ends in RecursionError long before this depth
+        path = tmp_path / "deep.json"
+        path.write_text('{"amplitudes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
 
     def test_integer_beyond_float_range_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path / "big.json",
