@@ -39,14 +39,7 @@ ATOM1, ATOM2, ATOM3, ATOM4, PHOTON, ATOM5 = 1, 2, 3, 4, 5, 6
 # gate decomposition
 
 
-_SWAP = Gate(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ]
-)
+_SWAP = Gate(np.eye(4)[[0, 2, 1, 3]])  # the identity with the |ge> and |eg> rows swapped
 _R_MINUS, _CPHASE = gates.r_minus(), gates.cphase()
 # R-/R+ on the target, embedded as gates on the ordered (control, target) pair
 _R_MINUS_TARGET = Gate(np.kron(np.eye(2), _R_MINUS.matrix))
@@ -90,16 +83,12 @@ def _photon_to_atom5(states: np.ndarray) -> np.ndarray:
                              "atom 5 must start in the ground state", "photon-to-atom map")
 
 
-def map_atom_to_photon(r: Register) -> Register:
-    """Hand the atom-2 qubit to the cavity-D photon; atom 2 exits in |g>."""
-    out = _atom_to_photon(r.amplitudes.reshape((1,) + (2,) * r.n_qubits))
-    return Register._wrap(out.reshape(-1))  # checked by apply_gate
-
-
-def map_photon_to_atom5(r: Register) -> Register:
-    """Retrieve the photonic qubit into atom 5; photon left in vacuum."""
-    out = _photon_to_atom5(r.amplitudes.reshape((1,) + (2,) * r.n_qubits))
-    return Register._wrap(out.reshape(-1))  # checked by apply_gate
+# the relay's final reads, in one pass: P_gggg and P_egeg in logical-qubit
+# order (1, 2, 3, 4) = atoms (1, 5, 3, 4), then the weight outside atom 2 = g,
+# photon = 0 as its two disjoint parts
+_FINAL_READS = ({ATOM5: 0, ATOM3: 0, ATOM1: 0, ATOM4: 0},
+                {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0},
+                {ATOM2: 1}, {ATOM2: 0, PHOTON: 1})
 
 
 def run_cavity_realization(psi: PureState) -> ProtocolResult:
@@ -120,7 +109,7 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
     # atom 5 now carries the logical qubit 2; final rotation of the protocol
     final = statevec.apply_gate(reg, _R_MINUS, (ATOM5,))
 
-    p_all_ground = statevec.marginal(final, {ATOM5: 0, ATOM3: 0, ATOM1: 0, ATOM4: 0})
+    p_all_ground, p_egeg, atom2_excited, photon_left = statevec.marginal(final, *_FINAL_READS)
     ideal = run_circuit(psi)
     deviation = abs(p_all_ground - ideal.p_gggg)
     if not deviation <= CAVITY_MATCH_TOL:
@@ -133,16 +122,14 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
     if not residual <= ORACLE_TOL:
         raise InvariantViolation("cavity register deviates from the analytic table",
                                  stage="cavity amplitude table", value=residual, tol=ORACLE_TOL)
-    outside = (statevec.marginal(final, {ATOM2: 1})
-               + statevec.marginal(final, {ATOM2: 0, PHOTON: 1}))
+    outside = atom2_excited + photon_left
     if not outside <= PHOTON_VACUUM_TOL:
         raise InvariantViolation("weight outside atom 2 = g, photon = 0", value=outside,
                                  stage="cavity logical subspace", tol=PHOTON_VACUUM_TOL)
     return ProtocolResult(
         final_state=Register._wrap(final.reshape(-1)),  # checked by apply_gate
         p_gggg=p_all_ground,
-        # P_egeg in logical-qubit order (1, 2, 3, 4) = atoms (1, 5, 3, 4)
-        p_egeg=statevec.marginal(final, {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0}),
+        p_egeg=p_egeg,
         concurrence_measured=extract_concurrence(p_all_ground),
         oracle_residual=residual,
     )
@@ -214,9 +201,10 @@ def _overtake_position(cfg: FlightConfig, dt: float) -> float:
 
 
 def _order_at(cfg: FlightConfig, t: float) -> tuple[int, ...]:
-    pos = {a: cfg.position(a, t) for a in (1, 2, 3, 4)}
-    # ties broken by emission order: the later atom sits behind
-    return tuple(sorted(pos, key=lambda a: (pos[a], -cfg.emission_times[a])))
+    t0, speed = cfg.emission_times, cfg.speeds
+    # FlightConfig.position inline; ties broken by emission order: the later atom sits behind
+    key = {a: (speed[a] * max(0.0, t - t0[a]), -t0[a]) for a in (1, 2, 3, 4)}
+    return tuple(sorted(key, key=key.__getitem__))
 
 
 def kinematics_report(cfg: FlightConfig) -> OrderingReport:

@@ -18,7 +18,7 @@ from . import cavity as cavity_mod
 from .concurrence import PureState, concurrence_pure
 from .estimation import ReadoutModel, simulate_shots
 from .protocol import run_circuit
-from .statevec import InvariantViolation
+from .statevec import InvariantViolation, normalized
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -105,14 +105,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_state_file(path: str, force_normalize: bool = False) -> PureState:
-    """Read a JSON state file: {"amplitudes": [[re, im] x 4],
-    "normalize": bool (optional)}."""
+    """Read a JSON state file, UTF-8 whatever the locale:
+    {"amplitudes": [[re, im] x 4], "normalize": bool (optional)}."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            # decoded here, not by json.loads, which would also take UTF-16 and UTF-32
+            doc = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read state file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"malformed JSON in {path}: nested too deeply") from exc
@@ -135,9 +136,8 @@ def load_state_file(path: str, force_normalize: bool = False) -> PureState:
     normalize = doc.get("normalize", False)
     if not isinstance(normalize, bool):
         raise InputError("'normalize' must be true or false")
-    normalize = normalize or force_normalize
     try:
-        return PureState.from_amplitudes(amps, normalize=normalize)
+        return PureState(*(normalized(amps) if normalize or force_normalize else amps))
     except ValueError as exc:
         raise InputError(f"invalid state in 'amplitudes': {exc}") from exc
 

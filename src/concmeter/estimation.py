@@ -96,9 +96,11 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
     rng = np.random.default_rng(seed)
     counts = statevec._born_counts(result.final_state, n, rng)
     q = np.array([model.dark_probability(m) for m in range(5)])[_N_EXCITED]
+    k = int(np.add.reduce(counts[q == 1.0]))
     thin = (counts > 0) & (0.0 < q) & (q < 1.0)
-    # one call draws the classes in index order, the same stream as one call per class
-    k = int(np.add.reduce(counts[q == 1.0]) + np.add.reduce(rng.binomial(counts[thin], q[thin])))
+    if thin.any():  # with none, the call would draw nothing from the stream
+        # one call draws the classes in index order, the same stream as one call per class
+        k += int(np.add.reduce(rng.binomial(counts[thin], q[thin])))
     p_hat = k / n
     ci_low, ci_high = confidence_interval(k, n)
     return ShotSummary(

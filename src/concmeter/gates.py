@@ -18,14 +18,7 @@ _SQRT2_INV = 1.0 / np.sqrt(2.0)
 _SIGMA_Y = Gate([[0.0, -1.0j], [1.0j, 0.0]])
 _R_PLUS = Gate(np.array([[1.0, -1.0], [1.0, 1.0]]) * _SQRT2_INV)
 _R_MINUS = Gate(np.array([[1.0, 1.0], [-1.0, 1.0]]) * _SQRT2_INV)
-_CNOT = Gate(
-    [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-    ]
-)
+_CNOT = Gate(np.eye(4)[[0, 1, 3, 2]])  # the identity with the |eg> and |ee> rows swapped
 _CPHASE = Gate(np.diag([1.0, 1.0, 1.0, -1.0]))
 
 

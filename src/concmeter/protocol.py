@@ -159,12 +159,12 @@ def run_circuit(psi: PureState) -> ProtocolResult:
     amplitude table checked ket-by-ket (phase-strict): a batch of one,
     whose input PureState has already been validated."""
     batch = _run(psi.amplitudes[None])
-    p_gggg = float(batch.p_gggg[0])
+    p_gggg = batch.p_gggg.item()
     return ProtocolResult(
         final_state=Register._wrap(batch.amplitudes[0]),  # checked by apply_gate
         p_gggg=p_gggg,
-        p_egeg=float(batch.p_egeg[0]),
+        p_egeg=batch.p_egeg.item(),
         concurrence_measured=extract_concurrence(p_gggg),
-        oracle_residual=float(batch.oracle_residual[0]),
+        oracle_residual=batch.oracle_residual.item(),
     )
 

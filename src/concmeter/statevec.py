@@ -192,7 +192,7 @@ def ground_register(n: int) -> Register:
 
 
 def _check_qubit_index(q: int, n: int) -> None:
-    if not 1 <= q <= n:
+    if q not in range(1, n + 1):
         raise ValueError(f"qubit index {q} out of range 1..{n}")
 
 
@@ -270,23 +270,22 @@ def apply_gate(states: np.ndarray, gate: Gate,
     perm, inverse, source, phase = _gate_plan(states.ndim - 1,
                                               tuple(map(operator.index, qubits)), gate)
     if source is not None:
-        out = states.reshape(len(states), -1).take(source, axis=1).astype(complex, copy=False)
+        flat = states.reshape(len(states), -1).take(source, axis=1).astype(complex, copy=False)
         if phase is not None:
-            out *= phase
-        out = out.reshape(states.shape)
+            flat *= phase
     else:
         d = len(gate.matrix)
         # gate axes first, so the gate is one matrix product over all the rest
         moved = states.transpose(perm)
         out = (gate.matrix @ moved.reshape(d, -1)).reshape(moved.shape)
-        out = out.transpose(inverse).copy()
-    squared = _squared_norms(out)
+        flat = out.transpose(inverse).copy().reshape(len(states), -1)
+    squared = _squared_norms(flat)
     i = _first_bad_row(squared, NORM_TOL_UNITARY)
     if i >= 0:
         raise InvariantViolation("state norm not preserved", stage="gate application",
                                  value=abs(math.sqrt(squared[i]) - 1.0),
                                  tol=NORM_TOL_UNITARY, row=i)
-    return out
+    return flat.reshape(states.shape)
 
 
 def basis_index(basis: str) -> int:
@@ -307,20 +306,35 @@ def basis_string(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b").replace("0", "g").replace("1", "e")
 
 
-def marginal(r: Register | np.ndarray, bits: dict[int, int]) -> float:
-    """Probability that each given qubit (1-based) reads its bit (0 = g,
-    1 = e), summed over all other qubits, for a register or one state's
-    2**n amplitudes in an array of any shape (such as a batch of one)."""
-    amps = r.amplitudes if isinstance(r, Register) else r
-    n = amps.size.bit_length() - 1
+@functools.lru_cache(maxsize=64)
+def _marginal_plan(n: int, pattern: tuple[tuple[int, int], ...]) -> tuple:
+    """The checked index of an n-qubit state's amplitudes, shape (2,)*n,
+    that fixes each (qubit, bit) of the pattern; no failure is cached."""
     idx = [slice(None)] * n
-    for q, bit in bits.items():
+    for q, bit in pattern:
         _check_qubit_index(q, n)
         if bit not in (0, 1):
             raise ValueError(f"bit for qubit {q} must be 0 or 1, got {bit!r}")
-        idx[q - 1] = bit
-    psi = amps.reshape((2,) * n)
-    return float(np.add.reduce(np.abs(psi[tuple(idx)]) ** 2, axis=None))  # np.sum's reduction
+        idx[int(q) - 1] = int(bit)
+    return tuple(idx)
+
+
+def marginal(r: Register | np.ndarray, *patterns: dict[int, int]) -> float | tuple[float, ...]:
+    """Probability that each given qubit (1-based) reads its bit (0 = g,
+    1 = e), summed over all other qubits, for a register or one state's
+    2**n amplitudes in an array of any shape (such as a batch of one).
+
+    Each pattern is a {qubit: bit} dict; its checked index is cached per
+    (n, pattern), and a qubit or bit out of range raises ValueError on
+    every call. Several patterns are read from one pass of |amplitude|^2
+    and returned as a tuple, in order; one pattern returns one float."""
+    amps = r.amplitudes if isinstance(r, Register) else r
+    n = amps.size.bit_length() - 1
+    plans = [_marginal_plan(n, tuple(bits.items())) for bits in patterns]
+    probs = np.abs(amps.reshape((2,) * n)) ** 2
+    # np.add.reduce is np.sum's reduction, without its Python wrapper
+    sums = tuple(float(np.add.reduce(probs[idx], axis=None)) for idx in plans)
+    return sums[0] if len(sums) == 1 else sums
 
 
 def _born_counts(r: Register, n_shots: int, seed: int | np.random.Generator) -> np.ndarray:

@@ -2,7 +2,7 @@
 the package against. The package itself never runs them."""
 import numpy as np
 
-from concmeter import gates, statevec
+from concmeter import cavity, gates, statevec
 from concmeter.cavity import decomposed_cnot
 from concmeter.concurrence import validate_density_matrix
 from concmeter.statevec import Register
@@ -73,3 +73,24 @@ def binomial_thinning(outcomes: dict[str, int], model, rng: np.random.Generator)
         elif q > 0.0:
             k += int(rng.binomial(c, q))
     return k
+
+
+def map_atom_to_photon(r: Register) -> Register:
+    """The relay's atom-2 -> photon step on a six-qubit Register: the
+    photon's vacuum check, then the hand-over; atom 2 exits in |g>."""
+    out = cavity._atom_to_photon(r.amplitudes.reshape((1,) + (2,) * r.n_qubits))
+    return Register(out.reshape(-1))
+
+
+def map_photon_to_atom5(r: Register) -> Register:
+    """The relay's photon -> atom-5 step on a six-qubit Register: atom 5's
+    ground check, then the retrieval; the photon is left in vacuum."""
+    out = cavity._photon_to_atom5(r.amplitudes.reshape((1,) + (2,) * r.n_qubits))
+    return Register(out.reshape(-1))
+
+
+def order_at(cfg, t: float) -> tuple[int, ...]:
+    """The atoms of a `FlightConfig` at time t, nearest the source first,
+    sorted by `cfg.position`; on a tie the atom emitted later sits behind."""
+    pos = {a: cfg.position(a, t) for a in (1, 2, 3, 4)}
+    return tuple(sorted(pos, key=lambda a: (pos[a], -cfg.emission_times[a])))

@@ -4,18 +4,20 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concmeter import cavity, gates, statevec
 from concmeter.cavity import (
     ATOM1,
+    ATOM2,
+    ATOM3,
     ATOM4,
     ATOM5,
     PHOTON,
     FlightConfig,
     decomposed_cnot,
     kinematics_report,
-    map_atom_to_photon,
-    map_photon_to_atom5,
     run_cavity_realization,
     solve_delays,
 )
@@ -23,7 +25,13 @@ from concmeter.cli import main
 from concmeter.concurrence import PureState
 from concmeter.protocol import analytic_phi1_batch, run_circuit
 from concmeter.statevec import Gate, InvariantViolation, Register
-from oracles import composed_cnot_matrix, tensor
+from oracles import (
+    composed_cnot_matrix,
+    map_atom_to_photon,
+    map_photon_to_atom5,
+    order_at,
+    tensor,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -187,6 +195,17 @@ class TestCavityRealization:
             assert res.oracle_residual <= 1e-15
             assert not np.any(psi6[:, 1]) and not np.any(psi6[:, 0, :, :, 1])
 
+    def test_final_reads_equal_one_marginal_per_pattern(self):
+        # the relay reads all four from one pass; each must be what a
+        # marginal call of its own gives, bit for bit
+        for psi in haar_states(2000, seed=43):
+            res = run_cavity_realization(psi)
+            final = res.final_state
+            assert res.p_gggg == statevec.marginal(final, {ATOM1: 0, ATOM5: 0, ATOM3: 0, ATOM4: 0})
+            assert res.p_egeg == statevec.marginal(final, {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0})
+            assert statevec.marginal(final, {ATOM2: 1}) == 0.0
+            assert statevec.marginal(final, {ATOM2: 0, PHOTON: 1}) == 0.0
+
     def test_matches_ideal_circuit(self):
         for psi in haar_states(200, seed=31):
             real = run_cavity_realization(psi)
@@ -283,6 +302,46 @@ class TestKinematicsReport:
             positions.append(kinematics_report(cfg).pair12_cross_position)
         assert positions == sorted(positions)
         assert len(set(positions)) == len(positions)
+
+
+@st.composite
+def flight_instants(draw):
+    """A flight plan and an instant at which to order its atoms: delays of
+    zero, emission times and crossing times give ties in position."""
+    v = draw(st.one_of(st.floats(1.0, 1e3), st.floats(5e-324, 1e300)))
+    w = draw(st.one_of(st.floats(1e-6, 1e3).map(lambda gap: v + gap),
+                       st.floats(v, allow_infinity=True)))
+    delay = st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, allow_infinity=True))
+    tau, tau_prime = draw(delay), draw(delay)
+    if not w > v:
+        w = math.inf
+    cfg = FlightConfig(v=v, w=w, tau=tau, tau_prime=tau_prime,
+                       x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
+    t0 = cfg.emission_times
+    catch = v * tau / (w - v)  # atom 2 reaches atom 1 this long after its emission
+    instants = [*t0.values(), t0[2] + catch, t0[4] + catch,
+                t0[4] + 0.21 / w, t0[4] + 0.59 / w]
+    t = draw(st.one_of(st.sampled_from(instants), st.floats(-1e-3, 1e-2), st.floats()))
+    return cfg, t
+
+
+class TestOrderAt:
+    @given(flight_instants())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_reference_sort(self, case):
+        cfg, t = case
+        assert cavity._order_at(cfg, t) == order_at(cfg, t)
+
+    def test_ties_at_the_source(self):
+        # before its emission each atom waits at the source, x = 0: the one
+        # emitted later sits behind, nearer the source, so it comes first
+        cfg = FlightConfig(v=300, w=500, tau=1e-4, tau_prime=2e-4,
+                           x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
+        assert cavity._order_at(cfg, 0.0) == order_at(cfg, 0.0) == (4, 3, 2, 1)
+        # emitted at once, 1 and 3 tie at v*t and 2 and 4 at w*t: atom order
+        cfg = FlightConfig(v=300, w=500, tau=0.0, tau_prime=0.0,
+                           x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
+        assert cavity._order_at(cfg, 1e-3) == order_at(cfg, 1e-3) == (1, 3, 2, 4)
 
 
 class TestSolveDelays:

@@ -25,6 +25,8 @@ SQ2 = 1.0 / math.sqrt(2.0)
 TIME_BOUND_S = 5.0
 KINEMATICS = ["cavity", "--kinematics", "--v", "300", "--w", "500",
               "--xc", "0.2", "--xd", "0.6"]
+BELL_TEXT = ('{"amplitudes": [[0, 0], [0.7071067811865476, 0], '
+             '[0.7071067811865476, 0], [0, 0]]}')
 
 
 class Overran(Exception):
@@ -346,8 +348,30 @@ class TestStateFileBoundary:
             assert abs(float(fields["C_measured       "]) - concurrence) < 1e-9
 
     @pytest.mark.parametrize("command", ["run", "shots", "cavity"])
+    @pytest.mark.parametrize("data", [
+        b"\xff" + BELL_TEXT.encode(),  # not UTF-8 from its first byte
+        BELL_TEXT.replace("}", ', "note": "\u00e9"}').encode("latin-1"),
+        BELL_TEXT.encode("utf-16"),  # with a byte-order mark
+        BELL_TEXT.encode("utf-16-le"),
+        BELL_TEXT.encode("utf-32"),
+    ], ids=["invalid-byte", "latin-1", "utf-16-bom", "utf-16-le", "utf-32"])
+    def test_file_not_utf8_rejected(self, tmp_path, capsys, command, data):
+        path = tmp_path / "state.json"
+        path.write_bytes(data)
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed JSON in {path}: ") and "Traceback" not in err
+
+    def test_file_read_as_utf8(self, tmp_path, capsys):
+        # the same document, with a non-ASCII string, in UTF-8
+        path = tmp_path / "state.json"
+        path.write_bytes(BELL_TEXT.replace("}", ', "note": "\u00e9 \u2192 \U0001d49e"}').encode())
+        assert main(["run", str(path)]) == 0
+        assert "C_measured       = 1.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "shots", "cavity"])
     def test_deeply_nested_document_rejected(self, tmp_path, capsys, command):
-        # json.load ends in RecursionError long before this depth
+        # json.loads ends in RecursionError long before this depth
         path = tmp_path / "deep.json"
         path.write_text('{"amplitudes": ' + "[" * 100_000 + "]" * 100_000 + "}")
         assert main([command, str(path)]) == 1

@@ -357,6 +357,48 @@ class TestMarginal:
             statevec.marginal(ground_register(3), bits)
 
 
+class TestMarginalPlan:
+    """marginal checks each (n, pattern) once and caches the index; a
+    failed check is never cached."""
+
+    @pytest.mark.parametrize("bits", [{0: 1}, {4: 0}, {1.5: 0}, {1: 2}, {2: -1}, {1: 0, 3: 1.5}])
+    def test_bad_qubit_or_bit_raises_on_every_call(self, bits):
+        for _ in range(3):
+            misses = statevec._marginal_plan.cache_info().misses
+            with pytest.raises(ValueError):
+                marginal(ground_register(3), bits)
+            assert statevec._marginal_plan.cache_info().misses == misses + 1  # checked again
+            with pytest.raises(ValueError):  # among good patterns too
+                marginal(ground_register(3), {1: 0}, bits, {})
+
+    def test_pattern_checked_per_register_size(self):
+        # {4: 0} is cached as good for 4 qubits, and still fails on 3
+        assert marginal(ground_register(4), {4: 0}) == 1.0
+        for _ in range(2):
+            with pytest.raises(ValueError, match="out of range"):
+                marginal(ground_register(3), {4: 0})
+
+    def test_plan_reused(self):
+        r = random_register(np.random.default_rng(24), 4)
+        marginal(r, {2: 1, 4: 0})
+        hits = statevec._marginal_plan.cache_info().hits
+        assert marginal(r, {2: 1, 4: 0}) == marginal(r, {2: 1, 4: 0})
+        assert statevec._marginal_plan.cache_info().hits == hits + 2
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 8])
+    def test_several_patterns_equal_one_call_each(self, n):
+        rng = np.random.default_rng(25 + n)
+        r = random_register(rng, n)
+        patterns = [{}, {1: 1}, {n: 0, 1: 0}, {q: int(rng.integers(2)) for q in range(1, n + 1)},
+                    *({q: int(rng.integers(2)) for q in range(1, n + 1) if rng.random() < 0.5}
+                      for _ in range(6))]
+        one_each = tuple(marginal(r, bits) for bits in patterns)
+        assert marginal(r, *patterns) == one_each
+        batch = r.amplitudes.reshape((1,) + (2,) * n)
+        assert marginal(batch, *patterns) == one_each
+        assert all(type(p) is float for p in one_each)
+
+
 class TestSampleOutcomes:
     def test_deterministic_state(self):
         counts = sample_outcomes(ground_register(4), 1000, seed=3)
