@@ -23,10 +23,7 @@ from .cavity import (
 from .statevec import (
     Gate,
     InvariantViolation,
-    Register,
     apply_gate,
-    ground_register,
-    sample_outcomes,
 )
 
 __all__ = [
@@ -36,8 +33,7 @@ __all__ = [
     "run_batch", "run_circuit",
     "DelaySolution", "FlightConfig", "OrderingReport",
     "kinematics_report", "run_cavity_realization", "solve_delays",
-    "Gate", "InvariantViolation", "Register", "apply_gate", "ground_register",
-    "sample_outcomes",
+    "Gate", "InvariantViolation", "apply_gate",
 ]
 
 __version__ = "0.1.0"

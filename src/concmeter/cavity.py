@@ -20,7 +20,7 @@ from . import gates, statevec
 from .concurrence import PureState
 from .protocol import _SIGMA_Y_PAIR, ORACLE_TOL, ProtocolResult, analytic_phi1_batch
 from .protocol import extract_concurrence, run_circuit
-from .statevec import Gate, InvariantViolation, Register
+from .statevec import Gate, InvariantViolation
 
 CAVITY_MATCH_TOL = 1e-10
 PHOTON_VACUUM_TOL = 1e-12
@@ -126,8 +126,10 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
     if not outside <= PHOTON_VACUUM_TOL:
         raise InvariantViolation("weight outside atom 2 = g, photon = 0", value=outside,
                                  stage="cavity logical subspace", tol=PHOTON_VACUUM_TOL)
+    final = final.reshape(-1)  # checked by apply_gate
+    final.flags.writeable = False
     return ProtocolResult(
-        final_state=Register._wrap(final.reshape(-1)),  # checked by apply_gate
+        final_state=final,
         p_gggg=p_all_ground,
         p_egeg=p_egeg,
         concurrence_measured=extract_concurrence(p_all_ground),
@@ -143,7 +145,9 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
 class FlightConfig:
     """Ballistic 1D flight plan. Atoms 1 and 3 fly at v, atoms 2 and 4 at
     w > v; emission times are t1=0, t2=tau, t3=tau+tau_prime,
-    t4=tau+tau_prime+tau, all from the source at x=0."""
+    t4=tau+tau_prime+tau, all from the source at x=0. Speeds, positions
+    and lengths must be finite; a delay may be +inf, as when 1/v
+    overflows in solve_delays, but not NaN."""
 
     v: float
     w: float
@@ -155,14 +159,14 @@ class FlightConfig:
     L_D: float
 
     def __post_init__(self):
-        if not (self.w > self.v > 0.0):
-            raise ValueError("speeds must satisfy w > v > 0")
-        if not (self.x_D > self.x_C > 0.0):
-            raise ValueError("cavity positions must satisfy x_D > x_C > 0")
-        if self.L_C <= 0.0 or self.L_D <= 0.0:
-            raise ValueError("cavity mode lengths must be positive")
-        if self.tau < 0.0 or self.tau_prime < 0.0:
-            raise ValueError("delays must be non-negative")
+        if not (math.inf > self.w > self.v > 0.0):
+            raise ValueError("speeds must be finite and satisfy w > v > 0")
+        if not (math.inf > self.x_D > self.x_C > 0.0):
+            raise ValueError("cavity positions must be finite and satisfy x_D > x_C > 0")
+        if not (math.inf > self.L_C > 0.0 and math.inf > self.L_D > 0.0):
+            raise ValueError("cavity mode lengths must be positive and finite")
+        if not (self.tau >= 0.0 and self.tau_prime >= 0.0):  # NaN fails too
+            raise ValueError("delays must be non-negative, not NaN")
 
     # computed once per config, and shared: callers must not modify them
     @functools.cached_property

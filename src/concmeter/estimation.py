@@ -79,9 +79,9 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
                    seed: int = 0) -> ShotSummary:
     """Sample n protocol shots and summarize the yes/no readout record.
 
-    The 16 Born counts are drawn once, in index order, by the sampler
-    behind statevec.sample_outcomes; each outcome class is then thinned
-    binomially by its dark probability, taken from a table of
+    The 16 Born counts are drawn once, in index order, by
+    statevec._born_counts; each outcome class is then thinned binomially
+    by its dark probability, taken from a table of
     ReadoutModel.dark_probability per excitation count, from one
     generator seeded once. A class with q == 1 counts whole.
 

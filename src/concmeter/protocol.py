@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gates, statevec
 from .concurrence import PureState
-from .statevec import InvariantViolation, Register
+from .statevec import InvariantViolation
 
 ORACLE_TOL = 1e-10
 TABLE_NORM_TOL = 1e-10
@@ -69,7 +69,7 @@ _PHI1_MATRIX = _terms_matrix(_PHI1_TERMS)
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    final_state: Register
+    final_state: np.ndarray  # flat final amplitudes, read-only
     p_gggg: float
     p_egeg: float
     concurrence_measured: float
@@ -159,9 +159,11 @@ def run_circuit(psi: PureState) -> ProtocolResult:
     amplitude table checked ket-by-ket (phase-strict): a batch of one,
     whose input PureState has already been validated."""
     batch = _run(psi.amplitudes[None])
+    final = batch.amplitudes[0]  # checked by apply_gate
+    final.flags.writeable = False
     p_gggg = batch.p_gggg.item()
     return ProtocolResult(
-        final_state=Register._wrap(batch.amplitudes[0]),  # checked by apply_gate
+        final_state=final,
         p_gggg=p_gggg,
         p_egeg=batch.p_egeg.item(),
         concurrence_measured=extract_concurrence(p_gggg),

@@ -1,15 +1,15 @@
-"""Dense complex state-vector register for up to 8 qubits.
+"""Dense complex state vectors, held as plain numpy arrays of 2**n
+amplitudes.
 
 Conventions (pinned by the test suite):
 - qubit 1 is the leftmost letter of a ket string and the most significant
   bit of the amplitude index;
 - |g> maps to bit 0, |e> maps to bit 1.
 
-Registers are immutable values. `apply_gate` is the one call that
-applies a gate: it works on a batch of states, shape (N,) + (2,)*n (a
-register is a batch of one), returns a new array and checks every row
-after the gate in one vectorised pass. `accept_input` is the one rule for
-states entering the library.
+`apply_gate` is the one call that applies a gate: it works on a batch of
+states, shape (N,) + (2,)*n (one state is a batch of one), returns a new
+array and checks every row after the gate in one vectorised pass.
+`accept_input` is the one rule for states entering the library.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ import numpy as np
 NORM_TOL_INPUT = 1e-9
 NORM_TOL_UNITARY = 1e-12
 UNITARITY_TOL = 1e-12
-MAX_QUBITS = 8
 _MAX_SHOTS = np.iinfo(np.int64).max  # the largest count numpy's samplers take
 
 
@@ -154,43 +153,6 @@ def normalized(amps) -> np.ndarray:
     return a / np.linalg.norm(a)
 
 
-class Register:
-    """Normalized n-qubit state vector, qubit 1 = most significant bit;
-    its amplitudes are checked and renormalised by accept_input."""
-
-    __slots__ = ("n_qubits", "amplitudes")
-
-    def __init__(self, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        n = int(np.log2(amps.size)) if amps.size > 0 else 0
-        if amps.size == 0 or 2**n != amps.size:
-            raise ValueError(f"amplitude count {amps.size} is not a power of two")
-        if n > MAX_QUBITS:
-            raise ValueError(f"{n} qubits exceeds the supported maximum of {MAX_QUBITS}")
-        amps = accept_input(amps[None])[0]
-        amps.flags.writeable = False
-        self.n_qubits = n
-        self.amplitudes = amps
-
-    @classmethod
-    def _wrap(cls, amps: np.ndarray) -> "Register":
-        # internal: amplitudes already checked, or normalised by construction
-        r = cls.__new__(cls)
-        r.n_qubits = int(amps.size).bit_length() - 1
-        amps.flags.writeable = False
-        r.amplitudes = amps
-        return r
-
-
-def ground_register(n: int) -> Register:
-    """All-qubits-ground register |g>^n."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_QUBITS}], got {n}")
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = 1.0
-    return Register._wrap(amps)
-
-
 def _check_qubit_index(q: int, n: int) -> None:
     if q not in range(1, n + 1):
         raise ValueError(f"qubit index {q} out of range 1..{n}")
@@ -244,9 +206,9 @@ def apply_gate(states: np.ndarray, gate: Gate,
                qubits: tuple[int, ...]) -> np.ndarray:
     """The gate-application kernel: apply a one- or two-qubit gate to the
     given qubits (1-based, 1 = leftmost, in the gate's order) of every
-    state in a batch of shape (N,) + (2,)*n; a register `r` is the batch
-    `r.amplitudes.reshape((1,) + (2,) * r.n_qubits)`. Returns a new
-    contiguous array.
+    state in a batch of shape (N,) + (2,)*n; one state's flat array `a`
+    of 2**n amplitudes is the batch `a.reshape((1,) + (2,) * n)`. Returns a
+    new contiguous array.
 
     A gate with one nonzero entry per row, each 1, -1, 1j or -1j (sigma_y,
     CNOT, CPHASE, SWAP and their tensor products), is applied as one
@@ -301,11 +263,6 @@ def basis_index(basis: str) -> int:
     return idx
 
 
-def basis_string(index: int, n_qubits: int) -> str:
-    """Inverse of basis_index."""
-    return format(index, f"0{n_qubits}b").replace("0", "g").replace("1", "e")
-
-
 @functools.lru_cache(maxsize=64)
 def _marginal_plan(n: int, pattern: tuple[tuple[int, int], ...]) -> tuple:
     """The checked index of an n-qubit state's amplitudes, shape (2,)*n,
@@ -319,16 +276,15 @@ def _marginal_plan(n: int, pattern: tuple[tuple[int, int], ...]) -> tuple:
     return tuple(idx)
 
 
-def marginal(r: Register | np.ndarray, *patterns: dict[int, int]) -> float | tuple[float, ...]:
+def marginal(amps: np.ndarray, *patterns: dict[int, int]) -> float | tuple[float, ...]:
     """Probability that each given qubit (1-based) reads its bit (0 = g,
-    1 = e), summed over all other qubits, for a register or one state's
-    2**n amplitudes in an array of any shape (such as a batch of one).
+    1 = e), summed over all other qubits, for one state's 2**n amplitudes
+    in an array of any shape (flat, or a batch of one).
 
     Each pattern is a {qubit: bit} dict; its checked index is cached per
     (n, pattern), and a qubit or bit out of range raises ValueError on
     every call. Several patterns are read from one pass of |amplitude|^2
     and returned as a tuple, in order; one pattern returns one float."""
-    amps = r.amplitudes if isinstance(r, Register) else r
     n = amps.size.bit_length() - 1
     plans = [_marginal_plan(n, tuple(bits.items())) for bits in patterns]
     probs = np.abs(amps.reshape((2,) * n)) ** 2
@@ -337,18 +293,13 @@ def marginal(r: Register | np.ndarray, *patterns: dict[int, int]) -> float | tup
     return sums[0] if len(sums) == 1 else sums
 
 
-def _born_counts(r: Register, n_shots: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Born-rule sampling: the count of each basis state in index order,
-    deterministic per seed; a Generator given as seed is drawn from as is."""
+def _born_counts(amps: np.ndarray, n_shots: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Born-rule sampling of one state's flat amplitudes: the count of each
+    basis state in index order, deterministic per seed; a Generator given
+    as seed is drawn from as is."""
     if not 1 <= n_shots <= _MAX_SHOTS:
         raise ValueError(f"n_shots must be in [1, {_MAX_SHOTS}]")
-    probs = np.abs(r.amplitudes) ** 2
+    probs = np.abs(amps) ** 2
     probs = probs / probs.sum()  # remove roundoff before multinomial
     return np.random.default_rng(seed).multinomial(n_shots, probs)
 
-
-def sample_outcomes(r: Register, n_shots: int, seed: int | np.random.Generator) -> dict[str, int]:
-    """Born-rule sampling as a map of basis string -> count (counts > 0, in
-    index order): a view of _born_counts, the same draw and stream."""
-    counts = _born_counts(r, n_shots, seed)
-    return {basis_string(i, r.n_qubits): int(c) for i, c in enumerate(counts) if c > 0}

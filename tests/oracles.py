@@ -5,7 +5,6 @@ import numpy as np
 from concmeter import cavity, gates, statevec
 from concmeter.cavity import decomposed_cnot
 from concmeter.concurrence import validate_density_matrix
-from concmeter.statevec import Register
 
 _SYSY = np.kron(gates.sigma_y().matrix, gates.sigma_y().matrix)
 
@@ -51,23 +50,24 @@ def circuit_unitary() -> np.ndarray:
     return r_minus_2 @ cnot_24 @ prepare
 
 
-def tensor(a: Register, b: Register) -> Register:
-    """Kronecker product, norm-checked; qubits of `a` precede qubits of `b`."""
-    if a.n_qubits + b.n_qubits > statevec.MAX_QUBITS:
-        raise ValueError(f"combined register of {a.n_qubits + b.n_qubits} qubits "
-                         f"exceeds {statevec.MAX_QUBITS}")
-    amps = np.kron(a.amplitudes, b.amplitudes)
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product of two flat amplitude arrays, norm-checked; qubits
+    of `a` precede qubits of `b`."""
+    amps = np.kron(a, b)
     statevec.check_batch(amps[None], statevec.NORM_TOL_UNITARY)
-    return Register(amps)
+    return amps
 
 
-def binomial_thinning(outcomes: dict[str, int], model, rng: np.random.Generator) -> int:
-    """The dark count of a sampled outcome record under a `ReadoutModel`,
-    one scalar binomial draw per class in the record's order: a class with
-    q == 1 stays dark whole and a class with q == 0 draws nothing."""
+def binomial_thinning(counts: np.ndarray, model, rng: np.random.Generator) -> int:
+    """The dark count of index-ordered Born counts under a `ReadoutModel`,
+    one scalar binomial draw per sampled class in index order: a class with
+    q == 1 stays dark whole and a class with q == 0 draws nothing. An
+    index's excitation count is its number of set bits."""
     k = 0
-    for outcome, c in outcomes.items():
-        q = model.dark_probability(outcome.count("e"))
+    for index, c in enumerate(counts.tolist()):
+        if c == 0:
+            continue
+        q = model.dark_probability(index.bit_count())
         if q == 1.0:
             k += c
         elif q > 0.0:
@@ -75,18 +75,16 @@ def binomial_thinning(outcomes: dict[str, int], model, rng: np.random.Generator)
     return k
 
 
-def map_atom_to_photon(r: Register) -> Register:
-    """The relay's atom-2 -> photon step on a six-qubit Register: the
+def map_atom_to_photon(amps: np.ndarray) -> np.ndarray:
+    """The relay's atom-2 -> photon step on six-qubit flat amplitudes: the
     photon's vacuum check, then the hand-over; atom 2 exits in |g>."""
-    out = cavity._atom_to_photon(r.amplitudes.reshape((1,) + (2,) * r.n_qubits))
-    return Register(out.reshape(-1))
+    return cavity._atom_to_photon(amps.reshape((1,) + (2,) * 6)).reshape(-1)
 
 
-def map_photon_to_atom5(r: Register) -> Register:
-    """The relay's photon -> atom-5 step on a six-qubit Register: atom 5's
-    ground check, then the retrieval; the photon is left in vacuum."""
-    out = cavity._photon_to_atom5(r.amplitudes.reshape((1,) + (2,) * r.n_qubits))
-    return Register(out.reshape(-1))
+def map_photon_to_atom5(amps: np.ndarray) -> np.ndarray:
+    """The relay's photon -> atom-5 step on six-qubit flat amplitudes: atom
+    5's ground check, then the retrieval; the photon is left in vacuum."""
+    return cavity._photon_to_atom5(amps.reshape((1,) + (2,) * 6)).reshape(-1)
 
 
 def order_at(cfg, t: float) -> tuple[int, ...]:

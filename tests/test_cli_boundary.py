@@ -158,11 +158,13 @@ class TestSingleParse:
 
 
 def _parse_outcome(parse, argv):
-    """The namespace parse(argv) returns, or how it fails, with its output."""
+    """The namespace parse(argv) returns, or how it fails, with its output.
+    The namespace is compared by the repr of its sorted items, so that a
+    NaN value (two float("nan") objects are never equal) equals itself."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parse(argv))
+            result = repr(sorted(vars(parse(argv)).items()))
         except cli.InputError as exc:
             result = ("input error", str(exc))
         except SystemExit as exc:

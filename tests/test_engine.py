@@ -61,7 +61,7 @@ class TestRunBatch:
         assert batch.amplitudes.shape == (n, 16)
         for i, row in enumerate(amps):
             single = run_circuit(PureState(*row))
-            assert np.max(np.abs(batch.amplitudes[i] - single.final_state.amplitudes)) <= 1e-15
+            assert np.max(np.abs(batch.amplitudes[i] - single.final_state)) <= 1e-15
             assert abs(batch.p_gggg[i] - single.p_gggg) <= 1e-15
             assert abs(batch.p_egeg[i] - single.p_egeg) <= 1e-15
             assert abs(batch.oracle_residual[i] - single.oracle_residual) <= 1e-15

@@ -119,8 +119,8 @@ class TestSimulateShots:
         for i, psi in enumerate(states):
             for seed in (0, 17, 2**40 + i):
                 rng = np.random.default_rng(seed)
-                outcomes = statevec.sample_outcomes(run_circuit(psi).final_state, 5000, rng)
-                expected = binomial_thinning(outcomes, model, rng)
+                counts = statevec._born_counts(run_circuit(psi).final_state, 5000, rng)
+                expected = binomial_thinning(counts, model, rng)
                 got = simulate_shots(psi, 5000, model, seed).n_no_fluorescence
                 assert got == expected, (i, seed)
 
@@ -133,8 +133,8 @@ class TestSimulateShots:
         psi = PureState.haar_random(np.random.default_rng(state_seed))
         model = ReadoutModel(p_dark=p_dark, p_bright_false=p_bright_false)
         rng = np.random.default_rng(seed)
-        outcomes = statevec.sample_outcomes(run_circuit(psi).final_state, n, rng)
-        expected = binomial_thinning(outcomes, model, rng)
+        counts = statevec._born_counts(run_circuit(psi).final_state, n, rng)
+        expected = binomial_thinning(counts, model, rng)
         assert simulate_shots(psi, n, model, seed).n_no_fluorescence == expected
 
     def test_bell_large_n(self):

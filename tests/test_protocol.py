@@ -129,7 +129,7 @@ class TestMixedStateDomain:
     def test_dense_unitary_is_the_circuit(self):
         for psi in haar_states(20, seed=11):
             dense = circuit_unitary() @ np.kron(psi.amplitudes, psi.amplitudes)
-            np.testing.assert_allclose(dense, run_circuit(psi).final_state.amplitudes,
+            np.testing.assert_allclose(dense, run_circuit(psi).final_state,
                                        rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("p, p_gggg, readout, wootters", [

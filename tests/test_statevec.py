@@ -7,25 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concmeter import gates, statevec
-from concmeter.statevec import (
-    Gate,
-    Register,
-    apply_gate,
-    basis_index,
-    ground_register,
-    marginal,
-    normalized,
-    sample_outcomes,
-)
+from concmeter.statevec import Gate, apply_gate, basis_index, marginal, normalized
 from oracles import tensor
 
 SQ2 = 1.0 / math.sqrt(2.0)
-BELL = [0.0, SQ2, SQ2, 0.0]
+BELL = np.array([0.0, SQ2, SQ2, 0.0], dtype=complex)
 
 
-def random_register(rng, n):
+def ket(*amps):
+    """One state's flat amplitudes."""
+    return np.array(amps, dtype=complex)
+
+
+def ground(n):
+    """|g>^n as flat amplitudes."""
+    return np.eye(1, 2**n, dtype=complex)[0]
+
+
+def random_state(rng, n):
     a = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return Register(a / np.linalg.norm(a))
+    return a / np.linalg.norm(a)
 
 
 def random_gate_1q(rng):
@@ -34,28 +35,14 @@ def random_gate_1q(rng):
     return Gate(q)
 
 
-def apply(r, gate, *qubits):
-    """apply_gate on one register (a batch of one); flat amplitudes."""
-    batch = r.amplitudes.reshape((1,) + (2,) * r.n_qubits)
-    return apply_gate(batch, gate, qubits).reshape(-1)
+def batch_of_one(amps):
+    """One state's flat amplitudes as the batch apply_gate takes."""
+    return amps.reshape((1,) + (2,) * (amps.size.bit_length() - 1))
 
 
-class TestGroundRegister:
-    def test_single_qubit(self):
-        r = ground_register(1)
-        np.testing.assert_array_equal(r.amplitudes, [1, 0])
-
-    def test_two_qubits(self):
-        r = ground_register(2)
-        np.testing.assert_array_equal(r.amplitudes, [1, 0, 0, 0])
-
-    def test_four_qubits_all_ground(self):
-        assert marginal(ground_register(4), {1: 0, 2: 0, 3: 0, 4: 0}) == 1.0
-
-    @pytest.mark.parametrize("n", [0, -1, 9])
-    def test_out_of_range(self, n):
-        with pytest.raises(ValueError):
-            ground_register(n)
+def apply(amps, gate, *qubits):
+    """apply_gate on one state (a batch of one); flat amplitudes."""
+    return apply_gate(batch_of_one(amps), gate, qubits).reshape(-1)
 
 
 class TestGateValidation:
@@ -71,39 +58,6 @@ class TestGateValidation:
         m[2, 2] = bad
         with pytest.raises(ValueError, match="NaN/Inf"):
             Gate(m)
-
-
-class TestFromAmplitudes:
-    """A Register built from an explicit amplitude list."""
-
-    def test_eight_qubits_accepted_nine_rejected(self):
-        assert Register(np.full(2**8, 2.0**-4)).n_qubits == 8
-        with pytest.raises(ValueError, match="9 qubits exceeds the supported maximum of 8"):
-            Register(np.full(2**9, 2.0**-4.5))
-
-    def test_bell_state(self):
-        r = Register(BELL)
-        assert r.n_qubits == 2
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="norm"):
-            Register([1, 1, 0, 0])
-
-    def test_normalize_flag(self):
-        r = Register(normalized([1, 1, 0, 0]))
-        np.testing.assert_allclose(r.amplitudes, [SQ2, SQ2, 0, 0])
-
-    def test_complex_amplitudes(self):
-        r = Register([0.6, 0, 0, 0.8j])
-        assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            Register([1, 0, 0])
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            Register([float("nan"), 0])
 
 
 class TestAcceptInput:
@@ -147,38 +101,34 @@ class TestAcceptInput:
                 statevec.accept_input(states)
 
     def test_register_follows_the_rule(self):
-        r = Register([0, 0.70710678118, 0.70710678118, 0])
+        r = statevec.accept_input(ket(0, 0.70710678118, 0.70710678118, 0)[None])[0]
         out = apply(r, gates.cnot(), 1, 2)  # the gate's 1e-12 norm check passes
         assert abs(np.vdot(out, out).real - 1.0) <= statevec.NORM_TOL_UNITARY
 
 
 class TestTensor:
     def test_ge(self):
-        r = tensor(ground_register(1), Register(apply(ground_register(1), _flip(), 1)))
+        r = tensor(ground(1), apply(ground(1), _flip(), 1))
         # |ge> is index 1
-        assert abs(abs(r.amplitudes[1]) - 1.0) < 1e-12
+        assert abs(abs(r[1]) - 1.0) < 1e-12
 
     def test_bell_bell(self):
-        r = tensor(Register(BELL), Register(BELL))
-        for ket in ("gege", "geeg", "egge", "egeg"):
-            assert abs(r.amplitudes[statevec.basis_index(ket)] - 0.5) < 1e-12
+        r = tensor(BELL, BELL)
+        for basis in ("gege", "geeg", "egge", "egeg"):
+            assert abs(r[statevec.basis_index(basis)] - 0.5) < 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(5)
-        r = tensor(random_register(rng, 3), ground_register(1))
-        assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-12
-
-    def test_size_overflow(self):
-        with pytest.raises(ValueError):
-            tensor(ground_register(5), ground_register(4))
+        r = tensor(random_state(rng, 3), ground(1))
+        assert abs(np.linalg.norm(r) - 1.0) < 1e-12
 
     def test_associative(self):
         rng = np.random.default_rng(6)
-        a, b, c = (random_register(rng, 1) for _ in range(3))
+        a, b, c = (random_state(rng, 1) for _ in range(3))
         left = tensor(tensor(a, b), c)
         right = tensor(a, tensor(b, c))
         # float multiplication is not associative; one ulp is the best possible
-        np.testing.assert_allclose(left.amplitudes, right.amplitudes,
+        np.testing.assert_allclose(left, right,
                                    rtol=4 * np.finfo(float).eps, atol=0)
 
 
@@ -188,22 +138,22 @@ def _flip():
 
 class TestApply1Q:
     def test_sigma_y_on_ground(self):
-        out = apply(ground_register(1), gates.sigma_y(), 1)
+        out = apply(ground(1), gates.sigma_y(), 1)
         np.testing.assert_allclose(out, [0, 1j])
 
     def test_r_minus_on_ground(self):
-        out = apply(ground_register(1), gates.r_minus(), 1)
+        out = apply(ground(1), gates.r_minus(), 1)
         np.testing.assert_allclose(out, [SQ2, -SQ2])
 
     def test_identity(self):
         rng = np.random.default_rng(1)
-        r = random_register(rng, 3)
+        r = random_state(rng, 3)
         out = apply(r, Gate(np.eye(2)), 2)
-        np.testing.assert_allclose(out, r.amplitudes, atol=1e-15)
+        np.testing.assert_allclose(out, r, atol=1e-15)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply(ground_register(2), gates.sigma_y(), 3)
+            apply(ground(2), gates.sigma_y(), 3)
 
     def test_non_unitary_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -211,10 +161,10 @@ class TestApply1Q:
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
-        r1, r2 = random_register(rng, 2), random_register(rng, 2)
+        r1, r2 = random_state(rng, 2), random_state(rng, 2)
         g = random_gate_1q(rng)
         alpha, beta = 0.3 - 0.1j, 0.7 + 0.2j
-        mix = alpha * r1.amplitudes + beta * r2.amplitudes
+        mix = alpha * r1 + beta * r2
         direct = np.tensordot(
             g.matrix, mix.reshape(2, 2), axes=([1], [0])
         ).reshape(-1)
@@ -224,42 +174,42 @@ class TestApply1Q:
 
 class TestApply2Q:
     def test_cnot_eg(self):
-        out = apply(Register([0, 0, 1, 0]), gates.cnot(), 1, 2)  # |eg>
+        out = apply(ket(0, 0, 1, 0), gates.cnot(), 1, 2)  # |eg>
         np.testing.assert_allclose(out, [0, 0, 0, 1])  # |ee>
 
     def test_cnot_gg(self):
-        out = apply(ground_register(2), gates.cnot(), 1, 2)
+        out = apply(ground(2), gates.cnot(), 1, 2)
         np.testing.assert_allclose(out, [1, 0, 0, 0])
 
     def test_cphase_ee(self):
-        out = apply(Register([0, 0, 0, 1]), gates.cphase(), 1, 2)
+        out = apply(ket(0, 0, 0, 1), gates.cphase(), 1, 2)
         np.testing.assert_allclose(out, [0, 0, 0, -1])
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            apply(ground_register(2), gates.cnot(), 1, 1)
+            apply(ground(2), gates.cnot(), 1, 1)
 
     def test_reversed_pair_order(self):
         # control on qubit 2, target on qubit 1: |ge> -> |ee>
-        out = apply(Register([0, 1, 0, 0]), gates.cnot(), 2, 1)
+        out = apply(ket(0, 1, 0, 0), gates.cnot(), 2, 1)
         np.testing.assert_allclose(out, [0, 0, 0, 1])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_disjoint_gates_commute(self, seed):
         rng = np.random.default_rng(seed)
-        r = random_register(rng, 4)
+        r = random_state(rng, 4)
         g1, g2 = random_gate_1q(rng), random_gate_1q(rng)
-        ab = apply(Register(apply(r, g1, 1)), g2, 3)
-        ba = apply(Register(apply(r, g2, 3)), g1, 1)
+        ab = apply(apply(r, g1, 1), g2, 3)
+        ba = apply(apply(r, g2, 3), g1, 1)
         np.testing.assert_allclose(ab, ba, atol=1e-14)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_norm_preserved_by_gate_sequence(self, seed):
         rng = np.random.default_rng(seed)
-        r = random_register(rng, 3)
-        batch = r.amplitudes.reshape(1, 2, 2, 2)
+        r = random_state(rng, 3)
+        batch = batch_of_one(r)
         for _ in range(5):
             q = int(rng.integers(1, 4))
             batch = apply_gate(batch, random_gate_1q(rng), (q,))
@@ -278,7 +228,7 @@ class TestGatePlan:
     ])
     def test_same_message_on_every_call_and_nothing_cached(self, gate, qubits, message):
         statevec._gate_plan.cache_clear()
-        batch = ground_register(3).amplitudes.reshape(1, 2, 2, 2)
+        batch = batch_of_one(ground(3))
         for _ in range(3):
             with pytest.raises(ValueError) as info:
                 apply_gate(batch, gate, qubits)
@@ -287,12 +237,12 @@ class TestGatePlan:
 
     @pytest.mark.parametrize("qubits", [[3, 1], (np.int64(3), np.int32(1)), np.array([3, 1])])
     def test_index_types_give_the_same_array(self, qubits):
-        batch = random_register(np.random.default_rng(5), 3).amplitudes.reshape(1, 2, 2, 2)
+        batch = batch_of_one(random_state(np.random.default_rng(5), 3))
         expected = apply_gate(batch, gates.cnot(), (3, 1))
         assert np.array_equal(apply_gate(batch, gates.cnot(), qubits), expected)
 
     def test_float_index_rejected(self):
-        batch = ground_register(2).amplitudes.reshape(1, 2, 2)
+        batch = batch_of_one(ground(2))
         apply_gate(batch, gates.sigma_y(), (2,))
         with pytest.raises(TypeError):
             apply_gate(batch, gates.sigma_y(), (2.0,))
@@ -300,7 +250,7 @@ class TestGatePlan:
     def test_cache_bounded(self):
         keys = 0
         for n in range(1, 9):
-            batch = ground_register(n).amplitudes.reshape((1,) + (2,) * n)
+            batch = batch_of_one(ground(n))
             for q1 in range(1, n + 1):
                 apply_gate(batch, gates.sigma_y(), (q1,))
                 keys += 1
@@ -313,19 +263,19 @@ class TestGatePlan:
         assert info.currsize <= info.maxsize
 
 
-def basis_probability(r, ket):
+def basis_probability(amps, basis):
     """|amplitude|^2 of one basis ket, read straight from the array."""
-    return float(abs(r.amplitudes[basis_index(ket)]) ** 2)
+    return float(abs(amps[basis_index(basis)]) ** 2)
 
 
 class TestBasisProbability:
     """The probability of one basis ket: marginal with every qubit fixed."""
 
     def test_bell(self):
-        assert abs(marginal(Register(BELL), {1: 0, 2: 1}) - 0.5) < 1e-12
+        assert abs(marginal(BELL, {1: 0, 2: 1}) - 0.5) < 1e-12
 
     def test_real_amplitudes(self):
-        assert abs(marginal(Register([0.6, 0, 0, 0.8]), {1: 1, 2: 1}) - 0.64) < 1e-12
+        assert abs(marginal(ket(0.6, 0, 0, 0.8), {1: 1, 2: 1}) - 0.64) < 1e-12
 
     def test_malformed_basis(self):
         with pytest.raises(ValueError):
@@ -333,28 +283,28 @@ class TestBasisProbability:
 
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="out of range"):
-            marginal(Register(BELL), {1: 0, 3: 0})
+            marginal(BELL, {1: 0, 3: 0})
 
 
 class TestMarginal:
     def test_sums_basis_probabilities(self):
-        r = random_register(np.random.default_rng(21), 4)
-        expected = sum(basis_probability(r, ket) for ket in
+        r = random_state(np.random.default_rng(21), 4)
+        expected = sum(basis_probability(r, basis) for basis in
                        ("egeg", "egee", "eeeg", "eeee"))  # qubit 1 = e, qubit 3 = e
         assert abs(marginal(r, {1: 1, 3: 1}) - expected) < 1e-15
 
     def test_all_qubits_fixed_is_basis_probability(self):
-        r = random_register(np.random.default_rng(22), 3)
+        r = random_state(np.random.default_rng(22), 3)
         assert marginal(r, {1: 0, 2: 1, 3: 1}) == basis_probability(r, "gee")
 
     def test_no_qubit_fixed_is_total(self):
-        r = random_register(np.random.default_rng(23), 3)
+        r = random_state(np.random.default_rng(23), 3)
         assert abs(statevec.marginal(r, {}) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("bits", [{0: 1}, {4: 0}, {1: 2}, {2: -1}])
     def test_bad_qubit_or_bit_rejected(self, bits):
         with pytest.raises(ValueError):
-            statevec.marginal(ground_register(3), bits)
+            statevec.marginal(ground(3), bits)
 
 
 class TestMarginalPlan:
@@ -366,20 +316,20 @@ class TestMarginalPlan:
         for _ in range(3):
             misses = statevec._marginal_plan.cache_info().misses
             with pytest.raises(ValueError):
-                marginal(ground_register(3), bits)
+                marginal(ground(3), bits)
             assert statevec._marginal_plan.cache_info().misses == misses + 1  # checked again
             with pytest.raises(ValueError):  # among good patterns too
-                marginal(ground_register(3), {1: 0}, bits, {})
+                marginal(ground(3), {1: 0}, bits, {})
 
     def test_pattern_checked_per_register_size(self):
         # {4: 0} is cached as good for 4 qubits, and still fails on 3
-        assert marginal(ground_register(4), {4: 0}) == 1.0
+        assert marginal(ground(4), {4: 0}) == 1.0
         for _ in range(2):
             with pytest.raises(ValueError, match="out of range"):
-                marginal(ground_register(3), {4: 0})
+                marginal(ground(3), {4: 0})
 
     def test_plan_reused(self):
-        r = random_register(np.random.default_rng(24), 4)
+        r = random_state(np.random.default_rng(24), 4)
         marginal(r, {2: 1, 4: 0})
         hits = statevec._marginal_plan.cache_info().hits
         assert marginal(r, {2: 1, 4: 0}) == marginal(r, {2: 1, 4: 0})
@@ -388,49 +338,47 @@ class TestMarginalPlan:
     @pytest.mark.parametrize("n", [1, 3, 6, 8])
     def test_several_patterns_equal_one_call_each(self, n):
         rng = np.random.default_rng(25 + n)
-        r = random_register(rng, n)
+        r = random_state(rng, n)
         patterns = [{}, {1: 1}, {n: 0, 1: 0}, {q: int(rng.integers(2)) for q in range(1, n + 1)},
                     *({q: int(rng.integers(2)) for q in range(1, n + 1) if rng.random() < 0.5}
                       for _ in range(6))]
         one_each = tuple(marginal(r, bits) for bits in patterns)
         assert marginal(r, *patterns) == one_each
-        batch = r.amplitudes.reshape((1,) + (2,) * n)
-        assert marginal(batch, *patterns) == one_each
+        assert marginal(batch_of_one(r), *patterns) == one_each
         assert all(type(p) is float for p in one_each)
 
 
 class TestSampleOutcomes:
+    """Born-rule sampling of one state's outcomes: index-ordered counts."""
+
     def test_deterministic_state(self):
-        counts = sample_outcomes(ground_register(4), 1000, seed=3)
-        assert counts == {"gggg": 1000}
+        counts = statevec._born_counts(ground(4), 1000, seed=3)
+        assert counts.tolist() == [1000] + [0] * 15
 
     def test_bell_binomial(self):
         n = 10**6
-        counts = sample_outcomes(Register(BELL), n, seed=7)
+        counts = statevec._born_counts(BELL, n, seed=7)
         sigma = math.sqrt(0.25 / n)
-        assert abs(counts["ge"] / n - 0.5) < 5 * sigma
-        assert sum(counts.values()) == n
+        assert abs(counts[basis_index("ge")] / n - 0.5) < 5 * sigma
+        assert counts.sum() == n
 
     def test_same_seed_identical(self):
-        r = Register(BELL)
-        assert sample_outcomes(r, 5000, seed=11) == sample_outcomes(r, 5000, seed=11)
+        draws = [statevec._born_counts(BELL, 5000, seed=11) for _ in range(2)]
+        assert np.array_equal(*draws)
 
     def test_chi_square_goodness_of_fit(self):
         from scipy import stats
 
         rng = np.random.default_rng(13)
         for trial in range(5):
-            r = random_register(rng, 3)
+            r = random_state(rng, 3)
             n = 10**5
-            counts = sample_outcomes(r, n, seed=100 + trial)
-            probs = np.abs(r.amplitudes) ** 2
-            observed = np.array(
-                [counts.get(statevec.basis_string(i, 3), 0) for i in range(8)]
-            )
+            observed = statevec._born_counts(r, n, seed=100 + trial)
+            probs = np.abs(r) ** 2
             keep = probs * n >= 5  # chi-square validity threshold
             _, p_value = stats.chisquare(observed[keep], probs[keep] / probs[keep].sum() * observed[keep].sum())
             assert p_value > 0.001
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
-            sample_outcomes(ground_register(1), 0, seed=0)
+            statevec._born_counts(ground(1), 0, seed=0)
