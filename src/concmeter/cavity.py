@@ -25,11 +25,6 @@ from .statevec import Gate, InvariantViolation
 CAVITY_MATCH_TOL = 1e-10
 PHOTON_VACUUM_TOL = 1e-12
 MIN_SPEED_GAP = 1e-6  # m/s; below this the overtake position degenerates
-BISECTION_TOL = 1e-9  # m, on the overtake position
-# float64 spans 2^-1074 .. 2^1024, so this many halvings or doublings
-# exhaust any interval: the delay search ends even where the tolerance
-# underflows, falls below one ulp of the bracket, or the bracket overflows
-MAX_SEARCH_STEPS = 2100
 
 # slot positions (1-based qubit indices) in the relay register
 ATOM1, ATOM2, ATOM3, ATOM4, PHOTON, ATOM5 = 1, 2, 3, 4, 5, 6
@@ -182,10 +177,6 @@ class FlightConfig:
     def speeds(self) -> dict[int, float]:
         return {1: self.v, 2: self.w, 3: self.v, 4: self.w}
 
-    def position(self, atom: int, t: float) -> float:
-        t0 = self.emission_times[atom]
-        return self.speeds[atom] * max(0.0, t - t0)
-
 
 @dataclass(frozen=True)
 class OrderingReport:
@@ -206,7 +197,7 @@ def _overtake_position(cfg: FlightConfig, dt: float) -> float:
 
 def _order_at(cfg: FlightConfig, t: float) -> tuple[int, ...]:
     t0, speed = cfg.emission_times, cfg.speeds
-    # FlightConfig.position inline; ties broken by emission order: the later atom sits behind
+    # position at t; ties broken by emission order: the later atom sits behind
     key = {a: (speed[a] * max(0.0, t - t0[a]), -t0[a]) for a in (1, 2, 3, 4)}
     return tuple(sorted(key, key=key.__getitem__))
 
@@ -262,8 +253,8 @@ class DelaySolution:
 
 def solve_delays(v: float, w: float, x_C: float, x_D: float,
                  L_C: float, L_D: float) -> DelaySolution:
-    """Pick tau so each pair crosses at the cavity-C center and tau_prime
-    (by bisection) so the atom-1/atom-4 swap lands midway between the
+    """Pick tau so each pair crosses at the cavity-C center and tau_prime,
+    in closed form, so the atom-1/atom-4 swap lands midway between the
     cavities; the result is re-validated by kinematics_report.
 
     Raises ValueError unless every speed and length is finite and
@@ -279,30 +270,11 @@ def solve_delays(v: float, w: float, x_C: float, x_D: float,
 
     tau = x_C * (1.0 / v - 1.0 / w)
     x_mid = ((x_C + L_C / 2.0) + (x_D - L_D / 2.0)) / 2.0
-
-    def swap14(tau_prime: float) -> float:
-        return v * w * (2.0 * tau + tau_prime) / (w - v)
-
-    if not swap14(0.0) < x_mid:
-        # swap already at or past the midpoint with zero inter-pair delay, or
-        # NaN, as when 1/v overflows: tau is infinite and v * w, which the
-        # search below divides by, underflows to 0
+    # the swap lands at v*w*(2*tau + tau_prime)/(w - v), linear in tau_prime;
+    # (w - v)/w/v never forms v*w, and w - v is exact whenever v >= w/2
+    tau_prime = x_mid * ((w - v) / w / v) - 2.0 * tau
+    if not tau_prime > 0.0:  # past x_mid at zero delay, or NaN (inf - inf) when 1/v overflows
         tau_prime = 0.0
-    else:
-        lo, hi = 0.0, (w - v) * x_mid / (v * w)  # swap14(hi) > x_mid
-        for _ in range(MAX_SEARCH_STEPS):
-            if not swap14(hi) < x_mid:
-                break
-            hi *= 2.0
-        for _ in range(MAX_SEARCH_STEPS):
-            if not hi - lo > BISECTION_TOL * (w - v) / (v * w):
-                break
-            mid = 0.5 * (lo + hi)
-            if swap14(mid) < x_mid:
-                lo = mid
-            else:
-                hi = mid
-        tau_prime = 0.5 * (lo + hi)
 
     cfg = FlightConfig(v=v, w=w, tau=tau, tau_prime=tau_prime,
                        x_C=x_C, x_D=x_D, L_C=L_C, L_D=L_D)

@@ -89,6 +89,9 @@ def map_photon_to_atom5(amps: np.ndarray) -> np.ndarray:
 
 def order_at(cfg, t: float) -> tuple[int, ...]:
     """The atoms of a `FlightConfig` at time t, nearest the source first,
-    sorted by `cfg.position`; on a tie the atom emitted later sits behind."""
-    pos = {a: cfg.position(a, t) for a in (1, 2, 3, 4)}
-    return tuple(sorted(pos, key=lambda a: (pos[a], -cfg.emission_times[a])))
+    sorted by position; on a tie the atom emitted later sits behind. Each
+    atom waits at the source, x = 0, until its emission, then flies at its
+    speed."""
+    t0, speed = cfg.emission_times, cfg.speeds
+    pos = {a: speed[a] * max(0.0, t - t0[a]) for a in (1, 2, 3, 4)}
+    return tuple(sorted(pos, key=lambda a: (pos[a], -t0[a])))

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concmeter import cavity, gates, statevec
@@ -356,6 +356,24 @@ class TestOrderAt:
         assert cavity._order_at(cfg, 1e-3) == order_at(cfg, 1e-3) == (1, 3, 2, 4)
 
 
+# speeds, speed gaps and geometry whose plan is feasible: the pairs cross in C,
+# and cavity D starts beyond C and beyond the swap at zero inter-pair delay
+@st.composite
+def physical_geometries(draw):
+    v = draw(st.floats(1.0, 1e4))
+    w = v + draw(st.floats(2e-6, 1e4))  # clear of MIN_SPEED_GAP after rounding
+    x_C = draw(st.floats(1e-3, 10.0))
+    L_C = x_C * draw(st.floats(1e-2, 1.0))
+    L_D = x_C * draw(st.floats(1e-3, 1.0))
+    d_entry = max(x_C + L_C / 2.0, 2.0 * x_C) * (1.0 + draw(st.floats(1e-3, 10.0)))
+    return v, w, x_C, d_entry + L_D / 2.0, L_C, L_D
+
+
+# overlapping cavities, at scales where (w - v) * x_mid overflows float64
+OVERFLOW_INPUT = (8.60264206784788e+33, 2.582280531452439e+201, 5.177719195774479e-205,
+                  5.1238838141742e+40, 7.231957997754775e+221, 1.8764291362952554e+63)
+
+
 class TestSolveDelays:
     def test_closed_form_tau(self):
         sol = solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02)
@@ -371,13 +389,27 @@ class TestSolveDelays:
         assert report.order_after_C == (3, 4, 1, 2)
         assert report.order_at_D == (3, 1, 4, 2)
 
-    def test_bracket_doubled_when_it_rounds_below_the_midpoint(self):
-        # x_C is below one ulp of the midpoint, so the first bracket, which
-        # is exact in real numbers, rounds to a swap just short of it
-        sol = solve_delays(244.0, 851.0, 1e-22, 1.7, 0.02, 0.02)
+    @given(physical_geometries())
+    @example((244.0, 851.0, 1e-22, 1.7, 0.02, 0.02))  # x_C below one ulp of the midpoint
+    @example((300.0, 500.0, 2e-10, 6.1e-10, 2e-11, 2e-11))  # no length scale enters the delays
+    @settings(max_examples=300, deadline=None)
+    def test_plan_lands_on_its_targets(self, args):
+        v, w, x_C, x_D, L_C, L_D = args
+        sol = solve_delays(*args)
         assert sol.feasible
-        x_mid = ((1e-22 + 0.01) + (1.7 - 0.01)) / 2.0
-        assert abs(sol.report.swap14_position - x_mid) <= cavity.BISECTION_TOL
+        x_mid = ((x_C + L_C / 2.0) + (x_D - L_D / 2.0)) / 2.0
+        swap14, bound = sol.report.swap14_position, 4 * math.ulp(x_mid)
+        if sol.config.tau_prime > 0.0:
+            assert abs(swap14 - x_mid) <= bound
+        else:
+            # no delay is needed when the pairs' own gap puts the swap past the midpoint
+            assert sol.config.tau_prime == 0.0 and swap14 >= x_mid - bound
+
+    def test_overlapping_cavities_bind_on_the_swap_at_any_scale(self):
+        # a finite delay, and no delay puts the swap between the cavities
+        sol = solve_delays(*OVERFLOW_INPUT)
+        assert math.isfinite(sol.config.tau_prime)
+        assert sol.binding_constraint == "swap14_not_between_cavities"
 
     @pytest.mark.parametrize("v", [5e-324, 1e-320])
     def test_speed_whose_inverse_overflows_is_infeasible(self, v):

@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concmeter import cli
@@ -287,8 +287,7 @@ class TestKinematicsBoundary:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("v, w, xc, xd, lc", [
-        # cavities 10^4 km out: the bisection tolerance falls below one
-        # ulp of the bracket, and an unbounded bisection never ends
+        # cavities 10^4 km out, speeds and lengths at the ends of the float range
         (300.0, 500.0, 1e7, 1e8, 0.02),
         (1e-300, 1e300, 0.2, 0.6, 0.02),
         (1e300, 1.7e308, 0.2, 0.6, 0.02),
@@ -302,6 +301,9 @@ class TestKinematicsBoundary:
             assert main(argv) in (0, 3)
 
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=6, max_size=6))
+    # (w - v) * x_mid overflows, and the cavities overlap
+    @example([8.60264206784788e+33, 2.582280531452439e+201, 5.177719195774479e-205,
+              5.1238838141742e+40, 7.231957997754775e+221, 1.8764291362952554e+63])
     @settings(max_examples=150, deadline=None)
     def test_any_float_input_ends_with_an_exit_code(self, values):
         argv = ["cavity", "--kinematics"]

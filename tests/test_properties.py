@@ -125,6 +125,9 @@ class TestLibraryBoundary:
 
     @given(st.lists(REALS, min_size=6, max_size=6))
     @example([5e-324, 0.5, 1.0, 2.0, 1.0, 1.0])  # v * w underflows to 0
+    # (w - v) * x_mid overflows, and the cavities overlap
+    @example([8.60264206784788e+33, 2.582280531452439e+201, 5.177719195774479e-205,
+              5.1238838141742e+40, 7.231957997754775e+221, 1.8764291362952554e+63])
     @settings(max_examples=300, deadline=None)
     def test_solve_delays(self, args):
         out = result_or_value_error(lambda: solve_delays(*args))
