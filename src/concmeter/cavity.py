@@ -63,7 +63,7 @@ _VACUUM = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # photon |0>, atom 5 |g
 def _swap_from_ground(states: np.ndarray, ground: int, pair, message, stage) -> np.ndarray:
     """SWAP the pair of slots, once slot `ground` is checked to read 0."""
     population = statevec.marginal(states, {ground: 1})
-    if population > PHOTON_VACUUM_TOL:
+    if not population <= PHOTON_VACUUM_TOL:  # NaN fails too
         raise InvariantViolation(message, stage=stage, value=population, tol=PHOTON_VACUUM_TOL)
     return statevec.apply_gate(states, _SWAP, pair)
 
@@ -191,8 +191,10 @@ class OrderingReport:
 
 
 def _overtake_position(cfg: FlightConfig, dt: float) -> float:
-    """Where a fast atom catches a slow one emitted dt earlier."""
-    return cfg.v * cfg.w * dt / (cfg.w - cfg.v)
+    """Where a fast atom catches a slow one emitted dt earlier: dt over the
+    lag (w - v)/w/v per metre, which, unlike v*w, does not overflow for
+    fast atoms."""
+    return dt / ((cfg.w - cfg.v) / cfg.w / cfg.v)
 
 
 def _order_at(cfg: FlightConfig, t: float) -> tuple[int, ...]:

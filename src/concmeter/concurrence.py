@@ -2,6 +2,7 @@
 Wootters mixed-state construction, used as an independent cross-check."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,9 @@ class PureState:
         # one draw of 8 is the same stream as two draws of 4
         x = rng.standard_normal(8)
         a = x[:4] + 1j * x[4:]
-        return cls(*(a / np.linalg.norm(a)))
+        # np.linalg.norm(a)'s own arithmetic, without its Python wrapper
+        norm = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+        return cls(*(a / norm).tolist())
 
     def density_matrix(self) -> np.ndarray:
         a = self.amplitudes

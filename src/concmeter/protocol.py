@@ -110,7 +110,7 @@ def analytic_phi1_batch(amps) -> np.ndarray:
     c = np.asarray(amps, dtype=complex)
     products = (c[:, :, None] * c[:, None, :]).reshape(-1, 16)
     table = (products @ _PHI1_MATRIX) * _SQRT2_INV
-    deviation = np.abs(statevec._squared_norms(table) - 1.0)
+    deviation = np.abs(np.vecdot(table, table).real - 1.0)
     i = statevec._first_outside(deviation, None, TABLE_NORM_TOL)  # NaN fails too
     if i >= 0:
         raise InvariantViolation("analytic amplitude table is not normalised",
@@ -133,11 +133,18 @@ def run_batch(amps) -> BatchResult:
     after each gate, and its final state against the analytic table, phase-strict, within
     ORACLE_TOL. A failed check inside the circuit raises
     InvariantViolation naming the row."""
-    return _run(_input_batch(amps))
+    final, probs, residual = _run(_input_batch(amps))
+    p_gggg, p_egeg = probs.T
+    return BatchResult(amplitudes=final, p_gggg=p_gggg, p_egeg=p_egeg,
+                       oracle_residual=residual)
 
 
-def _run(a: np.ndarray) -> BatchResult:
-    """run_batch on rows already checked as input states."""
+def _run(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The circuit, with every check of run_batch, on rows already checked
+    as input states. Returns plain arrays, row i for input state i: the
+    (N, 16) final amplitudes, the (N, 2) readout probabilities P_gggg and
+    P_egeg, and the (N,) oracle residuals; run_batch and run_circuit each
+    build their own result from them."""
     psi = _prepare(a)
     psi = statevec.apply_gate(psi, _CNOT, (2, 4))
     psi = statevec.apply_gate(psi, _R_MINUS, (2,))
@@ -149,24 +156,22 @@ def _run(a: np.ndarray) -> BatchResult:
         raise InvariantViolation("simulated state deviates from the analytic table",
                                  stage="amplitude table", value=float(residual[i]),
                                  tol=ORACLE_TOL, row=i)
-    p_gggg, p_egeg = (np.abs(final[:, _READOUT_KETS]) ** 2).T  # one gather
-    return BatchResult(amplitudes=final, p_gggg=p_gggg, p_egeg=p_egeg,
-                       oracle_residual=residual)
+    return final, np.abs(final.take(_READOUT_KETS, axis=1)) ** 2, residual  # one gather
 
 
 def run_circuit(psi: PureState) -> ProtocolResult:
     """Execute the full circuit and extract concurrence, with the analytic
     amplitude table checked ket-by-ket (phase-strict): a batch of one,
-    whose input PureState has already been validated."""
-    batch = _run(psi.amplitudes[None])
-    final = batch.amplitudes[0]  # checked by apply_gate
+    whose input PureState has already been validated. Both probabilities
+    are read as Python floats in one .tolist()."""
+    final, probs, residual = _run(psi.amplitudes[None])
+    (p_gggg, p_egeg), = probs.tolist()
+    final = final[0]  # checked by apply_gate
     final.flags.writeable = False
-    p_gggg = batch.p_gggg.item()
     return ProtocolResult(
         final_state=final,
         p_gggg=p_gggg,
-        p_egeg=batch.p_egeg.item(),
+        p_egeg=p_egeg,
         concurrence_measured=extract_concurrence(p_gggg),
-        oracle_residual=batch.oracle_residual.item(),
+        oracle_residual=residual.item(),
     )
-

@@ -22,6 +22,8 @@ import numpy as np
 NORM_TOL_INPUT = 1e-9
 NORM_TOL_UNITARY = 1e-12
 UNITARITY_TOL = 1e-12
+# apply_gate's |norm - 1| <= NORM_TOL_UNITARY, as bounds on the squared norm
+_UNITARY_SQUARED_NORMS = ((1.0 - NORM_TOL_UNITARY) ** 2, (1.0 + NORM_TOL_UNITARY) ** 2)
 _MAX_SHOTS = np.iinfo(np.int64).max  # the largest count numpy's samplers take
 
 
@@ -97,19 +99,14 @@ def _first_outside(values: np.ndarray, low: float | None, high: float) -> int:
     return int(np.argmax(~inside))
 
 
-def _first_bad_row(squared: np.ndarray, tol: float) -> int:
-    """Index of the first row whose norm is not within tol of 1, or -1.
-    |norm - 1| <= tol is tested as (1 - tol)^2 <= norm^2 <= (1 + tol)^2."""
-    return _first_outside(squared, (1.0 - tol) ** 2, (1.0 + tol) ** 2)
-
-
 def check_batch(states: np.ndarray, tol: float) -> None:
     """Validate a batch of states, one per row (axis 0), in one vectorised
     pass: each row must be finite with a norm within tol of 1. Raises
     ValueError for the first row that is not, naming it by index when the
     batch has more than one row."""
     squared = _squared_norms(states)
-    i = _first_bad_row(squared, tol)
+    # |norm - 1| <= tol, tested as (1 - tol)^2 <= norm^2 <= (1 + tol)^2
+    i = _first_outside(squared, (1.0 - tol) ** 2, (1.0 + tol) ** 2)
     if i < 0:
         return
     where = f"row {i}: " if len(squared) > 1 else ""
@@ -224,7 +221,9 @@ def apply_gate(states: np.ndarray, gate: Gate,
     read-only).
 
     Every row is checked once, for the whole batch, to be finite
-    with a norm within NORM_TOL_UNITARY of 1; since the gate is unitary
+    with a norm within NORM_TOL_UNITARY of 1: one np.vecdot of the flat
+    (N, 2**n) result, against bounds on the squared norm computed once,
+    at import. Since the gate is unitary
     and its input normalised, a row that fails is an InvariantViolation.
     Input outside that contract (never through accept_input) fails the
     same way, and a squared norm that overflows may first make numpy warn
@@ -241,8 +240,8 @@ def apply_gate(states: np.ndarray, gate: Gate,
         moved = states.transpose(perm)
         out = (gate.matrix @ moved.reshape(d, -1)).reshape(moved.shape)
         flat = out.transpose(inverse).copy().reshape(len(states), -1)
-    squared = _squared_norms(flat)
-    i = _first_bad_row(squared, NORM_TOL_UNITARY)
+    squared = np.vecdot(flat, flat).real
+    i = _first_outside(squared, *_UNITARY_SQUARED_NORMS)
     if i >= 0:
         raise InvariantViolation("state norm not preserved", stage="gate application",
                                  value=abs(math.sqrt(squared[i]) - 1.0),

@@ -1,10 +1,11 @@
 import copy
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concmeter import cavity, gates, statevec
@@ -95,6 +96,19 @@ class TestPhotonicRelay:
     def test_occupied_photon_rejected(self):
         with pytest.raises(InvariantViolation, match="vacuum"):
             map_atom_to_photon(relay_with((1, 0), photon_amps=(0, 1)))
+
+    @pytest.mark.parametrize("relay_step, slot, stage", [
+        (map_atom_to_photon, (0, 0, 0, 0, 1, 0), "atom-to-photon map"),
+        (map_photon_to_atom5, (0, 0, 0, 0, 0, 1), "photon-to-atom map")])
+    def test_nan_in_the_checked_slot_fails_its_own_check(self, relay_step, slot, stage):
+        # a NaN population is not within PHOTON_VACUUM_TOL: it must fail the
+        # slot's own check, not the norm check of the SWAP after it
+        r = relay_with((1, 0)).reshape([2] * 6)
+        r[slot] = np.nan
+        with pytest.raises(InvariantViolation) as info:
+            relay_step(r.reshape(-1))
+        assert info.value.stage == stage
+        assert math.isnan(info.value.value)
 
     def test_cphase_flips_e1(self):
         r = relay_with((1, 0), atom4_amps=(0, 1), photon_amps=(0, 1))
@@ -404,6 +418,33 @@ class TestSolveDelays:
         else:
             # no delay is needed when the pairs' own gap puts the swap past the midpoint
             assert sol.config.tau_prime == 0.0 and swap14 >= x_mid - bound
+
+    def test_fast_atoms_feasible(self):
+        # v * w overflows here, but neither crossing nor the plan does
+        sol = solve_delays(3e162, 9e162, 0.2, 0.6, 0.02, 0.02)
+        assert sol.feasible
+        assert sol.report.pair12_cross_position == pytest.approx(0.2, rel=1e-15)
+        assert sol.report.swap14_position == pytest.approx(0.4, rel=1e-15)
+
+    @given(physical_geometries(), st.integers(-60, 1000))
+    @example((300.0, 500.0, 0.2, 0.6, 0.02, 0.02), 504)  # v * w overflows from k = 504
+    @settings(max_examples=300, deadline=None)
+    def test_speeds_scaled_by_a_power_of_two(self, args, k):
+        # scaling both speeds by 2**k scales every delay by 2**-k exactly and
+        # leaves every position as it is, wherever no intermediate leaves the
+        # normal range and the scaled gap stays clear of MIN_SPEED_GAP
+        v, w, *geometry = args
+        sv, sw = math.ldexp(v, k), math.ldexp(w, k)
+        assume(sw < math.inf and sw - sv >= 2 * cavity.MIN_SPEED_GAP)
+        base, scaled = solve_delays(v, w, *geometry), solve_delays(sv, sw, *geometry)
+        delays = (base.config.tau, base.config.tau_prime)
+        assume(all(d == 0.0 or sys.float_info.min <= math.ldexp(d, -k) for d in delays))
+        assume(sys.float_info.min <= 1.0 / sw)
+        assert scaled.feasible == base.feasible
+        assert scaled.binding_constraint == base.binding_constraint
+        assert (scaled.config.tau, scaled.config.tau_prime) == tuple(math.ldexp(d, -k)
+                                                                     for d in delays)
+        assert scaled.report == base.report
 
     def test_overlapping_cavities_bind_on_the_swap_at_any_scale(self):
         # a finite delay, and no delay puts the swap between the cavities

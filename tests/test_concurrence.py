@@ -155,6 +155,13 @@ def test_validate_density_matrix_rejects_non_hermitian():
         validate_density_matrix(rho)
 
 
+@pytest.mark.parametrize("rho", [np.eye(3) / 3, np.eye(8) / 8, np.full(16, 1 / 16)],
+                         ids=["3x3", "8x8", "flat"])
+def test_wrong_shape_density_matrix_rejected(rho):
+    with pytest.raises(ValueError, match="expected a 4x4 density matrix"):
+        validate_density_matrix(rho)
+
+
 def test_non_positive_density_matrix_rejected():
     # Hermitian with unit trace, but one eigenvalue is -0.5
     with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):

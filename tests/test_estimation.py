@@ -137,6 +137,11 @@ class TestSimulateShots:
         expected = binomial_thinning(counts, model, rng)
         assert simulate_shots(psi, n, model, seed).n_no_fluorescence == expected
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_shots_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            simulate_shots(BELL, n)
+
     def test_bell_large_n(self):
         summary = simulate_shots(BELL, 10**6, IDEAL, seed=5)
         sigma = math.sqrt(0.125 * 0.875 / 10**6)

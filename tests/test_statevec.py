@@ -106,6 +106,18 @@ class TestAcceptInput:
         assert abs(np.vdot(out, out).real - 1.0) <= statevec.NORM_TOL_UNITARY
 
 
+class TestNormalized:
+    @pytest.mark.parametrize("amps", [[np.inf, 0, 0, 0], [0, complex(0, -np.inf), 0, 1],
+                                      [0, np.nan, 0, 1]], ids=["inf", "imag_inf", "nan"])
+    def test_non_finite_rejected_without_a_warning(self, amps):
+        # without its own check, an infinite amplitude scales to inf/inf: numpy
+        # warns, and the result is NaN rather than an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="amplitudes contain NaN/Inf"):
+                normalized(amps)
+
+
 class TestTensor:
     def test_ge(self):
         r = tensor(ground(1), apply(ground(1), _flip(), 1))
