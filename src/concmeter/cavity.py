@@ -193,8 +193,13 @@ class OrderingReport:
 def _overtake_position(cfg: FlightConfig, dt: float) -> float:
     """Where a fast atom catches a slow one emitted dt earlier: dt over the
     lag (w - v)/w/v per metre, which, unlike v*w, does not overflow for
-    fast atoms."""
-    return dt / ((cfg.w - cfg.v) / cfg.w / cfg.v)
+    fast atoms. A lag that underflows to 0, for near-max speeds a few ulps
+    apart, gives inf (never caught up) or, with no head start, NaN: both
+    fail every crossing check, as dt/0 does in IEEE arithmetic."""
+    lag = (cfg.w - cfg.v) / cfg.w / cfg.v
+    if lag > 0.0:
+        return dt / lag
+    return math.inf if dt > 0.0 else math.nan
 
 
 def _order_at(cfg: FlightConfig, t: float) -> tuple[int, ...]:

@@ -22,8 +22,6 @@ import numpy as np
 NORM_TOL_INPUT = 1e-9
 NORM_TOL_UNITARY = 1e-12
 UNITARITY_TOL = 1e-12
-# apply_gate's |norm - 1| <= NORM_TOL_UNITARY, as bounds on the squared norm
-_UNITARY_SQUARED_NORMS = ((1.0 - NORM_TOL_UNITARY) ** 2, (1.0 + NORM_TOL_UNITARY) ** 2)
 _MAX_SHOTS = np.iinfo(np.int64).max  # the largest count numpy's samplers take
 
 
@@ -73,11 +71,14 @@ class Gate:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _squared_norms(states: np.ndarray) -> np.ndarray:
-    """The squared norm of each row (axis 0) of a batch, in one gufunc call;
-    NaN or Inf for a row with non-finite amplitudes."""
-    rows = states.reshape(len(states), -1)
-    return np.vecdot(rows, rows).real
+def _squared_bounds(tol: float) -> tuple[float, float]:
+    """|norm - 1| <= tol, as bounds on the squared norm:
+    (1 - tol)^2 <= norm^2 <= (1 + tol)^2."""
+    return (1.0 - tol) ** 2, (1.0 + tol) ** 2
+
+
+# apply_gate's bounds, computed once
+_UNITARY_SQUARED_NORMS = _squared_bounds(NORM_TOL_UNITARY)
 
 
 def _first_outside(values: np.ndarray, low: float | None, high: float) -> int:
@@ -100,13 +101,13 @@ def _first_outside(values: np.ndarray, low: float | None, high: float) -> int:
 
 
 def check_batch(states: np.ndarray, tol: float) -> None:
-    """Validate a batch of states, one per row (axis 0), in one vectorised
+    """Validate an (N, d) batch of states, one per row, in one vectorised
     pass: each row must be finite with a norm within tol of 1. Raises
     ValueError for the first row that is not, naming it by index when the
     batch has more than one row."""
-    squared = _squared_norms(states)
-    # |norm - 1| <= tol, tested as (1 - tol)^2 <= norm^2 <= (1 + tol)^2
-    i = _first_outside(squared, (1.0 - tol) ** 2, (1.0 + tol) ** 2)
+    # NaN or Inf for a row with non-finite amplitudes
+    squared = np.vecdot(states, states).real
+    i = _first_outside(squared, *_squared_bounds(tol))
     if i < 0:
         return
     where = f"row {i}: " if len(squared) > 1 else ""
@@ -126,7 +127,7 @@ def accept_input(states: np.ndarray) -> np.ndarray:
     # amplitudes of any magnitude arrive here: a squared norm that overflows
     # fails the check below, with no numpy warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        squared = _squared_norms(states)
+        squared = np.vecdot(states, states).real
         if _first_outside(squared, 1.0 - NORM_TOL_UNITARY, 1.0 + NORM_TOL_UNITARY) < 0:
             return states
         check_batch(states, NORM_TOL_INPUT)

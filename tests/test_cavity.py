@@ -426,6 +426,13 @@ class TestSolveDelays:
         assert sol.report.pair12_cross_position == pytest.approx(0.2, rel=1e-15)
         assert sol.report.swap14_position == pytest.approx(0.4, rel=1e-15)
 
+    def test_near_max_speeds_an_ulp_apart_are_infeasible(self):
+        # the lag (w - v)/w/v underflows to 0 and tau to 0: no crossing exists
+        sol = solve_delays(1e308, math.nextafter(1e308, math.inf), 0.2, 0.6, 0.02, 0.02)
+        assert not sol.feasible
+        assert sol.binding_constraint == "pair12_cross_outside_C"
+        assert math.isnan(sol.report.pair12_cross_position)
+
     @given(physical_geometries(), st.integers(-60, 1000))
     @example((300.0, 500.0, 0.2, 0.6, 0.02, 0.02), 504)  # v * w overflows from k = 504
     @settings(max_examples=300, deadline=None)

@@ -128,6 +128,8 @@ class TestLibraryBoundary:
     # (w - v) * x_mid overflows, and the cavities overlap
     @example([8.60264206784788e+33, 2.582280531452439e+201, 5.177719195774479e-205,
               5.1238838141742e+40, 7.231957997754775e+221, 1.8764291362952554e+63])
+    # near-max speeds one ulp apart: the lag (w - v)/w/v underflows to 0
+    @example([1e308, 1.0000000000000002e308, 0.2, 0.6, 0.02, 0.02])
     @settings(max_examples=300, deadline=None)
     def test_solve_delays(self, args):
         out = result_or_value_error(lambda: solve_delays(*args))
