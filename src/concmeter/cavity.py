@@ -20,7 +20,7 @@ from . import gates, statevec
 from .concurrence import PureState
 from .protocol import _SIGMA_Y_PAIR, ORACLE_TOL, ProtocolResult, analytic_phi1_batch
 from .protocol import extract_concurrence, run_circuit
-from .statevec import Gate, InvariantViolation
+from .statevec import Gate
 
 CAVITY_MATCH_TOL = 1e-10
 PHOTON_VACUUM_TOL = 1e-12
@@ -62,9 +62,8 @@ _VACUUM = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # photon |0>, atom 5 |g
 
 def _swap_from_ground(states: np.ndarray, ground: int, pair, message, stage) -> np.ndarray:
     """SWAP the pair of slots, once slot `ground` is checked to read 0."""
-    population = statevec.marginal(states, {ground: 1})
-    if not population <= PHOTON_VACUUM_TOL:  # NaN fails too
-        raise InvariantViolation(message, stage=stage, value=population, tol=PHOTON_VACUUM_TOL)
+    statevec._check_invariant(stage, message, statevec.marginal(states, {ground: 1}),
+                              PHOTON_VACUUM_TOL)
     return statevec.apply_gate(states, _SWAP, pair)
 
 
@@ -106,21 +105,17 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
 
     p_all_ground, p_egeg, atom2_excited, photon_left = statevec.marginal(final, *_FINAL_READS)
     ideal = run_circuit(psi)
-    deviation = abs(p_all_ground - ideal.p_gggg)
-    if not deviation <= CAVITY_MATCH_TOL:
-        raise InvariantViolation("cavity realization deviates from the ideal circuit",
-                                 stage="cavity vs ideal P_gggg", value=deviation,
-                                 tol=CAVITY_MATCH_TOL)
+    statevec._check_invariant("cavity vs ideal P_gggg",
+                              "cavity realization deviates from the ideal circuit",
+                              abs(p_all_ground - ideal.p_gggg), CAVITY_MATCH_TOL)
     # atom 2 = g and photon = 0, in logical-qubit order (1, 2, 3, 4) = atoms (1, 5, 3, 4)
     logical = final[:, :, 0, :, :, 0, :].transpose(0, 1, 4, 2, 3).reshape(1, 16)
     residual = float(np.max(np.abs(logical - analytic_phi1_batch(a[None]))))
-    if not residual <= ORACLE_TOL:
-        raise InvariantViolation("cavity register deviates from the analytic table",
-                                 stage="cavity amplitude table", value=residual, tol=ORACLE_TOL)
-    outside = atom2_excited + photon_left
-    if not outside <= PHOTON_VACUUM_TOL:
-        raise InvariantViolation("weight outside atom 2 = g, photon = 0", value=outside,
-                                 stage="cavity logical subspace", tol=PHOTON_VACUUM_TOL)
+    statevec._check_invariant("cavity amplitude table",
+                              "cavity register deviates from the analytic table",
+                              residual, ORACLE_TOL)
+    statevec._check_invariant("cavity logical subspace", "weight outside atom 2 = g, photon = 0",
+                              atom2_excited + photon_left, PHOTON_VACUUM_TOL)
     final = final.reshape(-1)  # checked by apply_gate
     final.flags.writeable = False
     return ProtocolResult(

@@ -10,6 +10,8 @@ Conventions (pinned by the test suite):
 states, shape (N,) + (2,)*n (one state is a batch of one), returns a new
 array and checks every row after the gate in one vectorised pass.
 `accept_input` is the one rule for states entering the library.
+`_check_invariant` is the one runtime check of the package: NaN always
+fails it, a Python float names no row, an (N,) array its first failing one.
 """
 from __future__ import annotations
 
@@ -28,24 +30,21 @@ _MAX_SHOTS = np.iinfo(np.int64).max  # the largest count numpy's samplers take
 class InvariantViolation(Exception):
     """An internal consistency check failed (not a user-input problem).
 
-    Carries, where known, the stage that failed, the measured value and
-    its tolerance, and the batch row and sweep seed it came from."""
+    Raised by `_check_invariant` alone; `row` and `seed` are set where known."""
 
-    def __init__(self, message: str, *, stage: str | None = None,
-                 value: float | None = None, tol: float | None = None,
+    def __init__(self, message: str, stage: str, value: float, tol: float,
                  row: int | None = None, seed: int | None = None):
-        super().__init__(message)
+        # every argument in args, so that a pickled copy can be rebuilt
+        super().__init__(message, stage, value, tol, row, seed)
         self.message, self.stage = message, stage
         self.value, self.tol = value, tol
         self.row, self.seed = row, seed
 
     def __str__(self) -> str:
-        text = f"{self.stage}: {self.message}" if self.stage else self.message
         where = [f"{name} {v}" for name, v in (("row", self.row), ("seed", self.seed))
                  if v is not None]
-        if self.value is not None:
-            where.append(f"measured {self.value:.3e}, tolerance {self.tol:.0e}")
-        return f"{text} ({'; '.join(where)})" if where else text
+        where.append(f"measured {self.value:.3e}, tolerance {self.tol:.0e}")
+        return f"{self.stage}: {self.message} ({'; '.join(where)})"
 
 
 class Gate:
@@ -77,8 +76,9 @@ def _squared_bounds(tol: float) -> tuple[float, float]:
     return (1.0 - tol) ** 2, (1.0 + tol) ** 2
 
 
-# apply_gate's bounds, computed once
+# the bounds of apply_gate and accept_input, computed once
 _UNITARY_SQUARED_NORMS = _squared_bounds(NORM_TOL_UNITARY)
+_INPUT_SQUARED_NORMS = _squared_bounds(NORM_TOL_INPUT)
 
 
 def _first_outside(values: np.ndarray, low: float | None, high: float) -> int:
@@ -91,8 +91,8 @@ def _first_outside(values: np.ndarray, low: float | None, high: float) -> int:
     if len(values) == 1:
         value = values.item()
         return -1 if value <= high and (low is None or low <= value) else 0
-    if np.maximum.reduce(values) <= high and (low is None
-                                              or low <= np.minimum.reduce(values)):
+    if np.maximum.reduce(values, initial=-np.inf) <= high and (
+            low is None or low <= np.minimum.reduce(values, initial=np.inf)):
         return -1
     inside = values <= high
     if low is not None:
@@ -100,37 +100,52 @@ def _first_outside(values: np.ndarray, low: float | None, high: float) -> int:
     return int(np.argmax(~inside))
 
 
-def check_batch(states: np.ndarray, tol: float) -> None:
-    """Validate an (N, d) batch of states, one per row, in one vectorised
-    pass: each row must be finite with a norm within tol of 1. Raises
-    ValueError for the first row that is not, naming it by index when the
-    batch has more than one row."""
-    # NaN or Inf for a row with non-finite amplitudes
-    squared = np.vecdot(states, states).real
-    i = _first_outside(squared, *_squared_bounds(tol))
-    if i < 0:
-        return
-    where = f"row {i}: " if len(squared) > 1 else ""
-    if not np.all(np.isfinite(states[i])):
-        raise ValueError(f"{where}amplitudes contain NaN/Inf")
-    raise ValueError(f"{where}state norm {math.sqrt(squared[i])!r} deviates from 1 "
-                     f"beyond tolerance {tol}")
+def _norm_deviation(squared: float) -> float:
+    return abs(math.sqrt(squared) - 1.0)
+
+
+def _check_invariant(stage: str, message: str, values, tol: float,
+                     bounds: tuple[float, float] | None = None, report=float) -> None:
+    """The one runtime check: raise InvariantViolation with report(the
+    failing value) and `tol` unless every value is within `bounds`, by
+    default at most `tol`; NaN never is. A Python float is one value and
+    names no row; an (N,) array names its first failing row."""
+    low = None if bounds is None else bounds[0]
+    high = tol if bounds is None else bounds[1]
+    if isinstance(values, float):
+        if values <= high and (low is None or low <= values):
+            return
+        row, value = None, values
+    else:
+        row = _first_outside(values, low, high)
+        if row < 0:
+            return
+        value = values[row]
+    raise InvariantViolation(message, stage, report(value), tol, row)
 
 
 def accept_input(states: np.ndarray) -> np.ndarray:
     """The one rule for states entering the library, given as an (N, d)
-    batch, one state per row: each must be finite with a norm within NORM_TOL_INPUT of 1 (else
-    ValueError, as check_batch), and a row whose squared norm is off by
-    more than the gates' NORM_TOL_UNITARY is renormalised, so that no
-    accepted input fails the check after its first gate. With no row off,
-    returns `states` itself after one pass over the squared norms."""
+    batch, one state per row: each must be finite with a norm within
+    NORM_TOL_INPUT of 1 (else ValueError for the first row that is not,
+    named by index when the batch has more than one row), and a row whose
+    squared norm is off by more than the gates' NORM_TOL_UNITARY is
+    renormalised, so that no accepted input fails the check after its
+    first gate. With no row off, returns `states` itself after one pass
+    over the squared norms."""
     # amplitudes of any magnitude arrive here: a squared norm that overflows
     # fails the check below, with no numpy warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
         squared = np.vecdot(states, states).real
-        if _first_outside(squared, 1.0 - NORM_TOL_UNITARY, 1.0 + NORM_TOL_UNITARY) < 0:
-            return states
-        check_batch(states, NORM_TOL_INPUT)
+    if _first_outside(squared, 1.0 - NORM_TOL_UNITARY, 1.0 + NORM_TOL_UNITARY) < 0:
+        return states
+    i = _first_outside(squared, *_INPUT_SQUARED_NORMS)  # NaN or Inf for a non-finite row
+    if i >= 0:
+        where = f"row {i}: " if len(squared) > 1 else ""
+        if not np.all(np.isfinite(states[i])):
+            raise ValueError(f"{where}amplitudes contain NaN/Inf")
+        raise ValueError(f"{where}state norm {math.sqrt(squared[i])!r} deviates from 1 "
+                         f"beyond tolerance {NORM_TOL_INPUT}")
     off = ~(np.abs(squared - 1.0) <= NORM_TOL_UNITARY)
     out = states.copy()
     out[off] = [normalized(row) for row in states[off]]
@@ -224,15 +239,15 @@ def apply_gate(states: np.ndarray, gate: Gate,
     Every row is checked once, for the whole batch, to be finite
     with a norm within NORM_TOL_UNITARY of 1: one np.vecdot of the flat
     (N, 2**n) result, against bounds on the squared norm computed once,
-    at import. Since the gate is unitary
-    and its input normalised, a row that fails is an InvariantViolation.
+    at import, by _check_invariant. Since the gate is unitary and its
+    input normalised, a row that fails is an InvariantViolation.
     Input outside that contract (never through accept_input) fails the
     same way, and a squared norm that overflows may first make numpy warn
     (raised instead under -W error): the kernel sets no np.errstate."""
     perm, inverse, source, phase = _gate_plan(states.ndim - 1,
                                               tuple(map(operator.index, qubits)), gate)
     if source is not None:
-        flat = states.reshape(len(states), -1).take(source, axis=1).astype(complex, copy=False)
+        flat = states.reshape(-1, len(source)).take(source, axis=1).astype(complex, copy=False)
         if phase is not None:
             flat *= phase
     else:
@@ -240,13 +255,9 @@ def apply_gate(states: np.ndarray, gate: Gate,
         # gate axes first, so the gate is one matrix product over all the rest
         moved = states.transpose(perm)
         out = (gate.matrix @ moved.reshape(d, -1)).reshape(moved.shape)
-        flat = out.transpose(inverse).copy().reshape(len(states), -1)
-    squared = np.vecdot(flat, flat).real
-    i = _first_outside(squared, *_UNITARY_SQUARED_NORMS)
-    if i >= 0:
-        raise InvariantViolation("state norm not preserved", stage="gate application",
-                                 value=abs(math.sqrt(squared[i]) - 1.0),
-                                 tol=NORM_TOL_UNITARY, row=i)
+        flat = out.transpose(inverse).copy().reshape(len(states), 2 ** (states.ndim - 1))
+    _check_invariant("gate application", "state norm not preserved", np.vecdot(flat, flat).real,
+                     NORM_TOL_UNITARY, _UNITARY_SQUARED_NORMS, _norm_deviation)
     return flat.reshape(states.shape)
 
 

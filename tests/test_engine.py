@@ -270,6 +270,21 @@ class TestKernelPaths:
         assert (info.value.stage, info.value.row) == ("analytic table", 0)
 
 
+class TestEmptyBatch:
+    """A batch of zero rows gives an empty result of its own shape (run_batch
+    still rejects one: TestRunBatch.test_bad_shape_rejected)."""
+
+    @pytest.mark.parametrize("gate, qubits", [(gates.sigma_y(), (1,)), (gates.cnot(), (2, 1)),
+                                              (gates.r_minus(), (2,))],
+                             ids=["gather_1q", "gather_2q", "product"])
+    def test_apply_gate(self, gate, qubits):
+        out = statevec.apply_gate(np.zeros((0, 2, 2), complex), gate, qubits)
+        assert out.shape == (0, 2, 2) and out.dtype == complex
+
+    def test_analytic_table(self):
+        assert analytic_phi1_batch(np.zeros((0, 4))).shape == (0, 16)
+
+
 class TestSharedGates:
     @pytest.mark.parametrize("make", [gates.sigma_y, gates.r_plus, gates.r_minus,
                                       gates.cnot, gates.cphase])
