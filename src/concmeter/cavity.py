@@ -10,7 +10,6 @@ register after its qubit is handed to the photon; it is deterministically
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -134,10 +133,11 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
 @dataclass(frozen=True)
 class FlightConfig:
     """Ballistic 1D flight plan. Atoms 1 and 3 fly at v, atoms 2 and 4 at
-    w > v; emission times are t1=0, t2=tau, t3=tau+tau_prime,
-    t4=tau+tau_prime+tau, all from the source at x=0. Speeds, positions
-    and lengths must be finite; a delay may be +inf, as when 1/v
-    overflows in solve_delays, but not NaN."""
+    w > v, all from the source at x=0, emitted in the order 1, 2, 3, 4:
+    atoms 1, 2 and 3 leave 2*tau + tau_prime, tau + tau_prime and tau
+    ahead of atom 4. Speeds, positions and lengths must be finite; a
+    delay may be +inf, as when 1/v overflows in solve_delays, but not
+    NaN."""
 
     v: float
     w: float
@@ -150,27 +150,13 @@ class FlightConfig:
 
     def __post_init__(self):
         if not (math.inf > self.w > self.v > 0.0):
-            raise ValueError("speeds must be finite and satisfy w > v > 0")
+            raise ValueError("v and w must be finite and satisfy w > v > 0")
         if not (math.inf > self.x_D > self.x_C > 0.0):
             raise ValueError("cavity positions must be finite and satisfy x_D > x_C > 0")
         if not (math.inf > self.L_C > 0.0 and math.inf > self.L_D > 0.0):
             raise ValueError("cavity mode lengths must be positive and finite")
         if not (self.tau >= 0.0 and self.tau_prime >= 0.0):  # NaN fails too
             raise ValueError("delays must be non-negative, not NaN")
-
-    # computed once per config, and shared: callers must not modify them
-    @functools.cached_property
-    def emission_times(self) -> dict[int, float]:
-        return {
-            1: 0.0,
-            2: self.tau,
-            3: self.tau + self.tau_prime,
-            4: 2.0 * self.tau + self.tau_prime,
-        }
-
-    @functools.cached_property
-    def speeds(self) -> dict[int, float]:
-        return {1: self.v, 2: self.w, 3: self.v, 4: self.w}
 
 
 @dataclass(frozen=True)
@@ -188,7 +174,7 @@ class OrderingReport:
 def _overtake_position(cfg: FlightConfig, dt: float) -> float:
     """Where a fast atom catches a slow one emitted dt earlier: dt over the
     lag (w - v)/w/v per metre, which, unlike v*w, does not overflow for
-    fast atoms. A lag that underflows to 0, for near-max speeds a few ulps
+    fast atoms. A lag that underflows to 0, for near-max v and w a few ulps
     apart, gives inf (never caught up) or, with no head start, NaN: both
     fail every crossing check, as dt/0 does in IEEE arithmetic."""
     lag = (cfg.w - cfg.v) / cfg.w / cfg.v
@@ -197,10 +183,15 @@ def _overtake_position(cfg: FlightConfig, dt: float) -> float:
     return math.inf if dt > 0.0 else math.nan
 
 
-def _order_at(cfg: FlightConfig, t: float) -> tuple[int, ...]:
-    t0, speed = cfg.emission_times, cfg.speeds
-    # position at t; ties broken by emission order: the later atom sits behind
-    key = {a: (speed[a] * max(0.0, t - t0[a]), -t0[a]) for a in (1, 2, 3, 4)}
+def _order_at(cfg: FlightConfig, x4: float) -> tuple[int, ...]:
+    """The atoms, nearest the source first, when atom 4 is at x4. Each atom
+    has flown its head start on atom 4 plus x4 / w; before its emission it
+    waits at the source. On a tie the atom with the smaller head start, the
+    one emitted later, sits behind."""
+    heads = (2.0 * cfg.tau + cfg.tau_prime, cfg.tau + cfg.tau_prime, cfg.tau, 0.0)
+    flown = x4 / cfg.w
+    key = {a: (speed * max(0.0, head + flown), head)
+           for a, speed, head in zip((1, 2, 3, 4), (cfg.v, cfg.w, cfg.v, cfg.w), heads)}
     return tuple(sorted(key, key=key.__getitem__))
 
 
@@ -213,12 +204,11 @@ def kinematics_report(cfg: FlightConfig) -> OrderingReport:
     # both pairs share the intra-pair delay tau, so they cross at the
     # same position, x12; the 1-4 swap is driven by the full emission gap
     x12 = _overtake_position(cfg, cfg.tau)
-    x14 = _overtake_position(cfg, cfg.emission_times[4])
+    x14 = _overtake_position(cfg, 2.0 * cfg.tau + cfg.tau_prime)
 
-    t4 = cfg.emission_times[4]
-    order_before = _order_at(cfg, t4)
-    order_after = _order_at(cfg, t4 + c_exit / cfg.w)  # atom 4 exits cavity C
-    order_d = _order_at(cfg, t4 + d_entry / cfg.w)  # atom 4 reaches cavity D
+    order_before = _order_at(cfg, 0.0)  # atom 4 leaves the source
+    order_after = _order_at(cfg, c_exit)  # atom 4 exits cavity C
+    order_d = _order_at(cfg, d_entry)  # atom 4 reaches cavity D
 
     violations: list[str] = []
     if not c_entry <= x12 <= c_exit:
@@ -264,7 +254,7 @@ def solve_delays(v: float, w: float, x_C: float, x_D: float,
     values = {"v": v, "w": w, "x_C": x_C, "x_D": x_D, "L_C": L_C, "L_D": L_D}
     bad = [name for name, x in values.items() if not (math.isfinite(x) and x > 0.0)]
     if bad:
-        raise ValueError(f"speeds and geometry must be finite and positive: {', '.join(bad)}")
+        raise ValueError(f"speed and geometry inputs must be finite and positive: {', '.join(bad)}")
     if w - v < MIN_SPEED_GAP:
         return DelaySolution(feasible=False, binding_constraint="speed_gap")
     if not x_D > x_C:

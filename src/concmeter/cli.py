@@ -199,7 +199,15 @@ def cmd_shots(args) -> int:
 
 
 def cmd_cavity(args) -> int:
+    # the kinematics inputs have no default, so a line that gives one is seen
+    flags = ("--v", "--w", "--xc", "--xd")
+    given = [f for f in flags if getattr(args, f[2:]) is not None]
     if args.kinematics:
+        if args.state_file is not None:
+            raise InputError("--kinematics takes no state file")
+        missing = [f for f in flags if f not in given]
+        if missing:
+            raise InputError(f"--kinematics requires {' '.join(missing)}")
         try:
             sol = cavity_mod.solve_delays(args.v, args.w, args.xc, args.xd,
                                           args.lc, args.ld)
@@ -221,6 +229,8 @@ def cmd_cavity(args) -> int:
         print(f"swap14         = {report.swap14_position!r} m")
         print(f"feasible       = {report.feasible}")
         return EXIT_OK
+    if given:
+        raise InputError(f"{' '.join(given)} given without --kinematics")
     if args.state_file is None:
         raise InputError("cavity mode needs a state file or --kinematics")
     psi = load_state_file(args.state_file, args.normalize)
@@ -325,10 +335,6 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
-        if getattr(args, "kinematics", False):
-            missing = [f for f in ("v", "w", "xc", "xd") if getattr(args, f) is None]
-            if missing:
-                raise InputError(f"--kinematics requires --{' --'.join(missing)}")
         if getattr(args, "seed", 0) < 0:  # numpy's generators take only seeds >= 0
             raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)

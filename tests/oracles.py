@@ -88,10 +88,11 @@ def map_photon_to_atom5(amps: np.ndarray) -> np.ndarray:
 
 
 def order_at(cfg, t: float) -> tuple[int, ...]:
-    """The atoms of a `FlightConfig` at time t, nearest the source first,
-    sorted by position; on a tie the atom emitted later sits behind. Each
-    atom waits at the source, x = 0, until its emission, then flies at its
-    speed."""
-    t0, speed = cfg.emission_times, cfg.speeds
+    """The atoms of a `FlightConfig` at time t on a clock that starts at
+    atom 1's emission, nearest the source first, sorted by position; on a
+    tie the atom emitted later sits behind. Each atom waits at the source,
+    x = 0, until its emission, then flies at its speed."""
+    t0 = {1: 0.0, 2: cfg.tau, 3: cfg.tau + cfg.tau_prime, 4: 2.0 * cfg.tau + cfg.tau_prime}
+    speed = {1: cfg.v, 2: cfg.w, 3: cfg.v, 4: cfg.w}
     pos = {a: speed[a] * max(0.0, t - t0[a]) for a in (1, 2, 3, 4)}
     return tuple(sorted(pos, key=lambda a: (pos[a], -t0[a])))

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -263,23 +264,10 @@ class TestFlightConfig:
             FlightConfig(v=300, w=500, tau=tau, tau_prime=tau_prime,
                          x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
 
-    def test_emission_schedule(self):
-        cfg = FlightConfig(v=300, w=500, tau=1e-4, tau_prime=2e-4,
-                           x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
-        assert cfg.emission_times == pytest.approx(
-            {1: 0.0, 2: 1e-4, 3: 3e-4, 4: 4e-4})
-
-    def test_schedule_computed_once(self):
-        cfg = FlightConfig(v=300, w=500, tau=1e-4, tau_prime=2e-4,
-                           x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
-        assert cfg.emission_times is cfg.emission_times
-        assert cfg.speeds is cfg.speeds
-        assert cfg.speeds == {1: 300, 2: 500, 3: 300, 4: 500}
-
     def test_solved_config_survives_copy_and_pickle(self):
-        cfg = solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02).config  # schedule cached
+        cfg = solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02).config
         assert copy.deepcopy(cfg) == cfg
-        assert pickle.loads(pickle.dumps(cfg)).emission_times == cfg.emission_times
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 class TestKinematicsReport:
@@ -331,43 +319,60 @@ class TestKinematicsReport:
 
 
 @st.composite
-def flight_instants(draw):
-    """A flight plan and an instant at which to order its atoms: delays of
-    zero, emission times and crossing times give ties in position."""
+def flight_positions(draw):
+    """A flight plan and a position of atom 4 at which to order its atoms:
+    zero delays, emissions and crossings give ties in position, and delays
+    on a coarse binary grid give a clock on which no sum rounds."""
     v = draw(st.one_of(st.floats(1.0, 1e3), st.floats(5e-324, 1e300)))
     w = draw(st.one_of(st.floats(1e-6, 1e3).map(lambda gap: v + gap),
                        st.floats(v, allow_infinity=False)))
-    delay = st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, allow_infinity=True))
+    delay = st.one_of(st.just(0.0), st.integers(0, 2**20).map(lambda n: math.ldexp(n, -30)),
+                      st.floats(0.0, 1e-3), st.floats(0.0, allow_infinity=True))
     tau, tau_prime = draw(delay), draw(delay)
     if not w > v:
         w = math.nextafter(v, math.inf)
     cfg = FlightConfig(v=v, w=w, tau=tau, tau_prime=tau_prime,
                        x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
-    t0 = cfg.emission_times
+    heads = (2.0 * tau + tau_prime, tau + tau_prime, tau, 0.0)
     catch = v * tau / (w - v)  # atom 2 reaches atom 1 this long after its emission
-    instants = [*t0.values(), t0[2] + catch, t0[4] + catch,
-                t0[4] + 0.21 / w, t0[4] + 0.59 / w]
-    t = draw(st.one_of(st.sampled_from(instants), st.floats(-1e-3, 1e-2), st.floats()))
-    return cfg, t
+    # atom 4 at each emission, as atom 2 catches atom 1 and atom 4 atom 3, and in the cavities
+    positions = [*(-w * head for head in heads), w * (catch - heads[1]), w * catch, 0.21, 0.59]
+    x4 = draw(st.one_of(st.sampled_from(positions), st.floats(-1.0, 10.0), st.floats()))
+    return cfg, x4
+
+
+def _exact_sum(total: float, *terms: float) -> bool:
+    """Whether the float `total` is the exact sum of the finite `terms`."""
+    return (all(map(math.isfinite, (total, *terms)))
+            and Fraction(total) == sum(map(Fraction, terms)))
 
 
 class TestOrderAt:
-    @given(flight_instants())
+    @given(flight_positions())
     @settings(max_examples=500, deadline=None)
     def test_equals_the_reference_sort(self, case):
-        cfg, t = case
-        assert cavity._order_at(cfg, t) == order_at(cfg, t)
+        # the reference orders the atoms at t4 + x4 / w on a clock from atom
+        # 1's emission; wherever no sum on that clock rounds, the head starts
+        # on atom 4 give the same elapsed flight times, so the same order
+        cfg, x4 = case
+        tau, tau_prime = cfg.tau, cfg.tau_prime
+        t3, t4, flown = tau + tau_prime, 2.0 * tau + tau_prime, x4 / cfg.w
+        t = t4 + flown
+        assume(_exact_sum(t3, tau, tau_prime) and _exact_sum(t4, 2.0 * tau, tau_prime)
+               and _exact_sum(t, t4, flown)
+               and all(_exact_sum(t - t0, t, -t0) for t0 in (0.0, tau, t3, t4)))
+        assert cavity._order_at(cfg, x4) == order_at(cfg, t)
 
     def test_ties_at_the_source(self):
         # before its emission each atom waits at the source, x = 0: the one
         # emitted later sits behind, nearer the source, so it comes first
         cfg = FlightConfig(v=300, w=500, tau=1e-4, tau_prime=2e-4,
                            x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
-        assert cavity._order_at(cfg, 0.0) == order_at(cfg, 0.0) == (4, 3, 2, 1)
+        assert cavity._order_at(cfg, -1.0) == order_at(cfg, 4e-4 - 1.0 / 500) == (4, 3, 2, 1)
         # emitted at once, 1 and 3 tie at v*t and 2 and 4 at w*t: atom order
         cfg = FlightConfig(v=300, w=500, tau=0.0, tau_prime=0.0,
                            x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
-        assert cavity._order_at(cfg, 1e-3) == order_at(cfg, 1e-3) == (1, 3, 2, 4)
+        assert cavity._order_at(cfg, 0.5) == order_at(cfg, 0.5 / 500) == (1, 3, 2, 4)
 
 
 # speeds, speed gaps and geometry whose plan is feasible: the pairs cross in C,
@@ -446,18 +451,45 @@ class TestSolveDelays:
         base, scaled = solve_delays(v, w, *geometry), solve_delays(sv, sw, *geometry)
         delays = (base.config.tau, base.config.tau_prime)
         assume(all(d == 0.0 or sys.float_info.min <= math.ldexp(d, -k) for d in delays))
-        assume(sys.float_info.min <= 1.0 / sw)
+        assume(sys.float_info.min <= 1.0 / sw and sys.float_info.min <= (sw - sv) / sw / sv)
         assert scaled.feasible == base.feasible
         assert scaled.binding_constraint == base.binding_constraint
         assert (scaled.config.tau, scaled.config.tau_prime) == tuple(math.ldexp(d, -k)
                                                                      for d in delays)
         assert scaled.report == base.report
 
-    def test_overlapping_cavities_bind_on_the_swap_at_any_scale(self):
-        # a finite delay, and no delay puts the swap between the cavities
+    def test_subnormal_lag_keeps_the_verdict(self):
+        # scaled by 2**997 the lag (w - v)/w/v is about 1.5e-308, subnormal, so
+        # tau_prime loses its last digits; the plan and its orders still hold
+        args, k = (7060.0, 7061.0, 2.0, 9.0, 2.0, 2.0), 997
+        scaled_args = (math.ldexp(args[0], k), math.ldexp(args[1], k), *args[2:])
+        base, scaled = solve_delays(*args), solve_delays(*scaled_args)
+        cfg = scaled.config
+        assert 0.0 < (cfg.w - cfg.v) / cfg.w / cfg.v < sys.float_info.min
+        assert scaled.feasible == base.feasible
+        assert scaled.binding_constraint == base.binding_constraint
+
+        def orders(sol):
+            return sol.report.order_before_C, sol.report.order_after_C, sol.report.order_at_D
+
+        assert orders(scaled) == orders(base)
+
+    def test_overlapping_cavities_bind_after_c_at_any_scale(self):
+        # a finite delay, and no delay puts the swap between the cavities: it
+        # lands inside C, so atom 4 has passed atom 1 as it exits C; exact
+        # arithmetic gives the same three violations, this one first
         sol = solve_delays(*OVERFLOW_INPUT)
         assert math.isfinite(sol.config.tau_prime)
-        assert sol.binding_constraint == "swap14_not_between_cavities"
+        assert sol.binding_constraint == "order_after_C_wrong"
+        assert "swap14_not_between_cavities" in sol.report.violations
+
+    def test_delays_that_dwarf_the_flight_through_c(self):
+        # tau is about 2e302 s and atom 4 crosses C in 1e4 s: on a clock from
+        # atom 1's emission, atom 4's exit from C rounds back to its emission
+        sol = solve_delays(1e-303, 2e-6, 0.2, 0.6, 0.02, 0.02)
+        assert sol.feasible
+        assert (sol.report.order_after_C, sol.report.order_at_D) == ((3, 4, 1, 2), (3, 1, 4, 2))
+        assert (sol.report.pair12_cross_position, sol.report.swap14_position) == (0.2, 0.4)
 
     @pytest.mark.parametrize("v", [5e-324, 1e-320])
     def test_speed_whose_inverse_overflows_is_infeasible(self, v):

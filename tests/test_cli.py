@@ -172,6 +172,18 @@ class TestCmdCavity:
 
     def test_missing_kinematics_flags(self, capsys):
         assert main(["cavity", "--kinematics", "--v", "300"]) == 1
+        assert capsys.readouterr().err == "error: --kinematics requires --w --xc --xd\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cavity", "{bell}", "--kinematics", "--v", "300", "--w", "500", "--xc", "0.2",
+          "--xd", "0.6"], "--kinematics takes no state file"),
+        (["cavity", "--v", "300", "{bell}"], "--v given without --kinematics"),
+        (["cavity", "--xc", "0.2", "--xd", "0.6"], "--xc --xd given without --kinematics"),
+    ])
+    def test_modes_do_not_mix(self, argv, message, bell_file, capsys):
+        # the state file or the kinematics inputs would be ignored
+        assert main([a.format(bell=bell_file) for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_no_input_at_all(self, capsys):
         assert main(["cavity"]) == 1

@@ -184,3 +184,36 @@ def test_overflowing_asymmetry_is_a_value_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not Hermitian"):
             concurrence_wootters(rho)
+
+
+def _deviating_density_matrix(kind, deviation):
+    """A 4x4 matrix that fails one check of `validate_density_matrix` by
+    `deviation` alone: an off-diagonal entry without its mirror, trace
+    excess, or the lowest eigenvalue at -deviation."""
+    rho = np.eye(4, dtype=complex) / 4.0
+    if kind == "hermitian":
+        rho[0, 1] = deviation
+        measured = np.max(np.abs(rho - rho.conj().T))
+    elif kind == "trace":
+        rho[0, 0] += deviation
+        measured = np.trace(rho).real - 1.0
+    else:
+        rho = np.diag([0.5 + deviation, 0.25, 0.25, -deviation]).astype(complex)
+        measured = -np.linalg.eigvalsh(rho).min()
+    assert measured == pytest.approx(deviation, rel=1e-3)
+    return rho
+
+
+# twice and half each tolerance (DM_HERMITIAN_TOL = DM_TRACE_TOL = 1e-10,
+# DM_EIG_FLOOR = -1e-10), written out so that a moved tolerance fails one
+@pytest.mark.parametrize("kind, message", [("hermitian", "not Hermitian"),
+                                           ("trace", "trace deviates from 1"),
+                                           ("eigenvalue", "negative eigenvalue")])
+@pytest.mark.parametrize("deviation, rejected", [(2e-10, True), (5e-11, False)])
+def test_density_matrix_checks_pinned_at_their_tolerance(kind, message, deviation, rejected):
+    rho = _deviating_density_matrix(kind, deviation)
+    if rejected:
+        with pytest.raises(ValueError, match=message):
+            validate_density_matrix(rho)
+    else:
+        validate_density_matrix(rho)

@@ -59,6 +59,20 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="NaN/Inf"):
             Gate(m)
 
+    # twice and half UNITARITY_TOL = 1e-12, written out so that a moved
+    # tolerance fails one of the two
+    @pytest.mark.parametrize("deviation, rejected", [(2e-12, True), (5e-13, False)])
+    def test_unitarity_pinned_at_its_tolerance(self, deviation, rejected):
+        # M^H M differs from the identity by `deviation` in one entry
+        m = np.diag([math.sqrt(1.0 + deviation), 1.0, 1.0, 1.0])
+        measured = np.max(np.abs(m.conj().T @ m - np.eye(4)))
+        assert measured == pytest.approx(deviation, rel=1e-3)
+        if rejected:
+            with pytest.raises(ValueError, match="not unitary"):
+                Gate(m)
+        else:
+            Gate(m)
+
 
 class TestAcceptInput:
     """The one input rule: within NORM_TOL_INPUT, renormalised when the
