@@ -1,7 +1,8 @@
 """Microwave-cavity realization: the atom-2 -> cavity photon -> atom-5
-relay, which runs the CNOT as the steps of `decomposed_cnot()` with the
-photon as control, and the ballistic flight kinematics that put the atoms
-in the right order at each cavity.
+relay, which runs the CNOT as the constant steps of `DECOMPOSED_CNOT`
+(R-, a 2pi-Rabi CPHASE, R+) with the photon as control, and the
+ballistic flight kinematics that put the atoms in the right order at
+each cavity.
 
 Atom layout in the relay register (left to right, qubit 1 = MSB):
 atom1, atom2, atom3, atom4, photon (|0>=|g>), atom5. Atom 2 stays in the
@@ -34,23 +35,17 @@ ATOM1, ATOM2, ATOM3, ATOM4, PHOTON, ATOM5 = 1, 2, 3, 4, 5, 6
 
 
 _SWAP = Gate(np.eye(4)[[0, 2, 1, 3]])  # the identity with the |ge> and |eg> rows swapped
-_R_MINUS, _CPHASE = gates.r_minus(), gates.cphase()
-# R-/R+ on the target, embedded as gates on the ordered (control, target) pair
-_R_MINUS_TARGET = Gate(np.kron(np.eye(2), _R_MINUS.matrix))
-_R_PLUS_TARGET = Gate(np.kron(np.eye(2), gates.r_plus().matrix))
 
-
-def decomposed_cnot() -> list[tuple[str, Gate]]:
-    """CNOT(control, target) as R-(target), CPHASE, R+(target), in
-    application order. Each step is embedded as a gate on the ordered
-    (control, target) pair. In the relay the control is the cavity
-    photon and the target atom 4; the CPHASE is a 2pi Rabi cycle through
-    an auxiliary level, in which |e>_4 |1>_photon picks up a -1 phase."""
-    return [
-        ("r_minus_target", _R_MINUS_TARGET),
-        ("cphase", _CPHASE),
-        ("r_plus_target", _R_PLUS_TARGET),
-    ]
+# CNOT(control, target) as R-(target), CPHASE, R+(target), in application
+# order, each step a named gate on the ordered (control, target) pair. In
+# the relay the control is the cavity photon and the target atom 4; the
+# CPHASE is a 2pi Rabi cycle through an auxiliary level, in which
+# |e>_4 |1>_photon picks up a -1 phase. The relay reads it at call time.
+DECOMPOSED_CNOT = (
+    ("r_minus_target", Gate(np.kron(np.eye(2), gates.R_MINUS.matrix))),
+    ("cphase", gates.CPHASE),
+    ("r_plus_target", Gate(np.kron(np.eye(2), gates.R_PLUS.matrix))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +59,6 @@ def _swap_from_ground(states: np.ndarray, ground: int, pair, message, stage) -> 
     statevec._check_invariant(stage, message, statevec.marginal(states, {ground: 1}),
                               PHOTON_VACUUM_TOL)
     return statevec.apply_gate(states, _SWAP, pair)
-
-
-def _atom_to_photon(states: np.ndarray) -> np.ndarray:
-    return _swap_from_ground(states, PHOTON, (ATOM2, PHOTON),
-                             "photon must be in vacuum before the atom-2 map", "atom-to-photon map")
-
-
-def _photon_to_atom5(states: np.ndarray) -> np.ndarray:
-    return _swap_from_ground(states, ATOM5, (PHOTON, ATOM5),
-                             "atom 5 must start in the ground state", "photon-to-atom map")
 
 
 # the relay's final reads, in one pass: P_gggg and P_egeg in logical-qubit
@@ -94,13 +79,15 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
     reg = statevec.apply_gate(reg, _SIGMA_Y_PAIR, (ATOM3, ATOM4))  # Ramsey region, second copy only
 
     # CNOT(control = logical qubit 2, now the photon; target = atom 4)
-    reg = _atom_to_photon(reg)
-    for _, step in decomposed_cnot():
+    reg = _swap_from_ground(reg, PHOTON, (ATOM2, PHOTON),
+                            "photon must be in vacuum before the atom-2 map", "atom-to-photon map")
+    for _, step in DECOMPOSED_CNOT:
         reg = statevec.apply_gate(reg, step, (PHOTON, ATOM4))
-    reg = _photon_to_atom5(reg)
+    reg = _swap_from_ground(reg, ATOM5, (PHOTON, ATOM5),
+                            "atom 5 must start in the ground state", "photon-to-atom map")
 
     # atom 5 now carries the logical qubit 2; final rotation of the protocol
-    final = statevec.apply_gate(reg, _R_MINUS, (ATOM5,))
+    final = statevec.apply_gate(reg, gates.R_MINUS, (ATOM5,))
 
     p_all_ground, p_egeg, atom2_excited, photon_left = statevec.marginal(final, *_FINAL_READS)
     ideal = run_circuit(psi)

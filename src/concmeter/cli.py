@@ -25,6 +25,8 @@ EXIT_INPUT = 1
 EXIT_INVARIANT = 2
 EXIT_INFEASIBLE = 3
 
+STATE_FILE_CAP = 1 << 20  # bytes; a valid state file is under 1 KB
+
 SWEEP_COLUMNS = [
     "seed",
     "c0_re", "c0_im", "c1_re", "c1_im", "c2_re", "c2_im", "c3_re", "c3_im",
@@ -33,14 +35,11 @@ SWEEP_COLUMNS = [
 ]
 
 
-class InputError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """A usage error is an input error: exit code 1, not argparse's 2,
-    which this CLI reserves for invariant violations. The parser keeps
-    the Action that each add_argument call returns, for `read_plain`."""
+    """A usage error is an input error, a ValueError: exit code 1, not
+    argparse's 2, which this CLI reserves for invariant violations. The
+    parser keeps the Action that each add_argument call returns, for
+    `read_plain`."""
 
     def __init__(self, *args, **kwargs):
         self.arguments = []  # before super().__init__, which adds -h
@@ -53,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise InputError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
     @functools.cached_property
     def _plain_table(self):
@@ -105,41 +104,49 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_state_file(path: str, force_normalize: bool = False) -> PureState:
-    """Read a JSON state file, UTF-8 whatever the locale:
-    {"amplitudes": [[re, im] x 4], "normalize": bool (optional)}."""
+    """Read a JSON state file, UTF-8 whatever the locale, of at most
+    STATE_FILE_CAP bytes: {"amplitudes": [[re, im] x 4], "normalize": bool
+    (optional)}."""
     try:
         with open(path, "rb") as fh:
-            # decoded here, not by json.loads, which would also take UTF-16 and UTF-32
-            doc = json.loads(fh.read().decode("utf-8"))
+            # bounded, as the path may be endless (/dev/zero); a first request
+            # under 128 KiB, which a small file fills without an mmap of its own
+            data = fh.read(1 << 16)
+            if len(data) == 1 << 16:
+                data += fh.read(STATE_FILE_CAP + 1 - len(data))
+        if len(data) > STATE_FILE_CAP:
+            raise ValueError(f"state file {path} exceeds the {STATE_FILE_CAP}-byte cap")
+        # decoded here, not by json.loads, which would also take UTF-16 and UTF-32
+        doc = json.loads(data.decode("utf-8"))
     except OSError as exc:
-        raise InputError(f"cannot read state file: {exc}") from exc
+        raise ValueError(f"cannot read state file: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:
-        raise InputError(f"malformed JSON in {path}: nested too deeply") from exc
+        raise ValueError(f"malformed JSON in {path}: nested too deeply") from exc
     if not isinstance(doc, dict) or "amplitudes" not in doc:
-        raise InputError("state file must be an object with an 'amplitudes' field")
+        raise ValueError("state file must be an object with an 'amplitudes' field")
     raw = doc["amplitudes"]
     if not isinstance(raw, list) or len(raw) != 4:
-        raise InputError("'amplitudes' must list exactly four [re, im] pairs")
+        raise ValueError("'amplitudes' must list exactly four [re, im] pairs")
     amps = []
     for i, pair in enumerate(raw):
         # bool is a subclass of int, but true/false are not amplitudes
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                            for x in pair)):
-            raise InputError(f"'amplitudes[{i}]' must be a [re, im] number pair")
+            raise ValueError(f"'amplitudes[{i}]' must be a [re, im] number pair")
         try:
             amps.append(complex(pair[0], pair[1]))
         except OverflowError as exc:  # a JSON integer beyond float range
-            raise InputError(f"'amplitudes[{i}]': {exc}") from exc
+            raise ValueError(f"'amplitudes[{i}]': {exc}") from exc
     normalize = doc.get("normalize", False)
     if not isinstance(normalize, bool):
-        raise InputError("'normalize' must be true or false")
+        raise ValueError("'normalize' must be true or false")
     try:
         return PureState(*(normalized(amps) if normalize or force_normalize else amps))
     except ValueError as exc:
-        raise InputError(f"invalid state in 'amplitudes': {exc}") from exc
+        raise ValueError(f"invalid state in 'amplitudes': {exc}") from exc
 
 
 def cmd_run(args) -> int:
@@ -155,31 +162,30 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.n_states < 1:
-        raise InputError("n_states must be >= 1")
-    try:
-        out = open(args.out, "w", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from exc
+        raise ValueError("n_states must be >= 1")
     max_dev = 0.0
     max_residual = 0.0
-    with out:
-        writer = csv.writer(out)
-        writer.writerow(SWEEP_COLUMNS)
-        for i in range(args.n_states):
-            # row i is reproducible on its own from default_rng([seed, i])
-            psi = PureState.haar_random(np.random.default_rng([args.seed, i]))
-            try:
-                result = run_circuit(psi)
-            except InvariantViolation as exc:
-                exc.row, exc.seed = i, args.seed
-                raise
-            c_analytic = concurrence_pure(psi)
-            max_dev = max(max_dev, abs(result.concurrence_measured - c_analytic))
-            max_residual = max(max_residual, result.oracle_residual)
-            # csv writes a Python float as its repr; every value here is one
-            writer.writerow([i, *psi.amplitudes.view(float).tolist(),
-                             c_analytic, result.p_gggg, result.p_egeg,
-                             result.concurrence_measured, result.oracle_residual])
+    try:  # a failed open, write or close: the last flush happens at close
+        with open(args.out, "w", newline="") as out:
+            writer = csv.writer(out)
+            writer.writerow(SWEEP_COLUMNS)
+            for i in range(args.n_states):
+                # row i is reproducible on its own from default_rng([seed, i])
+                psi = PureState.haar_random(np.random.default_rng([args.seed, i]))
+                try:
+                    result = run_circuit(psi)
+                except InvariantViolation as exc:
+                    exc.row, exc.seed = i, args.seed
+                    raise
+                c_analytic = concurrence_pure(psi)
+                max_dev = max(max_dev, abs(result.concurrence_measured - c_analytic))
+                max_residual = max(max_residual, result.oracle_residual)
+                # csv writes a Python float as its repr; every value here is one
+                writer.writerow([i, *psi.amplitudes.view(float).tolist(),
+                                 c_analytic, result.p_gggg, result.p_egeg,
+                                 result.concurrence_measured, result.oracle_residual])
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {args.n_states} rows to {args.out}; "
           f"max |C_measured - C_analytic| = {max_dev:.3e}, "
           f"max oracle residual = {max_residual:.3e}")
@@ -204,17 +210,13 @@ def cmd_cavity(args) -> int:
     given = [f for f in flags if getattr(args, f[2:]) is not None]
     if args.kinematics:
         if args.state_file is not None:
-            raise InputError("--kinematics takes no state file")
+            raise ValueError("--kinematics takes no state file")
         missing = [f for f in flags if f not in given]
         if missing:
-            raise InputError(f"--kinematics requires {' '.join(missing)}")
-        try:
-            sol = cavity_mod.solve_delays(args.v, args.w, args.xc, args.xd,
-                                          args.lc, args.ld)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+            raise ValueError(f"--kinematics requires {' '.join(missing)}")
+        sol = cavity_mod.solve_delays(args.v, args.w, args.xc, args.xd, args.lc, args.ld)
         if sol.binding_constraint in ("speed_gap", "geometry"):
-            raise InputError(f"invalid kinematics input: {sol.binding_constraint}")
+            raise ValueError(f"invalid kinematics input: {sol.binding_constraint}")
         if not sol.feasible:
             print(f"infeasible: binding constraint {sol.binding_constraint}")
             return EXIT_INFEASIBLE
@@ -230,9 +232,9 @@ def cmd_cavity(args) -> int:
         print(f"feasible       = {report.feasible}")
         return EXIT_OK
     if given:
-        raise InputError(f"{' '.join(given)} given without --kinematics")
+        raise ValueError(f"{' '.join(given)} given without --kinematics")
     if args.state_file is None:
-        raise InputError("cavity mode needs a state file or --kinematics")
+        raise ValueError("cavity mode needs a state file or --kinematics")
     psi = load_state_file(args.state_file, args.normalize)
     ideal = run_circuit(psi)
     real = cavity_mod.run_cavity_realization(psi)
@@ -336,9 +338,9 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         if getattr(args, "seed", 0) < 0:  # numpy's generators take only seeds >= 0
-            raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantViolation as exc:

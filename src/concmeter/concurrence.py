@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import accept_input, normalized
+from .statevec import accept_input
 
 DM_HERMITIAN_TOL = 1e-10
 DM_TRACE_TOL = 1e-10
@@ -41,15 +41,6 @@ class PureState:
     def amplitudes(self) -> np.ndarray:
         """(c0, c1, c2, c3) as one read-only array, built once."""
         return self._amplitudes
-
-    @classmethod
-    def from_amplitudes(cls, amps, *, normalize: bool = False) -> "PureState":
-        """Unless normalize is set, the input must pass
-        statevec.accept_input."""
-        a = np.asarray(amps, dtype=complex).reshape(-1)
-        if a.size != 4:
-            raise ValueError(f"a two-qubit state needs 4 amplitudes, got {a.size}")
-        return cls(*(normalized(a) if normalize else a))
 
     @classmethod
     def haar_random(cls, rng: np.random.Generator) -> "PureState":

@@ -24,11 +24,8 @@ TABLE_NORM_TOL = 1e-10
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-# the circuit's gates, looked up once; sigma_y x sigma_y acts on the
-# second copy as one two-qubit gate, validated here once
-_SIGMA_Y_PAIR = statevec.Gate(np.kron(gates.sigma_y().matrix, gates.sigma_y().matrix))
-_CNOT = gates.cnot()
-_R_MINUS = gates.r_minus()
+# sigma_y x sigma_y acts on the second copy as one two-qubit gate, validated here once
+_SIGMA_Y_PAIR = statevec.Gate(np.kron(gates.SIGMA_Y.matrix, gates.SIGMA_Y.matrix))
 
 _READOUT_KETS = np.array([statevec.basis_index("gggg"), statevec.basis_index("egeg")])
 
@@ -141,8 +138,8 @@ def _run(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     P_egeg, and the (N,) oracle residuals; run_batch and run_circuit each
     build their own result from them."""
     psi = _prepare(a)
-    psi = statevec.apply_gate(psi, _CNOT, (2, 4))
-    psi = statevec.apply_gate(psi, _R_MINUS, (2,))
+    psi = statevec.apply_gate(psi, gates.CNOT, (2, 4))
+    psi = statevec.apply_gate(psi, gates.R_MINUS, (2,))
     final = psi.reshape(-1, 16)
 
     residual = np.maximum.reduce(np.abs(final - analytic_phi1_batch(a)), axis=1)

@@ -304,13 +304,12 @@ def marginal(amps: np.ndarray, *patterns: dict[int, int]) -> float | tuple[float
     return sums[0] if len(sums) == 1 else sums
 
 
-def _born_counts(amps: np.ndarray, n_shots: int, seed: int | np.random.Generator) -> np.ndarray:
+def _born_counts(amps: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
     """Born-rule sampling of one state's flat amplitudes: the count of each
-    basis state in index order, deterministic per seed; a Generator given
-    as seed is drawn from as is."""
+    basis state in index order, drawn from rng."""
     if not 1 <= n_shots <= _MAX_SHOTS:
         raise ValueError(f"n_shots must be in [1, {_MAX_SHOTS}]")
     probs = np.abs(amps) ** 2
     probs = probs / probs.sum()  # remove roundoff before multinomial
-    return np.random.default_rng(seed).multinomial(n_shots, probs)
+    return rng.multinomial(n_shots, probs)
 

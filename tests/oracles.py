@@ -3,15 +3,15 @@ the package against. The package itself never runs them."""
 import numpy as np
 
 from concmeter import cavity, gates, statevec
-from concmeter.cavity import decomposed_cnot
+from concmeter.cavity import ATOM2, ATOM5, DECOMPOSED_CNOT, PHOTON
 from concmeter.concurrence import validate_density_matrix
 
-_SYSY = np.kron(gates.sigma_y().matrix, gates.sigma_y().matrix)
+_SYSY = np.kron(gates.SIGMA_Y.matrix, gates.SIGMA_Y.matrix)
 
 
 def composed_cnot_matrix() -> np.ndarray:
     """Product of the cavity's CNOT decomposition steps (last step leftmost)."""
-    steps = [g.matrix for _, g in decomposed_cnot()]
+    steps = [g.matrix for _, g in DECOMPOSED_CNOT]
     return steps[2] @ steps[1] @ steps[0]
 
 
@@ -41,12 +41,12 @@ def circuit_unitary() -> np.ndarray:
     control 2 and target 4, then R- on qubit 2 (qubit 1 leftmost)."""
     eye = np.eye(2)
     ground, excited = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-    flip = gates.cnot().matrix[2:, 2:]
-    sy = gates.sigma_y().matrix
+    flip = gates.CNOT.matrix[2:, 2:]
+    sy = gates.SIGMA_Y.matrix
     prepare = np.kron(np.kron(eye, eye), np.kron(sy, sy))
     cnot_24 = (np.kron(np.kron(eye, ground), np.kron(eye, eye))
                + np.kron(np.kron(eye, excited), np.kron(eye, flip)))
-    r_minus_2 = np.kron(np.kron(eye, gates.r_minus().matrix), np.kron(eye, eye))
+    r_minus_2 = np.kron(np.kron(eye, gates.R_MINUS.matrix), np.kron(eye, eye))
     return r_minus_2 @ cnot_24 @ prepare
 
 
@@ -76,15 +76,21 @@ def binomial_thinning(counts: np.ndarray, model, rng: np.random.Generator) -> in
 
 
 def map_atom_to_photon(amps: np.ndarray) -> np.ndarray:
-    """The relay's atom-2 -> photon step on six-qubit flat amplitudes: the
-    photon's vacuum check, then the hand-over; atom 2 exits in |g>."""
-    return cavity._atom_to_photon(amps.reshape((1,) + (2,) * 6)).reshape(-1)
+    """The relay's atom-2 -> photon step on six-qubit flat amplitudes, with
+    the relay's arguments: the photon's vacuum check, then the hand-over;
+    atom 2 exits in |g>."""
+    return cavity._swap_from_ground(
+        amps.reshape((1,) + (2,) * 6), PHOTON, (ATOM2, PHOTON),
+        "photon must be in vacuum before the atom-2 map", "atom-to-photon map").reshape(-1)
 
 
 def map_photon_to_atom5(amps: np.ndarray) -> np.ndarray:
-    """The relay's photon -> atom-5 step on six-qubit flat amplitudes: atom
-    5's ground check, then the retrieval; the photon is left in vacuum."""
-    return cavity._photon_to_atom5(amps.reshape((1,) + (2,) * 6)).reshape(-1)
+    """The relay's photon -> atom-5 step on six-qubit flat amplitudes, with
+    the relay's arguments: atom 5's ground check, then the retrieval; the
+    photon is left in vacuum."""
+    return cavity._swap_from_ground(
+        amps.reshape((1,) + (2,) * 6), ATOM5, (PHOTON, ATOM5),
+        "atom 5 must start in the ground state", "photon-to-atom map").reshape(-1)
 
 
 def order_at(cfg, t: float) -> tuple[int, ...]:

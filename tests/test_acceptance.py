@@ -9,7 +9,7 @@ import pytest
 from concmeter.cavity import kinematics_report, run_cavity_realization, solve_delays
 from concmeter.concurrence import PureState, concurrence_pure, concurrence_wootters
 from concmeter.estimation import ReadoutModel, simulate_shots
-from concmeter.gates import cnot
+from concmeter.gates import CNOT
 from concmeter.protocol import analytic_phi1_batch, run_circuit
 from oracles import composed_cnot_matrix
 
@@ -94,7 +94,7 @@ def test_criterion_5_wootters_oracle():
 
 
 def test_criterion_6_cavity_equivalence():
-    gate_diff = float(np.max(np.abs(composed_cnot_matrix() - cnot().matrix)))
+    gate_diff = float(np.max(np.abs(composed_cnot_matrix() - CNOT.matrix)))
     worst = 0.0
     for psi in haar_states(200, seed=106):
         worst = max(worst, abs(run_cavity_realization(psi).p_gggg

@@ -16,9 +16,9 @@ from concmeter.cavity import (
     ATOM3,
     ATOM4,
     ATOM5,
+    DECOMPOSED_CNOT,
     PHOTON,
     FlightConfig,
-    decomposed_cnot,
     kinematics_report,
     run_cavity_realization,
     solve_delays,
@@ -54,18 +54,18 @@ def relay_with(atom2_amps, atom4_amps=(1, 0), photon_amps=(1, 0),
 
 def photonic_cphase(r):
     """The relay's CPHASE step on (photon, atom 4); six-qubit amplitudes."""
-    cphase = dict(decomposed_cnot())["cphase"]
+    cphase = dict(DECOMPOSED_CNOT)["cphase"]
     out = statevec.apply_gate(r.reshape((1,) + (2,) * 6), cphase, (PHOTON, ATOM4))
     return out.reshape([2] * 6)
 
 
 class TestDecomposedCnot:
     def test_step_order(self):
-        names = [name for name, _ in decomposed_cnot()]
+        names = [name for name, _ in DECOMPOSED_CNOT]
         assert names == ["r_minus_target", "cphase", "r_plus_target"]
 
     def test_composition_equals_cnot(self):
-        diff = np.abs(composed_cnot_matrix() - gates.cnot().matrix)
+        diff = np.abs(composed_cnot_matrix() - gates.CNOT.matrix)
         assert np.max(diff) < 1e-12
 
     def test_action_on_eg(self):
@@ -94,9 +94,11 @@ class TestPhotonicRelay:
         r = map_atom_to_photon(relay_with((0.6, 0.8j)))
         assert abs(np.linalg.norm(r) - 1.0) < 1e-12
 
-    def test_occupied_photon_rejected(self):
+    def test_occupied_photon_rejected(self, monkeypatch):
+        # the relay's own check, on a register whose photon starts in |1>
+        monkeypatch.setattr(cavity, "_VACUUM", np.array([0, 0, 1, 0], dtype=complex))
         with pytest.raises(InvariantViolation, match="vacuum"):
-            map_atom_to_photon(relay_with((1, 0), photon_amps=(0, 1)))
+            run_cavity_realization(PureState(0, SQ2, SQ2, 0))
 
     @pytest.mark.parametrize("relay_step, slot, stage", [
         (map_atom_to_photon, (0, 0, 0, 0, 1, 0), "atom-to-photon map"),
@@ -131,9 +133,11 @@ class TestPhotonicRelay:
         psi = r.reshape([2] * 6)
         assert abs(abs(psi[0, 0, 0, 0, 0, 1]) - 1.0) < 1e-12
 
-    def test_occupied_atom5_rejected(self):
+    def test_occupied_atom5_rejected(self, monkeypatch):
+        # the relay's own check, on a register whose atom 5 starts in |e>
+        monkeypatch.setattr(cavity, "_VACUUM", np.array([0, 1, 0, 0], dtype=complex))
         with pytest.raises(InvariantViolation, match="atom 5"):
-            map_photon_to_atom5(relay_with((1, 0), atom5_amps=(0, 1)))
+            run_cavity_realization(PureState(0, SQ2, SQ2, 0))
 
     def test_full_relay_is_logical_identity(self):
         r = relay_with((0.6, 0.8j))
@@ -154,13 +158,9 @@ class TestCavityRealization:
 
     def test_relay_runs_the_decomposition(self, monkeypatch, tmp_path, capsys):
         # flip the sign CPHASE puts on |ee>: the relay must notice
-        tested = decomposed_cnot()
-
-        def sign_flipped():
-            return [(name, Gate(g.matrix * [1, 1, 1, -1]) if name == "cphase" else g)
-                    for name, g in tested]
-
-        monkeypatch.setattr(cavity, "decomposed_cnot", sign_flipped)
+        sign_flipped = tuple((name, Gate(g.matrix * [1, 1, 1, -1]) if name == "cphase" else g)
+                             for name, g in DECOMPOSED_CNOT)
+        monkeypatch.setattr(cavity, "DECOMPOSED_CNOT", sign_flipped)
         path = tmp_path / "bell.json"
         path.write_text('{"amplitudes": [[0, 0], [0.7071067811865476, 0], '
                         '[0.7071067811865476, 0], [0, 0]]}')
@@ -169,13 +169,15 @@ class TestCavityRealization:
 
     @staticmethod
     def fault_after_relay(monkeypatch, gate, qubit):
-        """Apply `gate` to `qubit` right after the photon-to-atom-5 map."""
-        relay_step = cavity._photon_to_atom5
+        """Apply `gate` to `qubit` right after the photon-to-atom-5 map, the
+        relay's SWAP from a ground atom 5."""
+        relay_swap = cavity._swap_from_ground
 
-        def faulty(states):
-            return statevec.apply_gate(relay_step(states), gate, (qubit,))
+        def faulty(states, ground, *rest):
+            out = relay_swap(states, ground, *rest)
+            return statevec.apply_gate(out, gate, (qubit,)) if ground == ATOM5 else out
 
-        monkeypatch.setattr(cavity, "_photon_to_atom5", faulty)
+        monkeypatch.setattr(cavity, "_swap_from_ground", faulty)
 
     def test_phase_flip_caught_by_the_table(self, monkeypatch, tmp_path, capsys):
         # Z on atom 1 changes no probability, so only the phase-strict

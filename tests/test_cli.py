@@ -1,9 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from concmeter.cli import main
+import concmeter
+from concmeter.cli import STATE_FILE_CAP, main
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -69,6 +78,34 @@ class TestCmdRun:
     def test_missing_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 
+    def test_file_over_the_size_cap(self, tmp_path, capsys):
+        # a valid state padded with blanks: read at the cap, rejected one byte over
+        doc = json.dumps({"amplitudes": [[0, 0], [SQ2, 0], [SQ2, 0], [0, 0]]})
+        path = tmp_path / "padded.json"
+        path.write_text(doc + " " * (STATE_FILE_CAP - len(doc)))
+        assert main(["run", str(path)]) == 0
+        path.write_text(doc + " " * (STATE_FILE_CAP + 1 - len(doc)))
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: state file {path} exceeds the {STATE_FILE_CAP}-byte cap\n")
+
+    @pytest.mark.skipif(resource is None or not os.path.exists("/dev/zero"),
+                        reason="needs the resource module and /dev/zero")
+    def test_endless_file_read_in_bounded_memory(self):
+        # the child alone runs under a 1 GiB address-space limit; an
+        # unbounded read of /dev/zero ends there in a MemoryError traceback
+        child = ("import resource, runpy, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                 "sys.argv = ['concmeter', 'run', '/dev/zero']; "
+                 "runpy.run_module('concmeter.cli', run_name='__main__')")
+        src = os.path.dirname(os.path.dirname(concmeter.__file__))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: state file /dev/zero exceeds the {STATE_FILE_CAP}-byte cap\n")
+
 
 class TestCmdSweep:
     def test_summary_and_rows(self, tmp_path, capsys):
@@ -110,6 +147,14 @@ class TestCmdSweep:
 
     def test_unwritable_path(self, tmp_path):
         assert main(["sweep", "1", "--out", str(tmp_path / "no/dir.csv")]) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_an_input_error(self, capsys):
+        # opening /dev/full succeeds; writing to it, or flushing at close, fails
+        assert main(["sweep", "3", "--out", "/dev/full"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write /dev/full: ")
 
     def test_zero_states_rejected(self, tmp_path):
         assert main(["sweep", "0", "--out", str(tmp_path / "x.csv")]) == 1

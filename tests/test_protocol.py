@@ -22,8 +22,8 @@ def prepared_input(psi):
     """The circuit's input |psi> x (sigma_y x sigma_y)|psi>, recovered from
     run_batch's final state by undoing R- on qubit 2 and CNOT(2, 4)."""
     final = run_batch([psi.amplitudes]).amplitudes.reshape(1, 2, 2, 2, 2)
-    undone = statevec.apply_gate(final, gates.r_plus(), (2,))
-    return statevec.apply_gate(undone, gates.cnot(), (2, 4)).reshape(16)
+    undone = statevec.apply_gate(final, gates.R_PLUS, (2,))
+    return statevec.apply_gate(undone, gates.CNOT, (2, 4)).reshape(16)
 
 
 class TestPrepareInput:

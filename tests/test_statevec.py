@@ -116,7 +116,7 @@ class TestAcceptInput:
 
     def test_register_follows_the_rule(self):
         r = statevec.accept_input(ket(0, 0.70710678118, 0.70710678118, 0)[None])[0]
-        out = apply(r, gates.cnot(), 1, 2)  # the gate's 1e-12 norm check passes
+        out = apply(r, gates.CNOT, 1, 2)  # the gate's 1e-12 norm check passes
         assert abs(np.vdot(out, out).real - 1.0) <= statevec.NORM_TOL_UNITARY
 
 
@@ -164,11 +164,11 @@ def _flip():
 
 class TestApply1Q:
     def test_sigma_y_on_ground(self):
-        out = apply(ground(1), gates.sigma_y(), 1)
+        out = apply(ground(1), gates.SIGMA_Y, 1)
         np.testing.assert_allclose(out, [0, 1j])
 
     def test_r_minus_on_ground(self):
-        out = apply(ground(1), gates.r_minus(), 1)
+        out = apply(ground(1), gates.R_MINUS, 1)
         np.testing.assert_allclose(out, [SQ2, -SQ2])
 
     def test_identity(self):
@@ -179,7 +179,7 @@ class TestApply1Q:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply(ground(2), gates.sigma_y(), 3)
+            apply(ground(2), gates.SIGMA_Y, 3)
 
     def test_non_unitary_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -200,24 +200,24 @@ class TestApply1Q:
 
 class TestApply2Q:
     def test_cnot_eg(self):
-        out = apply(ket(0, 0, 1, 0), gates.cnot(), 1, 2)  # |eg>
+        out = apply(ket(0, 0, 1, 0), gates.CNOT, 1, 2)  # |eg>
         np.testing.assert_allclose(out, [0, 0, 0, 1])  # |ee>
 
     def test_cnot_gg(self):
-        out = apply(ground(2), gates.cnot(), 1, 2)
+        out = apply(ground(2), gates.CNOT, 1, 2)
         np.testing.assert_allclose(out, [1, 0, 0, 0])
 
     def test_cphase_ee(self):
-        out = apply(ket(0, 0, 0, 1), gates.cphase(), 1, 2)
+        out = apply(ket(0, 0, 0, 1), gates.CPHASE, 1, 2)
         np.testing.assert_allclose(out, [0, 0, 0, -1])
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            apply(ground(2), gates.cnot(), 1, 1)
+            apply(ground(2), gates.CNOT, 1, 1)
 
     def test_reversed_pair_order(self):
         # control on qubit 2, target on qubit 1: |ge> -> |ee>
-        out = apply(ket(0, 1, 0, 0), gates.cnot(), 2, 1)
+        out = apply(ket(0, 1, 0, 0), gates.CNOT, 2, 1)
         np.testing.assert_allclose(out, [0, 0, 0, 1])
 
     @given(st.integers(0, 2**32 - 1))
@@ -247,10 +247,10 @@ class TestGatePlan:
     check is never cached, and the cache is bounded."""
 
     @pytest.mark.parametrize("gate, qubits, message", [
-        (gates.cnot(), (1,), "gate acts on 2 qubits, got 1 qubit indices"),
-        (gates.sigma_y(), (4,), "qubit index 4 out of range 1..3"),
-        (gates.sigma_y(), (0,), "qubit index 0 out of range 1..3"),
-        (gates.cnot(), (2, 2), "q1 and q2 must be distinct"),
+        (gates.CNOT, (1,), "gate acts on 2 qubits, got 1 qubit indices"),
+        (gates.SIGMA_Y, (4,), "qubit index 4 out of range 1..3"),
+        (gates.SIGMA_Y, (0,), "qubit index 0 out of range 1..3"),
+        (gates.CNOT, (2, 2), "q1 and q2 must be distinct"),
     ])
     def test_same_message_on_every_call_and_nothing_cached(self, gate, qubits, message):
         statevec._gate_plan.cache_clear()
@@ -264,25 +264,25 @@ class TestGatePlan:
     @pytest.mark.parametrize("qubits", [[3, 1], (np.int64(3), np.int32(1)), np.array([3, 1])])
     def test_index_types_give_the_same_array(self, qubits):
         batch = batch_of_one(random_state(np.random.default_rng(5), 3))
-        expected = apply_gate(batch, gates.cnot(), (3, 1))
-        assert np.array_equal(apply_gate(batch, gates.cnot(), qubits), expected)
+        expected = apply_gate(batch, gates.CNOT, (3, 1))
+        assert np.array_equal(apply_gate(batch, gates.CNOT, qubits), expected)
 
     def test_float_index_rejected(self):
         batch = batch_of_one(ground(2))
-        apply_gate(batch, gates.sigma_y(), (2,))
+        apply_gate(batch, gates.SIGMA_Y, (2,))
         with pytest.raises(TypeError):
-            apply_gate(batch, gates.sigma_y(), (2.0,))
+            apply_gate(batch, gates.SIGMA_Y, (2.0,))
 
     def test_cache_bounded(self):
         keys = 0
         for n in range(1, 9):
             batch = batch_of_one(ground(n))
             for q1 in range(1, n + 1):
-                apply_gate(batch, gates.sigma_y(), (q1,))
+                apply_gate(batch, gates.SIGMA_Y, (q1,))
                 keys += 1
                 for q2 in range(1, n + 1):
                     if q2 != q1:
-                        apply_gate(batch, gates.cnot(), (q1, q2))
+                        apply_gate(batch, gates.CNOT, (q1, q2))
                         keys += 1
         info = statevec._gate_plan.cache_info()
         assert keys > info.maxsize
@@ -378,18 +378,18 @@ class TestSampleOutcomes:
     """Born-rule sampling of one state's outcomes: index-ordered counts."""
 
     def test_deterministic_state(self):
-        counts = statevec._born_counts(ground(4), 1000, seed=3)
+        counts = statevec._born_counts(ground(4), 1000, np.random.default_rng(3))
         assert counts.tolist() == [1000] + [0] * 15
 
     def test_bell_binomial(self):
         n = 10**6
-        counts = statevec._born_counts(BELL, n, seed=7)
+        counts = statevec._born_counts(BELL, n, np.random.default_rng(7))
         sigma = math.sqrt(0.25 / n)
         assert abs(counts[basis_index("ge")] / n - 0.5) < 5 * sigma
         assert counts.sum() == n
 
     def test_same_seed_identical(self):
-        draws = [statevec._born_counts(BELL, 5000, seed=11) for _ in range(2)]
+        draws = [statevec._born_counts(BELL, 5000, np.random.default_rng(11)) for _ in range(2)]
         assert np.array_equal(*draws)
 
     def test_chi_square_goodness_of_fit(self):
@@ -399,7 +399,7 @@ class TestSampleOutcomes:
         for trial in range(5):
             r = random_state(rng, 3)
             n = 10**5
-            observed = statevec._born_counts(r, n, seed=100 + trial)
+            observed = statevec._born_counts(r, n, np.random.default_rng(100 + trial))
             probs = np.abs(r) ** 2
             keep = probs * n >= 5  # chi-square validity threshold
             _, p_value = stats.chisquare(observed[keep], probs[keep] / probs[keep].sum() * observed[keep].sum())
@@ -407,4 +407,4 @@ class TestSampleOutcomes:
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
-            statevec._born_counts(ground(1), 0, seed=0)
+            statevec._born_counts(ground(1), 0, np.random.default_rng(0))
