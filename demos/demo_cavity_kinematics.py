@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from concmeter import PureState, run_circuit, run_cavity_realization, solve_delays
+from concmeter import (PureState, kinematics_report, run_circuit, run_cavity_realization,
+                       solve_delays)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -30,8 +31,8 @@ print(f"Bell state through the cavity sequence: "
 
 print()
 print("--- flight kinematics ---")
-sol = solve_delays(v=300.0, w=500.0, x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
-cfg, rpt = sol.config, sol.report
+cfg = solve_delays(v=300.0, w=500.0, x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
+rpt = kinematics_report(cfg)
 print(f"intra-pair delay tau       = {cfg.tau * 1e6:.2f} us")
 print(f"inter-pair delay tau_prime = {cfg.tau_prime * 1e6:.2f} us")
 print(f"pairs cross at x = {rpt.pair12_cross_position:.4f} m (cavity C center 0.2 m)")
@@ -43,5 +44,5 @@ print(f"feasible: {rpt.feasible}")
 
 print()
 print("A too-short gap between cavities leaves no room for the atom-1/4 swap:")
-bad = solve_delays(v=300.0, w=500.0, x_C=0.3, x_D=0.5, L_C=0.02, L_D=0.02)
-print(f"feasible: {bad.feasible}, binding constraint: {bad.binding_constraint}")
+bad = kinematics_report(solve_delays(v=300.0, w=500.0, x_C=0.3, x_D=0.5, L_C=0.02, L_D=0.02))
+print(f"feasible: {bad.feasible}, binding constraint: {bad.violations[0]}")

@@ -13,7 +13,6 @@ from .protocol import (
     run_circuit,
 )
 from .cavity import (
-    DelaySolution,
     FlightConfig,
     OrderingReport,
     kinematics_report,
@@ -31,7 +30,7 @@ __all__ = [
     "ReadoutModel", "ShotSummary", "confidence_interval", "simulate_shots",
     "BatchResult", "ProtocolResult", "analytic_phi1_batch", "extract_concurrence",
     "run_batch", "run_circuit",
-    "DelaySolution", "FlightConfig", "OrderingReport",
+    "FlightConfig", "OrderingReport",
     "kinematics_report", "run_cavity_realization", "solve_delays",
     "Gate", "InvariantViolation", "apply_gate",
 ]

@@ -18,13 +18,15 @@ import numpy as np
 
 from . import gates, statevec
 from .concurrence import PureState
-from .protocol import _SIGMA_Y_PAIR, ORACLE_TOL, ProtocolResult, analytic_phi1_batch
+from .protocol import ORACLE_TOL, ProtocolResult, analytic_phi1_batch
 from .protocol import extract_concurrence, run_circuit
 from .statevec import Gate
 
 CAVITY_MATCH_TOL = 1e-10
 PHOTON_VACUUM_TOL = 1e-12
-MIN_SPEED_GAP = 1e-6  # m/s; below this the overtake position degenerates
+# m/s; an input rule (the CLI's `speed_gap` golden case), not a numerical limit:
+# the closed-form solve plans a smaller gap feasibly
+MIN_SPEED_GAP = 1e-6
 
 # slot positions (1-based qubit indices) in the relay register
 ATOM1, ATOM2, ATOM3, ATOM4, PHOTON, ATOM5 = 1, 2, 3, 4, 5, 6
@@ -76,7 +78,7 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
     a = psi.amplitudes
     # both copies, photon in vacuum, atom 5 in |g>: one product; the first gate checks its norm
     reg = (a[:, None, None] * a[:, None] * _VACUUM).reshape((1,) + (2,) * 6)
-    reg = statevec.apply_gate(reg, _SIGMA_Y_PAIR, (ATOM3, ATOM4))  # Ramsey region, second copy only
+    reg = statevec.apply_gate(reg, gates.SIGMA_Y_PAIR, (ATOM3, ATOM4))  # Ramsey region, copy 2
 
     # CNOT(control = logical qubit 2, now the photon; target = atom 4)
     reg = _swap_from_ground(reg, PHOTON, (ATOM2, PHOTON),
@@ -151,8 +153,7 @@ class OrderingReport:
     order_before_C: tuple[int, ...]
     order_after_C: tuple[int, ...]
     order_at_D: tuple[int, ...]
-    pair12_cross_position: float
-    pair34_cross_position: float
+    pair12_cross_position: float  # pair 3-4 crosses here too: both pairs share tau
     swap14_position: float
     feasible: bool
     violations: tuple[str, ...]
@@ -215,37 +216,28 @@ def kinematics_report(cfg: FlightConfig) -> OrderingReport:
         order_after_C=order_after,
         order_at_D=order_d,
         pair12_cross_position=x12,
-        pair34_cross_position=x12,
         swap14_position=x14,
         feasible=not violations,
         violations=tuple(violations),
     )
 
 
-@dataclass(frozen=True)
-class DelaySolution:
-    feasible: bool
-    config: FlightConfig | None = None
-    report: OrderingReport | None = None
-    binding_constraint: str | None = None
-
-
 def solve_delays(v: float, w: float, x_C: float, x_D: float,
-                 L_C: float, L_D: float) -> DelaySolution:
-    """Pick tau so each pair crosses at the cavity-C center and tau_prime,
-    in closed form, so the atom-1/atom-4 swap lands midway between the
-    cavities; the result is re-validated by kinematics_report.
+                 L_C: float, L_D: float) -> FlightConfig:
+    """The flight plan: tau so each pair crosses at the cavity-C center and
+    tau_prime, in closed form, so the atom-1/atom-4 swap lands midway
+    between the cavities. kinematics_report gives its verdict.
 
     Raises ValueError unless every speed and length is finite and
-    positive."""
+    positive, w - v is at least MIN_SPEED_GAP and x_D > x_C."""
     values = {"v": v, "w": w, "x_C": x_C, "x_D": x_D, "L_C": L_C, "L_D": L_D}
     bad = [name for name, x in values.items() if not (math.isfinite(x) and x > 0.0)]
     if bad:
         raise ValueError(f"speed and geometry inputs must be finite and positive: {', '.join(bad)}")
     if w - v < MIN_SPEED_GAP:
-        return DelaySolution(feasible=False, binding_constraint="speed_gap")
+        raise ValueError("invalid kinematics input: speed_gap")
     if not x_D > x_C:
-        return DelaySolution(feasible=False, binding_constraint="geometry")
+        raise ValueError("invalid kinematics input: geometry")
 
     tau = x_C * (1.0 / v - 1.0 / w)
     x_mid = ((x_C + L_C / 2.0) + (x_D - L_D / 2.0)) / 2.0
@@ -254,11 +246,5 @@ def solve_delays(v: float, w: float, x_C: float, x_D: float,
     tau_prime = x_mid * ((w - v) / w / v) - 2.0 * tau
     if not tau_prime > 0.0:  # past x_mid at zero delay, or NaN (inf - inf) when 1/v overflows
         tau_prime = 0.0
-
-    cfg = FlightConfig(v=v, w=w, tau=tau, tau_prime=tau_prime,
-                       x_C=x_C, x_D=x_D, L_C=L_C, L_D=L_D)
-    report = kinematics_report(cfg)
-    if not report.feasible:
-        return DelaySolution(feasible=False, config=cfg, report=report,
-                             binding_constraint=report.violations[0])
-    return DelaySolution(feasible=True, config=cfg, report=report)
+    return FlightConfig(v=v, w=w, tau=tau, tau_prime=tau_prime,
+                        x_C=x_C, x_D=x_D, L_C=L_C, L_D=L_D)

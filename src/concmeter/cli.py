@@ -10,6 +10,8 @@ import argparse
 import csv
 import functools
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -103,12 +105,23 @@ class _Parser(argparse.ArgumentParser):
         return argparse.Namespace(**values)
 
 
+def _open_nonblocking(path, flags):
+    # a FIFO with no writer would block open() until one comes; a terminal
+    # never becomes the process's controlling one
+    return os.open(path, flags | os.O_NONBLOCK | os.O_NOCTTY)
+
+
 def load_state_file(path: str, force_normalize: bool = False) -> PureState:
     """Read a JSON state file, UTF-8 whatever the locale, of at most
     STATE_FILE_CAP bytes: {"amplitudes": [[re, im] x 4], "normalize": bool
-    (optional)}."""
+    (optional)}. A FIFO is refused."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", opener=_open_nonblocking) as fh:
+            mode = os.fstat(fh.fileno()).st_mode
+            if stat.S_ISFIFO(mode):
+                raise ValueError(f"state file {path} is a FIFO, not a regular file")
+            if not stat.S_ISREG(mode):  # a terminal is read as before
+                os.set_blocking(fh.fileno(), True)
             # bounded, as the path may be endless (/dev/zero); a first request
             # under 128 KiB, which a small file fills without an mmap of its own
             data = fh.read(1 << 16)
@@ -214,20 +227,19 @@ def cmd_cavity(args) -> int:
         missing = [f for f in flags if f not in given]
         if missing:
             raise ValueError(f"--kinematics requires {' '.join(missing)}")
-        sol = cavity_mod.solve_delays(args.v, args.w, args.xc, args.xd, args.lc, args.ld)
-        if sol.binding_constraint in ("speed_gap", "geometry"):
-            raise ValueError(f"invalid kinematics input: {sol.binding_constraint}")
-        if not sol.feasible:
-            print(f"infeasible: binding constraint {sol.binding_constraint}")
+        cfg = cavity_mod.solve_delays(args.v, args.w, args.xc, args.xd, args.lc, args.ld)
+        report = cavity_mod.kinematics_report(cfg)
+        if not report.feasible:
+            print(f"infeasible: binding constraint {report.violations[0]}")
             return EXIT_INFEASIBLE
-        cfg, report = sol.config, sol.report
         print(f"tau        = {cfg.tau!r} s")
         print(f"tau_prime  = {cfg.tau_prime!r} s")
         print(f"order_before_C = {report.order_before_C}")
         print(f"order_after_C  = {report.order_after_C}")
         print(f"order_at_D     = {report.order_at_D}")
         print(f"pair12_cross   = {report.pair12_cross_position!r} m")
-        print(f"pair34_cross   = {report.pair34_cross_position!r} m")
+        # both pairs share tau, so the 3-4 pair crosses where the 1-2 pair does
+        print(f"pair34_cross   = {report.pair12_cross_position!r} m")
         print(f"swap14         = {report.swap14_position!r} m")
         print(f"feasible       = {report.feasible}")
         return EXIT_OK

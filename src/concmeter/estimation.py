@@ -48,23 +48,23 @@ class ShotSummary:
     ci_high: float
 
 
-def wilson_interval(k: int, n: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Wilson score interval on a binomial proportion."""
     if n < 1 or not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n with n >= 1")
     # at the extremes one endpoint is exactly 0 or 1; snap past roundoff
     if k == 0:
-        return 0.0, _wilson_raw(0, n, z)[1]
+        return 0.0, _wilson_raw(0, n)[1]
     if k == n:
-        return _wilson_raw(n, n, z)[0], 1.0
-    return _wilson_raw(k, n, z)
+        return _wilson_raw(n, n)[0], 1.0
+    return _wilson_raw(k, n)
 
 
-def _wilson_raw(k: int, n: int, z: float) -> tuple[float, float]:
+def _wilson_raw(k: int, n: int) -> tuple[float, float]:
     p_hat = k / n
-    denom = 1.0 + z * z / n
-    center = (p_hat + z * z / (2 * n)) / denom
-    margin = (z / denom) * math.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n))
+    denom = 1.0 + _Z95 * _Z95 / n
+    center = (p_hat + _Z95 * _Z95 / (2 * n)) / denom
+    margin = (_Z95 / denom) * math.sqrt(p_hat * (1 - p_hat) / n + _Z95 * _Z95 / (4 * n * n))
     return max(0.0, center - margin), min(1.0, center + margin)
 
 

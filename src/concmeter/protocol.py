@@ -24,9 +24,6 @@ TABLE_NORM_TOL = 1e-10
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-# sigma_y x sigma_y acts on the second copy as one two-qubit gate, validated here once
-_SIGMA_Y_PAIR = statevec.Gate(np.kron(gates.SIGMA_Y.matrix, gates.SIGMA_Y.matrix))
-
 _READOUT_KETS = np.array([statevec.basis_index("gggg"), statevec.basis_index("egeg")])
 
 # The post-circuit amplitudes as quadratic forms in c0..c3, before the
@@ -93,7 +90,7 @@ def _prepare(a: np.ndarray) -> np.ndarray:
     """(N, 4) two-qubit states -> (N, 2, 2, 2, 2) inputs of the circuit:
     |psi> on qubits 1,2 and (sigma_y x sigma_y)|psi> on qubits 3,4. The
     product of two checked rows needs no check of its own."""
-    copy2 = statevec.apply_gate(a.reshape(-1, 2, 2), _SIGMA_Y_PAIR, (1, 2))
+    copy2 = statevec.apply_gate(a.reshape(-1, 2, 2), gates.SIGMA_Y_PAIR, (1, 2))
     return (a[:, :, None] * copy2.reshape(-1, 1, 4)).reshape(-1, 2, 2, 2, 2)
 
 

@@ -11,14 +11,14 @@ PUBLIC = {
     "ReadoutModel", "ShotSummary", "confidence_interval", "simulate_shots",
     "BatchResult", "ProtocolResult", "analytic_phi1_batch", "extract_concurrence",
     "run_batch", "run_circuit",
-    "DelaySolution", "FlightConfig", "OrderingReport",
+    "FlightConfig", "OrderingReport",
     "kinematics_report", "run_cavity_realization", "solve_delays",
     "Gate", "InvariantViolation", "apply_gate",
 }
 
 
 def test_all_is_pinned():
-    assert len(concmeter.__all__) == len(PUBLIC) == 22
+    assert len(concmeter.__all__) == len(PUBLIC) == 21
     assert set(concmeter.__all__) == PUBLIC
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 import pickle
@@ -267,7 +268,7 @@ class TestFlightConfig:
                          x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
 
     def test_solved_config_survives_copy_and_pickle(self):
-        cfg = solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02).config
+        cfg = solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02)
         assert copy.deepcopy(cfg) == cfg
         assert pickle.loads(pickle.dumps(cfg)) == cfg
 
@@ -279,7 +280,6 @@ class TestKinematicsReport:
                            x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
         report = kinematics_report(cfg)
         assert abs(report.pair12_cross_position - 0.2) < 1e-12
-        assert abs(report.pair34_cross_position - 0.2) < 1e-12
 
     def test_zero_delay_crossing_at_source(self):
         cfg = FlightConfig(v=300, w=500, tau=0.0, tau_prime=1e-4,
@@ -297,10 +297,14 @@ class TestKinematicsReport:
         assert not report.feasible
 
     def test_symmetric_pairs(self):
+        # the report gives one crossing for both pairs: atom 4, emitted tau
+        # after atom 3, catches it where atom 2 catches atom 1
         cfg = FlightConfig(v=280, w=450, tau=2e-4, tau_prime=5e-5,
                            x_C=0.25, x_D=0.7, L_C=0.03, L_D=0.03)
         report = kinematics_report(cfg)
-        assert report.pair12_cross_position == report.pair34_cross_position
+        t3, t4 = cfg.tau + cfg.tau_prime, 2 * cfg.tau + cfg.tau_prime
+        t34 = (cfg.w * t4 - cfg.v * t3) / (cfg.w - cfg.v)  # v (t - t3) = w (t - t4)
+        assert report.pair12_cross_position == pytest.approx(cfg.v * (t34 - t3), rel=1e-12)
 
     def test_orderings_are_permutations(self):
         cfg = FlightConfig(v=300, w=500, tau=2.6667e-4, tau_prime=1e-5,
@@ -397,14 +401,13 @@ OVERFLOW_INPUT = (8.60264206784788e+33, 2.582280531452439e+201, 5.17771919577447
 
 class TestSolveDelays:
     def test_closed_form_tau(self):
-        sol = solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02)
-        assert sol.feasible
-        assert abs(sol.config.tau - 0.2 * (1 / 300 - 1 / 500)) < 1e-12
-        assert abs(sol.config.tau - 2.6667e-4) < 1e-8
+        cfg = solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02)
+        assert kinematics_report(cfg).feasible
+        assert abs(cfg.tau - 0.2 * (1 / 300 - 1 / 500)) < 1e-12
+        assert abs(cfg.tau - 2.6667e-4) < 1e-8
 
     def test_round_trip_feasible(self):
-        sol = solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02)
-        report = kinematics_report(sol.config)
+        report = kinematics_report(solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02))
         assert report.feasible
         assert report.order_before_C == (4, 3, 2, 1)
         assert report.order_after_C == (3, 4, 1, 2)
@@ -416,29 +419,31 @@ class TestSolveDelays:
     @settings(max_examples=300, deadline=None)
     def test_plan_lands_on_its_targets(self, args):
         v, w, x_C, x_D, L_C, L_D = args
-        sol = solve_delays(*args)
-        assert sol.feasible
+        cfg = solve_delays(*args)
+        report = kinematics_report(cfg)
+        assert report.feasible
         x_mid = ((x_C + L_C / 2.0) + (x_D - L_D / 2.0)) / 2.0
-        swap14, bound = sol.report.swap14_position, 4 * math.ulp(x_mid)
-        if sol.config.tau_prime > 0.0:
+        swap14, bound = report.swap14_position, 4 * math.ulp(x_mid)
+        if cfg.tau_prime > 0.0:
             assert abs(swap14 - x_mid) <= bound
         else:
             # no delay is needed when the pairs' own gap puts the swap past the midpoint
-            assert sol.config.tau_prime == 0.0 and swap14 >= x_mid - bound
+            assert cfg.tau_prime == 0.0 and swap14 >= x_mid - bound
 
     def test_fast_atoms_feasible(self):
         # v * w overflows here, but neither crossing nor the plan does
-        sol = solve_delays(3e162, 9e162, 0.2, 0.6, 0.02, 0.02)
-        assert sol.feasible
-        assert sol.report.pair12_cross_position == pytest.approx(0.2, rel=1e-15)
-        assert sol.report.swap14_position == pytest.approx(0.4, rel=1e-15)
+        report = kinematics_report(solve_delays(3e162, 9e162, 0.2, 0.6, 0.02, 0.02))
+        assert report.feasible
+        assert report.pair12_cross_position == pytest.approx(0.2, rel=1e-15)
+        assert report.swap14_position == pytest.approx(0.4, rel=1e-15)
 
     def test_near_max_speeds_an_ulp_apart_are_infeasible(self):
         # the lag (w - v)/w/v underflows to 0 and tau to 0: no crossing exists
-        sol = solve_delays(1e308, math.nextafter(1e308, math.inf), 0.2, 0.6, 0.02, 0.02)
-        assert not sol.feasible
-        assert sol.binding_constraint == "pair12_cross_outside_C"
-        assert math.isnan(sol.report.pair12_cross_position)
+        cfg = solve_delays(1e308, math.nextafter(1e308, math.inf), 0.2, 0.6, 0.02, 0.02)
+        report = kinematics_report(cfg)
+        assert not report.feasible
+        assert report.violations[0] == "pair12_cross_outside_C"
+        assert math.isnan(report.pair12_cross_position)
 
     @given(physical_geometries(), st.integers(-60, 1000))
     @example((300.0, 500.0, 0.2, 0.6, 0.02, 0.02), 504)  # v * w overflows from k = 504
@@ -451,28 +456,26 @@ class TestSolveDelays:
         sv, sw = math.ldexp(v, k), math.ldexp(w, k)
         assume(sw < math.inf and sw - sv >= 2 * cavity.MIN_SPEED_GAP)
         base, scaled = solve_delays(v, w, *geometry), solve_delays(sv, sw, *geometry)
-        delays = (base.config.tau, base.config.tau_prime)
+        delays = (base.tau, base.tau_prime)
         assume(all(d == 0.0 or sys.float_info.min <= math.ldexp(d, -k) for d in delays))
         assume(sys.float_info.min <= 1.0 / sw and sys.float_info.min <= (sw - sv) / sw / sv)
-        assert scaled.feasible == base.feasible
-        assert scaled.binding_constraint == base.binding_constraint
-        assert (scaled.config.tau, scaled.config.tau_prime) == tuple(math.ldexp(d, -k)
-                                                                     for d in delays)
-        assert scaled.report == base.report
+        assert (scaled.tau, scaled.tau_prime) == tuple(math.ldexp(d, -k) for d in delays)
+        # the same verdict and binding constraint, and the same positions and orders
+        assert kinematics_report(scaled) == kinematics_report(base)
 
     def test_subnormal_lag_keeps_the_verdict(self):
         # scaled by 2**997 the lag (w - v)/w/v is about 1.5e-308, subnormal, so
         # tau_prime loses its last digits; the plan and its orders still hold
         args, k = (7060.0, 7061.0, 2.0, 9.0, 2.0, 2.0), 997
         scaled_args = (math.ldexp(args[0], k), math.ldexp(args[1], k), *args[2:])
-        base, scaled = solve_delays(*args), solve_delays(*scaled_args)
-        cfg = scaled.config
+        cfg = solve_delays(*scaled_args)
         assert 0.0 < (cfg.w - cfg.v) / cfg.w / cfg.v < sys.float_info.min
+        base, scaled = kinematics_report(solve_delays(*args)), kinematics_report(cfg)
         assert scaled.feasible == base.feasible
-        assert scaled.binding_constraint == base.binding_constraint
+        assert scaled.violations[:1] == base.violations[:1]  # the binding constraint, if any
 
-        def orders(sol):
-            return sol.report.order_before_C, sol.report.order_after_C, sol.report.order_at_D
+        def orders(report):
+            return report.order_before_C, report.order_after_C, report.order_at_D
 
         assert orders(scaled) == orders(base)
 
@@ -480,45 +483,50 @@ class TestSolveDelays:
         # a finite delay, and no delay puts the swap between the cavities: it
         # lands inside C, so atom 4 has passed atom 1 as it exits C; exact
         # arithmetic gives the same three violations, this one first
-        sol = solve_delays(*OVERFLOW_INPUT)
-        assert math.isfinite(sol.config.tau_prime)
-        assert sol.binding_constraint == "order_after_C_wrong"
-        assert "swap14_not_between_cavities" in sol.report.violations
+        cfg = solve_delays(*OVERFLOW_INPUT)
+        report = kinematics_report(cfg)
+        assert math.isfinite(cfg.tau_prime)
+        assert report.violations[0] == "order_after_C_wrong"
+        assert "swap14_not_between_cavities" in report.violations
 
     def test_delays_that_dwarf_the_flight_through_c(self):
         # tau is about 2e302 s and atom 4 crosses C in 1e4 s: on a clock from
         # atom 1's emission, atom 4's exit from C rounds back to its emission
-        sol = solve_delays(1e-303, 2e-6, 0.2, 0.6, 0.02, 0.02)
-        assert sol.feasible
-        assert (sol.report.order_after_C, sol.report.order_at_D) == ((3, 4, 1, 2), (3, 1, 4, 2))
-        assert (sol.report.pair12_cross_position, sol.report.swap14_position) == (0.2, 0.4)
+        report = kinematics_report(solve_delays(1e-303, 2e-6, 0.2, 0.6, 0.02, 0.02))
+        assert report.feasible
+        assert (report.order_after_C, report.order_at_D) == ((3, 4, 1, 2), (3, 1, 4, 2))
+        assert (report.pair12_cross_position, report.swap14_position) == (0.2, 0.4)
 
     @pytest.mark.parametrize("v", [5e-324, 1e-320])
     def test_speed_whose_inverse_overflows_is_infeasible(self, v):
         # 1/v is inf, so tau is; at 5e-324, v * w also underflows to 0
-        sol = solve_delays(v, 0.5, 1.0, 2.0, 1.0, 1.0)
-        assert not sol.feasible
-        assert math.isinf(sol.config.tau) and sol.config.tau_prime == 0.0
-        assert sol.binding_constraint == sol.report.violations[0]
+        cfg = solve_delays(v, 0.5, 1.0, 2.0, 1.0, 1.0)
+        report = kinematics_report(cfg)
+        assert not report.feasible
+        assert math.isinf(cfg.tau) and cfg.tau_prime == 0.0
+        assert report.violations[0] == "pair12_cross_outside_C"  # an infinite crossing
 
     def test_degenerate_speed_gap(self):
-        sol = solve_delays(300, 300 + 1e-7, 0.2, 0.6, 0.02, 0.02)
-        assert not sol.feasible
-        assert sol.binding_constraint == "speed_gap"
+        with pytest.raises(ValueError, match="^invalid kinematics input: speed_gap$"):
+            solve_delays(300, 300 + 1e-7, 0.2, 0.6, 0.02, 0.02)
 
     @pytest.mark.parametrize("gap, binds", [(2e-6, False), (5e-7, True)])
     def test_speed_gap_boundary(self, gap, binds):
         # either side of MIN_SPEED_GAP = 1e-6 m/s, and inside ten times it
-        sol = solve_delays(300.0, 300.0 + gap, 0.2, 0.6, 0.02, 0.02)
-        assert (sol.binding_constraint == "speed_gap") == binds
+        with pytest.raises(ValueError, match="speed_gap") if binds else contextlib.nullcontext():
+            solve_delays(300.0, 300.0 + gap, 0.2, 0.6, 0.02, 0.02)
 
     def test_w_below_v_infeasible(self):
-        sol = solve_delays(500, 300, 0.2, 0.6, 0.02, 0.02)
-        assert not sol.feasible
+        # an input error, not a plan: w - v is below MIN_SPEED_GAP
+        with pytest.raises(ValueError, match="speed_gap"):
+            solve_delays(500, 300, 0.2, 0.6, 0.02, 0.02)
+
+    @pytest.mark.parametrize("x_D", [0.2, 0.1])
+    def test_cavity_d_not_past_c_rejected(self, x_D):
+        with pytest.raises(ValueError, match="^invalid kinematics input: geometry$"):
+            solve_delays(300, 500, 0.2, x_D, 0.02, 0.02)
 
     def test_varied_geometries_round_trip(self):
         for v, w, xc, xd in [(250, 400, 0.15, 0.5), (300, 500, 0.2, 0.6),
                              (320, 600, 0.3, 0.9), (200, 350, 0.1, 0.45)]:
-            sol = solve_delays(v, w, xc, xd, 0.02, 0.02)
-            if sol.feasible:
-                assert kinematics_report(sol.config).feasible
+            assert kinematics_report(solve_delays(v, w, xc, xd, 0.02, 0.02)).feasible

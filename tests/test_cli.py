@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -13,6 +14,10 @@ try:
     import resource
 except ImportError:  # not on every platform
     resource = None
+try:
+    import pty
+except ImportError:  # POSIX only
+    pty = None
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -105,6 +110,38 @@ class TestCmdRun:
         assert proc.returncode == 1
         assert proc.stderr == (
             f"error: state file /dev/zero exceeds the {STATE_FILE_CAP}-byte cap\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_with_no_writer_rejected(self, tmp_path, capsys):
+        # a plain open() of a FIFO waits for a writer, and none comes: in a
+        # child first, under a timeout, then, known not to hang, in process
+        fifo = tmp_path / "state.fifo"
+        os.mkfifo(fifo)
+        message = f"error: state file {fifo} is a FIFO, not a regular file\n"
+        src = os.path.dirname(os.path.dirname(concmeter.__file__))
+        proc = subprocess.run([sys.executable, "-m", "concmeter.cli", "run", str(fifo)],
+                              capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (1, message)
+        assert main(["run", str(fifo)]) == 1
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.skipif(pty is None, reason="needs the pty module")
+    def test_terminal_waits_for_its_input(self, capsys):
+        # opened without blocking, for the FIFO check, a terminal is read
+        # blocking again: a state typed after the open still arrives
+        controller, terminal = pty.openpty()
+        doc = json.dumps({"amplitudes": [[0, 0], [SQ2, 0], [SQ2, 0], [0, 0]]})
+        typist = threading.Timer(0.2, os.write, (controller, doc.encode() + b"\n\x04"))
+        typist.start()
+        try:
+            assert main(["run", os.ttyname(terminal)]) == 0
+        finally:
+            typist.join(10)
+            os.close(controller)
+            os.close(terminal)
+        assert not typist.is_alive()
+        assert capsys.readouterr().out.startswith("C_analytic       = ")
 
 
 class TestCmdSweep:

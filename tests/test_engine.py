@@ -168,7 +168,7 @@ PACKAGE_GATES = {
     "r_minus": (gates.R_MINUS, False),
     "cnot": (gates.CNOT, True),
     "cphase": (gates.CPHASE, True),
-    "sigma_y_pair": (protocol._SIGMA_Y_PAIR, True),
+    "sigma_y_pair": (gates.SIGMA_Y_PAIR, True),
     "swap": (cavity._SWAP, True),
     "r_minus_target": (dict(cavity.DECOMPOSED_CNOT)["r_minus_target"], False),
     "r_plus_target": (dict(cavity.DECOMPOSED_CNOT)["r_plus_target"], False),

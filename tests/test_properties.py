@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from concmeter import (
     BatchResult,
-    DelaySolution,
+    FlightConfig,
     PureState,
     ReadoutModel,
     ShotSummary,
     concurrence_wootters,
+    kinematics_report,
     run_batch,
     simulate_shots,
     solve_delays,
@@ -136,7 +137,11 @@ class TestLibraryBoundary:
     @settings(max_examples=300, deadline=None)
     def test_solve_delays(self, args):
         out = result_or_value_error(lambda: solve_delays(*args))
-        assert out is None or isinstance(out, DelaySolution)
+        assert out is None or isinstance(out, FlightConfig)
+        if out is not None:
+            with bounded():  # a verdict, never an exception
+                report = kinematics_report(out)
+            assert report.feasible == (not report.violations)
 
     @given(rows(4),
            st.one_of(st.integers(-2, 10**6), st.integers(2**62, 2**70)),
