@@ -4,6 +4,11 @@ relay, which runs the CNOT as the constant steps of `DECOMPOSED_CNOT`
 ballistic flight kinematics that put the atoms in the right order at
 each cavity.
 
+The relay runs one step program: its gate plans and read indices,
+resolved once per gate set (`_relay_program`). Each call reads
+gates.SIGMA_Y_PAIR, DECOMPOSED_CNOT and gates.R_MINUS and fetches their
+program from a bounded cache, then applies it with no per-gate lookup.
+
 Atom layout in the relay register (left to right, qubit 1 = MSB):
 atom1, atom2, atom3, atom4, photon (|0>=|g>), atom5. Atom 2 stays in the
 register after its qubit is handed to the photon; it is deterministically
@@ -11,8 +16,9 @@ register after its qubit is handed to the photon; it is deterministically
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,11 +62,14 @@ DECOMPOSED_CNOT = (
 _VACUUM = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # photon |0>, atom 5 |g>
 
 
-def _swap_from_ground(states: np.ndarray, ground: int, pair, message, stage) -> np.ndarray:
-    """SWAP the pair of slots, once slot `ground` is checked to read 0."""
-    statevec._check_invariant(stage, message, statevec.marginal(states, {ground: 1}),
-                              PHOTON_VACUUM_TOL)
-    return statevec.apply_gate(states, _SWAP, pair)
+def _swap_from_ground(states: np.ndarray, ground: int, swaps, message, stage) -> np.ndarray:
+    """SWAP a pair of slots, once slot `ground` is checked to read 0; `swaps`
+    maps the ground slot to its read and the SWAP's plan (the relay
+    program's second part)."""
+    excited, swap = swaps[ground]
+    weight, = statevec._read(states, excited)
+    statevec._check_invariant(stage, message, weight, PHOTON_VACUUM_TOL)
+    return statevec._apply_plan(states, swap)
 
 
 # the relay's final reads, in one pass: P_gggg and P_egeg in logical-qubit
@@ -71,27 +80,50 @@ _FINAL_READS = ({ATOM5: 0, ATOM3: 0, ATOM1: 0, ATOM4: 0},
                 {ATOM2: 1}, {ATOM2: 0, PHOTON: 1})
 
 
+@functools.lru_cache(maxsize=8)
+def _relay_program(sigma_y_pair, decomposed_cnot, r_minus) -> tuple:
+    """The relay's step program, resolved once per gate set: the plans of
+    the Ramsey pulse, of each SWAP from a ground slot with that slot's
+    read (by slot), of each step of the decomposed CNOT and of the final
+    rotation, then the final reads. The relay reads the gates from
+    `gates` and DECOMPOSED_CNOT on every call and fetches their program
+    here."""
+    def plan(qubits, gate):
+        return statevec._gate_plan(6, qubits, gate)
+
+    def reads(*patterns):
+        return tuple(statevec._marginal_plan(6, tuple(bits.items())) for bits in patterns)
+
+    swaps = {PHOTON: (reads({PHOTON: 1}), plan((ATOM2, PHOTON), _SWAP)),
+             ATOM5: (reads({ATOM5: 1}), plan((PHOTON, ATOM5), _SWAP))}
+    return (plan((ATOM3, ATOM4), sigma_y_pair), swaps,
+            tuple(plan((PHOTON, ATOM4), step) for _, step in decomposed_cnot),
+            plan((ATOM5,), r_minus), reads(*_FINAL_READS))
+
+
 def run_cavity_realization(psi: PureState) -> ProtocolResult:
     """Full cavity sequence on the six-slot register as one (1,) + (2,)*6 array, checked
     against the ideal circuit's P_gggg, then on atom 2 = g, photon = 0 against the analytic
     table (phase-strict; its residual is oracle_residual), with no weight outside."""
+    y_pair, swaps, cnot_steps, r_minus, final_reads = _relay_program(
+        gates.SIGMA_Y_PAIR, DECOMPOSED_CNOT, gates.R_MINUS)
     a = psi.amplitudes
     # both copies, photon in vacuum, atom 5 in |g>: one product; the first gate checks its norm
     reg = (a[:, None, None] * a[:, None] * _VACUUM).reshape((1,) + (2,) * 6)
-    reg = statevec.apply_gate(reg, gates.SIGMA_Y_PAIR, (ATOM3, ATOM4))  # Ramsey region, copy 2
+    reg = statevec._apply_plan(reg, y_pair)  # Ramsey region, copy 2, on atoms 3 and 4
 
     # CNOT(control = logical qubit 2, now the photon; target = atom 4)
-    reg = _swap_from_ground(reg, PHOTON, (ATOM2, PHOTON),
+    reg = _swap_from_ground(reg, PHOTON, swaps,
                             "photon must be in vacuum before the atom-2 map", "atom-to-photon map")
-    for _, step in DECOMPOSED_CNOT:
-        reg = statevec.apply_gate(reg, step, (PHOTON, ATOM4))
-    reg = _swap_from_ground(reg, ATOM5, (PHOTON, ATOM5),
+    for step in cnot_steps:  # on (photon, atom 4)
+        reg = statevec._apply_plan(reg, step)
+    reg = _swap_from_ground(reg, ATOM5, swaps,
                             "atom 5 must start in the ground state", "photon-to-atom map")
 
     # atom 5 now carries the logical qubit 2; final rotation of the protocol
-    final = statevec.apply_gate(reg, gates.R_MINUS, (ATOM5,))
+    final = statevec._apply_plan(reg, r_minus)
 
-    p_all_ground, p_egeg, atom2_excited, photon_left = statevec.marginal(final, *_FINAL_READS)
+    p_all_ground, p_egeg, atom2_excited, photon_left = statevec._read(final, final_reads)
     ideal = run_circuit(psi)
     statevec._check_invariant("cavity vs ideal P_gggg",
                               "cavity realization deviates from the ideal circuit",
@@ -104,7 +136,7 @@ def run_cavity_realization(psi: PureState) -> ProtocolResult:
                               residual, ORACLE_TOL)
     statevec._check_invariant("cavity logical subspace", "weight outside atom 2 = g, photon = 0",
                               atom2_excited + photon_left, PHOTON_VACUUM_TOL)
-    final = final.reshape(-1)  # checked by apply_gate
+    final = final.reshape(-1)  # checked by the step kernel
     final.flags.writeable = False
     return ProtocolResult(
         final_state=final,
@@ -126,7 +158,7 @@ class FlightConfig:
     atoms 1, 2 and 3 leave 2*tau + tau_prime, tau + tau_prime and tau
     ahead of atom 4. Speeds, positions and lengths must be finite; a
     delay may be +inf, as when 1/v overflows in solve_delays, but not
-    NaN."""
+    NaN. Each field is stored as a Python float."""
 
     v: float
     w: float
@@ -138,6 +170,10 @@ class FlightConfig:
     L_D: float
 
     def __post_init__(self):
+        # a numpy scalar would raise a RuntimeWarning in kinematics_report
+        # where a Python float overflows to inf quietly
+        for field in fields(self):
+            object.__setattr__(self, field.name, float(getattr(self, field.name)))
         if not (math.inf > self.w > self.v > 0.0):
             raise ValueError("v and w must be finite and satisfy w > v > 0")
         if not (math.inf > self.x_D > self.x_C > 0.0):
@@ -230,6 +266,8 @@ def solve_delays(v: float, w: float, x_C: float, x_D: float,
 
     Raises ValueError unless every speed and length is finite and
     positive, w - v is at least MIN_SPEED_GAP and x_D > x_C."""
+    # Python floats before any arithmetic, as FlightConfig stores them
+    v, w, x_C, x_D, L_C, L_D = map(float, (v, w, x_C, x_D, L_C, L_D))
     values = {"v": v, "w": w, "x_C": x_C, "x_D": x_D, "L_C": L_C, "L_D": L_D}
     bad = [name for name, x in values.items() if not (math.isfinite(x) and x > 0.0)]
     if bad:

@@ -5,12 +5,17 @@ then R- on qubit 2. The concurrence of |psi> is read out from the
 all-ground probability as C = 2*sqrt(2*P_gggg).
 
 `run_batch` runs the circuit on N input states at once; `run_circuit` is
-a batch of one. `analytic_phi1_batch` computes the post-circuit
+a batch of one. Both run one step program: the plans of the three gates,
+resolved once per gate set (`_program`). Each call reads
+gates.SIGMA_Y_PAIR, gates.CNOT and gates.R_MINUS and fetches their
+program from a bounded cache, then applies it with no per-gate lookup.
+`analytic_phi1_batch` computes the post-circuit
 amplitudes directly as polynomials in c0..c3, never touching the gate
 simulator, so the two paths cross-check each other row by row.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,12 +91,14 @@ def _input_batch(amps) -> np.ndarray:
     return statevec.accept_input(a)
 
 
-def _prepare(a: np.ndarray) -> np.ndarray:
-    """(N, 4) two-qubit states -> (N, 2, 2, 2, 2) inputs of the circuit:
-    |psi> on qubits 1,2 and (sigma_y x sigma_y)|psi> on qubits 3,4. The
-    product of two checked rows needs no check of its own."""
-    copy2 = statevec.apply_gate(a.reshape(-1, 2, 2), gates.SIGMA_Y_PAIR, (1, 2))
-    return (a[:, :, None] * copy2.reshape(-1, 1, 4)).reshape(-1, 2, 2, 2, 2)
+@functools.lru_cache(maxsize=8)
+def _program(sigma_y_pair, cnot, r_minus) -> tuple:
+    """The circuit's step program: the checked plan of each of its three
+    gates, resolved once per gate set. _run reads the gates from `gates`
+    on every call and fetches their program here."""
+    return (statevec._gate_plan(2, (1, 2), sigma_y_pair),
+            statevec._gate_plan(4, (2, 4), cnot),
+            statevec._gate_plan(4, (2,), r_minus))
 
 
 def analytic_phi1_batch(amps) -> np.ndarray:
@@ -134,10 +141,13 @@ def _run(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (N, 16) final amplitudes, the (N, 2) readout probabilities P_gggg and
     P_egeg, and the (N,) oracle residuals; run_batch and run_circuit each
     build their own result from them."""
-    psi = _prepare(a)
-    psi = statevec.apply_gate(psi, gates.CNOT, (2, 4))
-    psi = statevec.apply_gate(psi, gates.R_MINUS, (2,))
-    final = psi.reshape(-1, 16)
+    copy2_plan, cnot_plan, r_minus_plan = _program(gates.SIGMA_Y_PAIR, gates.CNOT, gates.R_MINUS)
+    # |psi> on qubits 1,2 and (sigma_y x sigma_y)|psi> on qubits 3,4: the
+    # product of two checked rows needs no check of its own
+    copy2 = statevec._apply_plan(a, copy2_plan)
+    psi = (a[:, :, None] * copy2[:, None, :]).reshape(-1, 16)
+    psi = statevec._apply_plan(psi, cnot_plan)
+    final = statevec._apply_plan(psi, r_minus_plan)
 
     residual = np.maximum.reduce(np.abs(final - analytic_phi1_batch(a)), axis=1)
     statevec._check_invariant("amplitude table",
@@ -153,7 +163,7 @@ def run_circuit(psi: PureState) -> ProtocolResult:
     are read as Python floats in one .tolist()."""
     final, probs, residual = _run(psi.amplitudes[None])
     (p_gggg, p_egeg), = probs.tolist()
-    final = final[0]  # checked by apply_gate
+    final = final[0]  # checked by the step kernel
     final.flags.writeable = False
     return ProtocolResult(
         final_state=final,

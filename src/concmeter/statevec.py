@@ -6,9 +6,15 @@ Conventions (pinned by the test suite):
   bit of the amplitude index;
 - |g> maps to bit 0, |e> maps to bit 1.
 
-`apply_gate` is the one call that applies a gate: it works on a batch of
-states, shape (N,) + (2,)*n (one state is a batch of one), returns a new
-array and checks every row after the gate in one vectorised pass.
+Every gate is applied in two parts, resolve and apply. `_gate_plan`
+resolves the one checked, cached plan per (n, qubits, gate): a gather
+with its phase, or one matrix product. The step kernel `_apply_plan`
+applies a plan to a batch of states, shape (N,) + (2,)*n (one state is a
+batch of one), returns a new array and checks every row after the gate
+in one vectorised pass. `apply_gate` is a plan lookup followed by that
+kernel; the fixed circuits of `protocol` and `cavity` resolve their plans
+once per gate set and then apply them. `marginal` is split the same way,
+into its cached pattern index (`_marginal_plan`) and a read (`_read`).
 `accept_input` is the one rule for states entering the library.
 `_check_invariant` is the one runtime check of the package: NaN always
 fails it, a Python float names no row, an (N,) array its first failing one.
@@ -174,10 +180,14 @@ def _check_qubit_index(q: int, n: int) -> None:
 @functools.lru_cache(maxsize=64)
 def _gate_plan(n: int, qubits: tuple[int, ...], gate: Gate):
     """The checked plan for `gate` on the given qubits of a batch of n-qubit
-    states; no failure is cached. It holds the axis permutation that
-    brings the gate's qubits to the front and its inverse, and, for a gate
-    with one nonzero entry per row, each 1, -1, 1j or -1j, the gather that
-    applies it instead (`_monomial_gather`; None, None for any other)."""
+    states, as `_apply_plan` takes it; no failure is cached. It is a tuple
+    (size, matrix, source, phase, front, back): 2**n, the gate's matrix,
+    for a gate with one nonzero entry per row, each 1, -1, 1j or -1j, the
+    gather that applies it (`_monomial_gather`; None, None for any other),
+    and, for any other gate, the gather `front` that lays a row out as the
+    (d, 2**n // d) operand of the matrix product, the gate's qubits first,
+    and its inverse `back`. Both are None when the gate's qubits are the
+    register's last, in order, whose operand is a view of the rows."""
     d = len(gate.matrix)
     arity = d.bit_length() - 1
     if arity != len(qubits):
@@ -186,18 +196,25 @@ def _gate_plan(n: int, qubits: tuple[int, ...], gate: Gate):
         _check_qubit_index(q, n)
     if len(set(qubits)) != arity:
         raise ValueError("q1 and q2 must be distinct")
-    perm = (*qubits, *(ax for ax in range(n + 1) if ax not in qubits))
-    inverse = tuple(sorted(range(n + 1), key=perm.__getitem__))
-    return perm, inverse, *_monomial_gather(gate.matrix, perm, inverse)
+    order = [q - 1 for q in qubits] + [q for q in range(n) if q + 1 not in qubits]
+    front = np.arange(2 ** n).reshape((2,) * n).transpose(order).reshape(d, -1)
+    back = np.argsort(front, axis=None)  # the inverse permutation
+    source, phase = _monomial_gather(gate.matrix, front, back)
+    if source is not None or qubits == tuple(range(n - arity + 1, n + 1)):
+        front = back = None
+    else:
+        front.flags.writeable = back.flags.writeable = False  # shared through the cache
+    return 2 ** n, gate.matrix, source, phase, front, back
 
 
-def _monomial_gather(m: np.ndarray, perm: tuple[int, ...], inverse: tuple[int, ...]):
+def _monomial_gather(m: np.ndarray, front: np.ndarray, back: np.ndarray):
     """(source, phase) for a matrix with one nonzero entry per row, each 1,
-    -1, 1j or -1j, moved to a state's qubits as apply_gate moves the axes:
-    amplitude j of the output is amplitude source[j] of the input times
-    phase[j] (phase None when every factor is 1). These are the only terms
-    of the matrix product that are not a product with zero, and a product
-    with +/-1 or +/-1j is exact. (None, None) for any other matrix."""
+    -1, 1j or -1j, on the amplitudes that `front` lays out as the product's
+    operand and `back` puts back: amplitude j of the output is amplitude
+    source[j] of the input times phase[j] (phase None when every factor is
+    1). These are the only terms of the matrix product that are not a
+    product with zero, and a product with +/-1 or +/-1j is exact. (None,
+    None) for any other matrix."""
     nonzero = m != 0
     if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
         return None, None
@@ -205,23 +222,50 @@ def _monomial_gather(m: np.ndarray, perm: tuple[int, ...], inverse: tuple[int, .
     entries = m[np.arange(len(m)), cols]
     if not np.all((entries == 1) | (entries == -1) | (entries == 1j) | (entries == -1j)):
         return None, None
-    # the basis index of every amplitude, with the gate's axes first
-    moved = np.arange(2 ** (len(perm) - 1)).reshape((1,) + (2,) * (len(perm) - 1))
-    moved = moved.transpose(perm)
-    rows = moved.reshape(len(m), -1)
-    source, phase = (a.reshape(moved.shape).transpose(inverse).reshape(-1)
-                     for a in (rows[cols], np.broadcast_to(entries[:, None], rows.shape)))
+    # output amplitude front[i, k] is input amplitude front[cols[i], k] times entries[i]
+    source = front[cols].reshape(-1)[back]
+    phase = np.repeat(entries, front.shape[1])[back]
     source.flags.writeable = phase.flags.writeable = False  # shared through the cache
     return source, (None if np.all(phase == 1) else phase)
 
 
+def _apply_plan(states: np.ndarray, plan: tuple) -> np.ndarray:
+    """The step kernel: apply a resolved `_gate_plan` to every row of a
+    batch of any shape (N, ...) of 2**n amplitudes per row, then check
+    every row's norm; returns a new contiguous array of the same shape.
+    `apply_gate` and the fixed circuits of `protocol` and `cavity` apply
+    every gate through it."""
+    size, matrix, source, phase, front, back = plan
+    flat = states.reshape(-1, size)
+    if source is not None:
+        out = flat.take(source, axis=1).astype(complex, copy=False)
+        if phase is not None:
+            out *= phase
+    elif front is None:
+        # the gate's qubits are the register's last, in order: the operand is
+        # a view, the rows as (K, d) transposed
+        out = (matrix @ flat.reshape(-1, len(matrix)).T).T.copy().reshape(-1, size)
+    else:
+        # the gate's qubits first, then the batch, then the rest: one C-ordered
+        # (d, K) operand (a view of one row, a copy of more)
+        moved = flat.take(front, axis=1).swapaxes(0, 1)
+        out = (matrix @ np.ascontiguousarray(moved.reshape(len(matrix), -1))).reshape(moved.shape)
+        out = out.swapaxes(0, 1).reshape(-1, size).take(back, axis=1)
+    _check_invariant("gate application", "state norm not preserved", np.vecdot(out, out).real,
+                     NORM_TOL_UNITARY, _UNITARY_SQUARED_NORMS, _norm_deviation)
+    return out.reshape(states.shape)
+
+
 def apply_gate(states: np.ndarray, gate: Gate,
                qubits: tuple[int, ...]) -> np.ndarray:
-    """The gate-application kernel: apply a one- or two-qubit gate to the
-    given qubits (1-based, 1 = leftmost, in the gate's order) of every
-    state in a batch of shape (N,) + (2,)*n; one state's flat array `a`
-    of 2**n amplitudes is the batch `a.reshape((1,) + (2,) * n)`. Returns a
-    new contiguous array.
+    """Apply a one- or two-qubit gate to the given qubits (1-based, 1 =
+    leftmost, in the gate's order) of every state in a batch of shape
+    (N,) + (2,)*n; one state's flat array `a` of 2**n amplitudes is the
+    batch `a.reshape((1,) + (2,) * n)`. Returns a new contiguous array.
+    It looks up the gate's plan, cached per (n, qubits, gate), and runs
+    the step kernel `_apply_plan`, so `gate` must be hashable and its
+    matrix must not change after its first use (every Gate is hashable,
+    its matrix read-only).
 
     A gate with one nonzero entry per row, each 1, -1, 1j or -1j (sigma_y,
     CNOT, CPHASE, SWAP and their tensor products), is applied as one
@@ -231,10 +275,8 @@ def apply_gate(states: np.ndarray, gate: Gate,
     the product's bit for bit for finite rows, up to the sign of a zero
     (an infinite amplitude stays infinite, where the product's 0 * inf
     gives NaN). Any other gate is one (d, d) @ (d, K) matrix product
-    with its qubits' axes moved to the front. Both plans are cached per
-    (n, qubits, gate), so `gate` must be hashable and its matrix must not
-    change after its first use (every Gate is hashable, its matrix
-    read-only).
+    whose operand holds each state's amplitudes with the gate's qubits
+    first, then the batch, then the other qubits, in index order.
 
     Every row is checked once, for the whole batch, to be finite
     with a norm within NORM_TOL_UNITARY of 1: one np.vecdot of the flat
@@ -244,21 +286,8 @@ def apply_gate(states: np.ndarray, gate: Gate,
     Input outside that contract (never through accept_input) fails the
     same way, and a squared norm that overflows may first make numpy warn
     (raised instead under -W error): the kernel sets no np.errstate."""
-    perm, inverse, source, phase = _gate_plan(states.ndim - 1,
-                                              tuple(map(operator.index, qubits)), gate)
-    if source is not None:
-        flat = states.reshape(-1, len(source)).take(source, axis=1).astype(complex, copy=False)
-        if phase is not None:
-            flat *= phase
-    else:
-        d = len(gate.matrix)
-        # gate axes first, so the gate is one matrix product over all the rest
-        moved = states.transpose(perm)
-        out = (gate.matrix @ moved.reshape(d, -1)).reshape(moved.shape)
-        flat = out.transpose(inverse).copy().reshape(len(states), 2 ** (states.ndim - 1))
-    _check_invariant("gate application", "state norm not preserved", np.vecdot(flat, flat).real,
-                     NORM_TOL_UNITARY, _UNITARY_SQUARED_NORMS, _norm_deviation)
-    return flat.reshape(states.shape)
+    plan = _gate_plan(states.ndim - 1, tuple(map(operator.index, qubits)), gate)
+    return _apply_plan(states, plan)
 
 
 def basis_index(basis: str) -> int:
@@ -287,6 +316,15 @@ def _marginal_plan(n: int, pattern: tuple[tuple[int, int], ...]) -> tuple:
     return tuple(idx)
 
 
+def _read(amps: np.ndarray, indices) -> list[float]:
+    """The probability at each checked `_marginal_plan` index of one
+    state's 2**n amplitudes, in an array of any shape, as Python floats
+    read from one pass of |amplitude|^2."""
+    probs = np.abs(amps.reshape((2,) * (amps.size.bit_length() - 1))) ** 2
+    # np.add.reduce is np.sum's reduction, without its Python wrapper
+    return [float(np.add.reduce(probs[idx], axis=None)) for idx in indices]
+
+
 def marginal(amps: np.ndarray, *patterns: dict[int, int]) -> float | tuple[float, ...]:
     """Probability that each given qubit (1-based) reads its bit (0 = g,
     1 = e), summed over all other qubits, for one state's 2**n amplitudes
@@ -295,13 +333,11 @@ def marginal(amps: np.ndarray, *patterns: dict[int, int]) -> float | tuple[float
     Each pattern is a {qubit: bit} dict; its checked index is cached per
     (n, pattern), and a qubit or bit out of range raises ValueError on
     every call. Several patterns are read from one pass of |amplitude|^2
-    and returned as a tuple, in order; one pattern returns one float."""
+    (`_read`) and returned as a tuple, in order; one pattern returns one
+    float."""
     n = amps.size.bit_length() - 1
-    plans = [_marginal_plan(n, tuple(bits.items())) for bits in patterns]
-    probs = np.abs(amps.reshape((2,) * n)) ** 2
-    # np.add.reduce is np.sum's reduction, without its Python wrapper
-    sums = tuple(float(np.add.reduce(probs[idx], axis=None)) for idx in plans)
-    return sums[0] if len(sums) == 1 else sums
+    sums = _read(amps, [_marginal_plan(n, tuple(bits.items())) for bits in patterns])
+    return sums[0] if len(sums) == 1 else tuple(sums)
 
 
 def _born_counts(amps: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,7 +3,7 @@ the package against. The package itself never runs them."""
 import numpy as np
 
 from concmeter import cavity, gates, statevec
-from concmeter.cavity import ATOM2, ATOM5, DECOMPOSED_CNOT, PHOTON
+from concmeter.cavity import ATOM5, DECOMPOSED_CNOT, PHOTON
 from concmeter.concurrence import validate_density_matrix
 
 _SYSY = np.kron(gates.SIGMA_Y.matrix, gates.SIGMA_Y.matrix)
@@ -75,12 +75,18 @@ def binomial_thinning(counts: np.ndarray, model, rng: np.random.Generator) -> in
     return k
 
 
+def relay_swaps() -> dict:
+    """The relay program's SWAPs from a ground slot, as the relay fetches
+    them."""
+    return cavity._relay_program(gates.SIGMA_Y_PAIR, DECOMPOSED_CNOT, gates.R_MINUS)[1]
+
+
 def map_atom_to_photon(amps: np.ndarray) -> np.ndarray:
     """The relay's atom-2 -> photon step on six-qubit flat amplitudes, with
     the relay's arguments: the photon's vacuum check, then the hand-over;
     atom 2 exits in |g>."""
     return cavity._swap_from_ground(
-        amps.reshape((1,) + (2,) * 6), PHOTON, (ATOM2, PHOTON),
+        amps.reshape((1,) + (2,) * 6), PHOTON, relay_swaps(),
         "photon must be in vacuum before the atom-2 map", "atom-to-photon map").reshape(-1)
 
 
@@ -89,7 +95,7 @@ def map_photon_to_atom5(amps: np.ndarray) -> np.ndarray:
     the relay's arguments: atom 5's ground check, then the retrieval; the
     photon is left in vacuum."""
     return cavity._swap_from_ground(
-        amps.reshape((1,) + (2,) * 6), ATOM5, (PHOTON, ATOM5),
+        amps.reshape((1,) + (2,) * 6), ATOM5, relay_swaps(),
         "atom 5 must start in the ground state", "photon-to-atom map").reshape(-1)
 
 

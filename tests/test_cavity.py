@@ -267,6 +267,28 @@ class TestFlightConfig:
             FlightConfig(v=300, w=500, tau=tau, tau_prime=tau_prime,
                          x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("w", 300.0, "w > v"), ("v", 0.0, "w > v"),
+        ("x_D", 0.2, "x_D > x_C"), ("x_C", 0.0, "x_D > x_C"),
+        ("L_C", math.inf, "mode lengths must be positive")],
+        ids=["w_equals_v", "v_zero", "x_D_equals_x_C", "x_C_zero", "L_C_inf"])
+    def test_each_strict_bound_refuses_its_edge(self, field, value, message):
+        # L_C == 0 is test_non_positive_mode_length_rejected's first case
+        fields = dict(v=300.0, w=500.0, tau=1e-4, tau_prime=0.0,
+                      x_C=0.2, x_D=0.6, L_C=0.02, L_D=0.02)
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            FlightConfig(**fields)
+
+    def test_numpy_scalars_judged_as_python_floats(self):
+        # tau * w overflows: numpy float64 fields warned (an error under -W
+        # error) where Python floats overflow to inf quietly
+        fields = dict(v=1e-300, w=1e300, tau=1e300, tau_prime=0.0,
+                      x_C=1e300, x_D=1e301, L_C=0.02, L_D=0.02)
+        cfg = FlightConfig(**{k: np.float64(x) for k, x in fields.items()})
+        assert all(type(getattr(cfg, k)) is float for k in fields)
+        assert kinematics_report(cfg) == kinematics_report(FlightConfig(**fields))
+
     def test_solved_config_survives_copy_and_pickle(self):
         cfg = solve_delays(300, 500, 0.2, 0.6, 0.02, 0.02)
         assert copy.deepcopy(cfg) == cfg
@@ -515,6 +537,26 @@ class TestSolveDelays:
         # either side of MIN_SPEED_GAP = 1e-6 m/s, and inside ten times it
         with pytest.raises(ValueError, match="speed_gap") if binds else contextlib.nullcontext():
             solve_delays(300.0, 300.0 + gap, 0.2, 0.6, 0.02, 0.02)
+
+    @pytest.mark.parametrize("w, binds", [(2e-6, False), (math.nextafter(2e-6, 0.0), True)],
+                             ids=["gap_exactly_min", "gap_an_ulp_below_min"])
+    def test_speed_gap_edge(self, w, binds):
+        # v = 1e-6: 2e-6 - 1e-6 is exactly MIN_SPEED_GAP, the ulp below is not
+        assert (w - 1e-6 < cavity.MIN_SPEED_GAP) == binds
+        with (pytest.raises(ValueError, match="^invalid kinematics input: speed_gap$") if binds
+              else contextlib.nullcontext()):
+            solve_delays(1e-6, w, 0.2, 0.6, 0.02, 0.02)
+
+    def test_numpy_float64_inputs_give_the_python_float_plan(self):
+        # tau = x_C * (1/v - 1/w) overflows: numpy float64 inputs warned (an
+        # error under -W error) where Python floats overflow to inf quietly
+        args = (1e-300, 1e300, 1e300, 1e301, 0.02, 0.02)
+        cfg = solve_delays(*(np.float64(x) for x in args[:4]), *args[4:])
+        assert cfg == solve_delays(*args)
+        assert type(cfg.tau) is float and cfg.tau == math.inf
+        assert kinematics_report(cfg).violations == (
+            "pair12_cross_outside_C", "order_after_C_wrong",
+            "swap14_not_between_cavities", "order_at_D_wrong")
 
     def test_w_below_v_infeasible(self):
         # an input error, not a plan: w - v is below MIN_SPEED_GAP

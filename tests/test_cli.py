@@ -54,6 +54,16 @@ class TestCmdRun:
         assert main(["run", path]) == 1
         assert "amplitudes" in capsys.readouterr().err
 
+    def test_norm_error_printed_byte_for_byte(self, tmp_path, capsys):
+        # one state: the message names no row
+        path = tmp_path / "off.json"
+        path.write_text('{"amplitudes": [[0.7071074882933, 0], [0.7071074882933, 0], '
+                        '[0, 0], [0, 0]]}')
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid state in 'amplitudes': state norm 1.0000009999999593 deviates "
+            "from 1 beyond tolerance 1e-09\n")
+
     def test_normalize_flag(self, tmp_path):
         path = write_state(tmp_path / "raw.json", [1, 1, 0, 0])
         assert main(["run", path, "--normalize"]) == 0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concmeter import cavity, gates, protocol, statevec
+from concmeter.cavity import ATOM1, ATOM2, ATOM3, ATOM4, ATOM5, PHOTON
 from concmeter.cli import main
 from concmeter.concurrence import PureState
 from concmeter.protocol import analytic_phi1_batch, run_batch, run_circuit
@@ -81,6 +82,13 @@ class TestRunBatch:
         amps[1] *= 1.1
         with pytest.raises(ValueError, match="row 1: state norm"):
             run_batch(amps)
+
+    def test_norm_error_names_row_1_byte_for_byte(self):
+        amps = [[1, 0, 0, 0], [0.7071074882933, 0.7071074882933, 0, 0]]
+        with pytest.raises(ValueError) as info:
+            run_batch(amps)
+        assert str(info.value) == ("row 1: state norm 1.0000009999999593 deviates from 1 "
+                                   "beyond tolerance 1e-09")
 
     def test_nan_row_named(self):
         amps = haar_batch(3, 2)
@@ -268,6 +276,60 @@ class TestKernelPaths:
         with pytest.raises(InvariantViolation) as info:
             analytic_phi1_batch(faulty_batch(fault, 12, n=1))
         assert (info.value.stage, info.value.row) == ("analytic table", 0)
+
+
+def circuit_by_gates(psi):
+    """The circuit driven gate by gate through the public apply_gate: final
+    amplitudes, P_gggg, P_egeg and the oracle residual."""
+    a = psi.amplitudes[None]
+    copy2 = statevec.apply_gate(a.reshape(1, 2, 2), gates.SIGMA_Y_PAIR, (1, 2))
+    reg = (a[:, :, None] * copy2.reshape(1, 1, 4)).reshape(1, 2, 2, 2, 2)
+    reg = statevec.apply_gate(reg, gates.CNOT, (2, 4))
+    final = statevec.apply_gate(reg, gates.R_MINUS, (2,)).reshape(1, 16)
+    kets = [statevec.basis_index("gggg"), statevec.basis_index("egeg")]
+    (p_gggg, p_egeg), = (np.abs(final.take(kets, axis=1)) ** 2).tolist()
+    residual = np.max(np.abs(final - analytic_phi1_batch(a))).item()
+    return final.reshape(-1), p_gggg, p_egeg, residual
+
+
+def relay_by_gates(psi):
+    """The cavity relay driven gate by gate through the public apply_gate
+    and marginal, on the same six-slot register."""
+    a = psi.amplitudes
+    reg = (a[:, None, None] * a[:, None] * cavity._VACUUM).reshape((1,) + (2,) * 6)
+    reg = statevec.apply_gate(reg, gates.SIGMA_Y_PAIR, (ATOM3, ATOM4))
+    reg = statevec.apply_gate(reg, cavity._SWAP, (ATOM2, PHOTON))
+    for _, step in cavity.DECOMPOSED_CNOT:
+        reg = statevec.apply_gate(reg, step, (PHOTON, ATOM4))
+    reg = statevec.apply_gate(reg, cavity._SWAP, (PHOTON, ATOM5))
+    final = statevec.apply_gate(reg, gates.R_MINUS, (ATOM5,))
+    p_gggg, p_egeg = statevec.marginal(final, {ATOM1: 0, ATOM5: 0, ATOM3: 0, ATOM4: 0},
+                                       {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0})
+    logical = final[:, :, 0, :, :, 0, :].transpose(0, 1, 4, 2, 3).reshape(1, 16)
+    residual = float(np.max(np.abs(logical - analytic_phi1_batch(a[None]))))
+    return final.reshape(-1), p_gggg, p_egeg, residual
+
+
+class TestStepPrograms:
+    """run_circuit and run_cavity_realization run cached step programs; each
+    must give what the same gates give through apply_gate, bit for bit."""
+
+    @pytest.mark.parametrize("run, by_gates", [(run_circuit, circuit_by_gates),
+                                               (cavity.run_cavity_realization, relay_by_gates)],
+                             ids=["circuit", "relay"])
+    def test_program_equals_the_gates_one_by_one(self, run, by_gates):
+        rng = np.random.default_rng(2101)
+        for _ in range(2000):
+            psi = PureState.haar_random(rng)
+            res = run(psi)
+            final, p_gggg, p_egeg, residual = by_gates(psi)
+            assert res.final_state.view(float).tobytes() == final.view(float).tobytes()
+            assert (res.p_gggg, res.p_egeg, res.oracle_residual) == (p_gggg, p_egeg, residual)
+
+    @pytest.mark.parametrize("program", [protocol._program, cavity._relay_program],
+                             ids=["circuit", "relay"])
+    def test_program_cache_bounded(self, program):
+        assert program.cache_info().maxsize is not None
 
 
 class TestEmptyBatch:
