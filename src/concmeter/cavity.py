@@ -4,10 +4,9 @@ relay, which runs the CNOT as the constant steps of `DECOMPOSED_CNOT`
 ballistic flight kinematics that put the atoms in the right order at
 each cavity.
 
-The relay runs one step program: its gate plans and read indices,
-resolved once per gate set (`_relay_program`). Each call reads
-gates.SIGMA_Y_PAIR, DECOMPOSED_CNOT and gates.R_MINUS and fetches their
-program from a bounded cache, then applies it with no per-gate lookup.
+The relay runs one step program: its gate plans and read indices, named
+module constants resolved once, at import, and applied with no per-gate
+lookup.
 
 Atom layout in the relay register (left to right, qubit 1 = MSB):
 atom1, atom2, atom3, atom4, photon (|0>=|g>), atom5. Atom 2 stays in the
@@ -16,7 +15,6 @@ register after its qubit is handed to the photon; it is deterministically
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -48,7 +46,7 @@ _SWAP = Gate(np.eye(4)[[0, 2, 1, 3]])  # the identity with the |ge> and |eg> row
 # order, each step a named gate on the ordered (control, target) pair. In
 # the relay the control is the cavity photon and the target atom 4; the
 # CPHASE is a 2pi Rabi cycle through an auxiliary level, in which
-# |e>_4 |1>_photon picks up a -1 phase. The relay reads it at call time.
+# |e>_4 |1>_photon picks up a -1 phase.
 DECOMPOSED_CNOT = (
     ("r_minus_target", Gate(np.kron(np.eye(2), gates.R_MINUS.matrix))),
     ("cphase", gates.CPHASE),
@@ -62,75 +60,62 @@ DECOMPOSED_CNOT = (
 _VACUUM = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)  # photon |0>, atom 5 |g>
 
 
-def _swap_from_ground(states: np.ndarray, ground: int, swaps, message, stage) -> np.ndarray:
-    """SWAP a pair of slots, once slot `ground` is checked to read 0; `swaps`
-    maps the ground slot to its read and the SWAP's plan (the relay
-    program's second part)."""
-    excited, swap = swaps[ground]
+# the relay's step program, resolved once: the Ramsey pulse of copy 2 on
+# atoms 3 and 4; each hand-over as the read of the slot it fills and the
+# SWAP's plan; the decomposed CNOT's steps on (photon, atom 4); the final
+# rotation on atom 5, which then carries logical qubit 2
+_RAMSEY = statevec._gate_plan(6, (ATOM3, ATOM4), gates.SIGMA_Y_PAIR)
+_TO_PHOTON = ((statevec._marginal_plan(6, ((PHOTON, 1),)),),
+              statevec._gate_plan(6, (ATOM2, PHOTON), _SWAP))
+_TO_ATOM5 = ((statevec._marginal_plan(6, ((ATOM5, 1),)),),
+             statevec._gate_plan(6, (PHOTON, ATOM5), _SWAP))
+_CNOT_STEPS = tuple(statevec._gate_plan(6, (PHOTON, ATOM4), step) for _, step in DECOMPOSED_CNOT)
+_FINAL_ROTATION = statevec._gate_plan(6, (ATOM5,), gates.R_MINUS)
+# the final reads, in one pass: P_gggg and P_egeg in logical-qubit order
+# (1, 2, 3, 4) = atoms (1, 5, 3, 4), then the weight outside atom 2 = g,
+# photon = 0 as its two disjoint parts
+_FINAL_READS = tuple(statevec._marginal_plan(6, pattern) for pattern in (
+    ((ATOM5, 0), (ATOM3, 0), (ATOM1, 0), (ATOM4, 0)),
+    ((ATOM1, 1), (ATOM5, 0), (ATOM3, 1), (ATOM4, 0)),
+    ((ATOM2, 1),), ((ATOM2, 0), (PHOTON, 1))))
+
+
+def _swap_from_ground(states: np.ndarray, hand_over, message, stage) -> np.ndarray:
+    """SWAP a pair of slots, once the slot it fills is checked to read 0:
+    `hand_over` is that slot's read and the SWAP's plan (`_TO_PHOTON` or
+    `_TO_ATOM5`)."""
+    excited, swap = hand_over
     weight, = statevec._read(states, excited)
     statevec._check_invariant(stage, message, weight, PHOTON_VACUUM_TOL)
     return statevec._apply_plan(states, swap)
-
-
-# the relay's final reads, in one pass: P_gggg and P_egeg in logical-qubit
-# order (1, 2, 3, 4) = atoms (1, 5, 3, 4), then the weight outside atom 2 = g,
-# photon = 0 as its two disjoint parts
-_FINAL_READS = ({ATOM5: 0, ATOM3: 0, ATOM1: 0, ATOM4: 0},
-                {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0},
-                {ATOM2: 1}, {ATOM2: 0, PHOTON: 1})
-
-
-@functools.lru_cache(maxsize=8)
-def _relay_program(sigma_y_pair, decomposed_cnot, r_minus) -> tuple:
-    """The relay's step program, resolved once per gate set: the plans of
-    the Ramsey pulse, of each SWAP from a ground slot with that slot's
-    read (by slot), of each step of the decomposed CNOT and of the final
-    rotation, then the final reads. The relay reads the gates from
-    `gates` and DECOMPOSED_CNOT on every call and fetches their program
-    here."""
-    def plan(qubits, gate):
-        return statevec._gate_plan(6, qubits, gate)
-
-    def reads(*patterns):
-        return tuple(statevec._marginal_plan(6, tuple(bits.items())) for bits in patterns)
-
-    swaps = {PHOTON: (reads({PHOTON: 1}), plan((ATOM2, PHOTON), _SWAP)),
-             ATOM5: (reads({ATOM5: 1}), plan((PHOTON, ATOM5), _SWAP))}
-    return (plan((ATOM3, ATOM4), sigma_y_pair), swaps,
-            tuple(plan((PHOTON, ATOM4), step) for _, step in decomposed_cnot),
-            plan((ATOM5,), r_minus), reads(*_FINAL_READS))
 
 
 def run_cavity_realization(psi: PureState) -> ProtocolResult:
     """Full cavity sequence on the six-slot register as one (1,) + (2,)*6 array, checked
     against the ideal circuit's P_gggg, then on atom 2 = g, photon = 0 against the analytic
     table (phase-strict; its residual is oracle_residual), with no weight outside."""
-    y_pair, swaps, cnot_steps, r_minus, final_reads = _relay_program(
-        gates.SIGMA_Y_PAIR, DECOMPOSED_CNOT, gates.R_MINUS)
     a = psi.amplitudes
     # both copies, photon in vacuum, atom 5 in |g>: one product; the first gate checks its norm
     reg = (a[:, None, None] * a[:, None] * _VACUUM).reshape((1,) + (2,) * 6)
-    reg = statevec._apply_plan(reg, y_pair)  # Ramsey region, copy 2, on atoms 3 and 4
+    reg = statevec._apply_plan(reg, _RAMSEY)
 
     # CNOT(control = logical qubit 2, now the photon; target = atom 4)
-    reg = _swap_from_ground(reg, PHOTON, swaps,
+    reg = _swap_from_ground(reg, _TO_PHOTON,
                             "photon must be in vacuum before the atom-2 map", "atom-to-photon map")
-    for step in cnot_steps:  # on (photon, atom 4)
+    for step in _CNOT_STEPS:
         reg = statevec._apply_plan(reg, step)
-    reg = _swap_from_ground(reg, ATOM5, swaps,
+    reg = _swap_from_ground(reg, _TO_ATOM5,
                             "atom 5 must start in the ground state", "photon-to-atom map")
+    final = statevec._apply_plan(reg, _FINAL_ROTATION)
 
-    # atom 5 now carries the logical qubit 2; final rotation of the protocol
-    final = statevec._apply_plan(reg, r_minus)
-
-    p_all_ground, p_egeg, atom2_excited, photon_left = statevec._read(final, final_reads)
+    p_all_ground, p_egeg, atom2_excited, photon_left = statevec._read(final, _FINAL_READS)
     ideal = run_circuit(psi)
     statevec._check_invariant("cavity vs ideal P_gggg",
                               "cavity realization deviates from the ideal circuit",
                               abs(p_all_ground - ideal.p_gggg), CAVITY_MATCH_TOL)
     # atom 2 = g and photon = 0, in logical-qubit order (1, 2, 3, 4) = atoms (1, 5, 3, 4)
     logical = final[:, :, 0, :, :, 0, :].transpose(0, 1, 4, 2, 3).reshape(1, 16)
-    residual = float(np.max(np.abs(logical - analytic_phi1_batch(a[None]))))
+    residual = np.maximum.reduce(np.abs(logical - analytic_phi1_batch(a[None])), axis=None).item()
     statevec._check_invariant("cavity amplitude table",
                               "cavity register deviates from the analytic table",
                               residual, ORACLE_TOL)

@@ -5,17 +5,14 @@ then R- on qubit 2. The concurrence of |psi> is read out from the
 all-ground probability as C = 2*sqrt(2*P_gggg).
 
 `run_batch` runs the circuit on N input states at once; `run_circuit` is
-a batch of one. Both run one step program: the plans of the three gates,
-resolved once per gate set (`_program`). Each call reads
-gates.SIGMA_Y_PAIR, gates.CNOT and gates.R_MINUS and fetches their
-program from a bounded cache, then applies it with no per-gate lookup.
-`analytic_phi1_batch` computes the post-circuit
-amplitudes directly as polynomials in c0..c3, never touching the gate
-simulator, so the two paths cross-check each other row by row.
+a batch of one. Both run one step program, the plans of the three gates
+(`_COPY2`, `_CNOT_24`, `_R_MINUS_2`), resolved once, at import, and
+applied with no per-gate lookup. `analytic_phi1_batch` computes the
+post-circuit amplitudes directly as polynomials in c0..c3, never touching
+the gate simulator, so the two paths cross-check each other row by row.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -91,14 +88,10 @@ def _input_batch(amps) -> np.ndarray:
     return statevec.accept_input(a)
 
 
-@functools.lru_cache(maxsize=8)
-def _program(sigma_y_pair, cnot, r_minus) -> tuple:
-    """The circuit's step program: the checked plan of each of its three
-    gates, resolved once per gate set. _run reads the gates from `gates`
-    on every call and fetches their program here."""
-    return (statevec._gate_plan(2, (1, 2), sigma_y_pair),
-            statevec._gate_plan(4, (2, 4), cnot),
-            statevec._gate_plan(4, (2,), r_minus))
+# the circuit's step program, the checked plan of each of its three gates
+_COPY2 = statevec._gate_plan(2, (1, 2), gates.SIGMA_Y_PAIR)
+_CNOT_24 = statevec._gate_plan(4, (2, 4), gates.CNOT)
+_R_MINUS_2 = statevec._gate_plan(4, (2,), gates.R_MINUS)
 
 
 def analytic_phi1_batch(amps) -> np.ndarray:
@@ -141,13 +134,12 @@ def _run(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (N, 16) final amplitudes, the (N, 2) readout probabilities P_gggg and
     P_egeg, and the (N,) oracle residuals; run_batch and run_circuit each
     build their own result from them."""
-    copy2_plan, cnot_plan, r_minus_plan = _program(gates.SIGMA_Y_PAIR, gates.CNOT, gates.R_MINUS)
     # |psi> on qubits 1,2 and (sigma_y x sigma_y)|psi> on qubits 3,4: the
     # product of two checked rows needs no check of its own
-    copy2 = statevec._apply_plan(a, copy2_plan)
+    copy2 = statevec._apply_plan(a, _COPY2)
     psi = (a[:, :, None] * copy2[:, None, :]).reshape(-1, 16)
-    psi = statevec._apply_plan(psi, cnot_plan)
-    final = statevec._apply_plan(psi, r_minus_plan)
+    psi = statevec._apply_plan(psi, _CNOT_24)
+    final = statevec._apply_plan(psi, _R_MINUS_2)
 
     residual = np.maximum.reduce(np.abs(final - analytic_phi1_batch(a)), axis=1)
     statevec._check_invariant("amplitude table",

@@ -13,8 +13,8 @@ applies a plan to a batch of states, shape (N,) + (2,)*n (one state is a
 batch of one), returns a new array and checks every row after the gate
 in one vectorised pass. `apply_gate` is a plan lookup followed by that
 kernel; the fixed circuits of `protocol` and `cavity` resolve their plans
-once per gate set and then apply them. `marginal` is split the same way,
-into its cached pattern index (`_marginal_plan`) and a read (`_read`).
+once, at import, and then apply them. `marginal` is split the same way,
+into its checked pattern index (`_marginal_plan`) and a read (`_read`).
 `accept_input` is the one rule for states entering the library.
 `_check_invariant` is the one runtime check of the package: NaN always
 fails it, a Python float names no row, an (N,) array its first failing one.
@@ -184,10 +184,9 @@ def _gate_plan(n: int, qubits: tuple[int, ...], gate: Gate):
     (size, matrix, source, phase, front, back): 2**n, the gate's matrix,
     for a gate with one nonzero entry per row, each 1, -1, 1j or -1j, the
     gather that applies it (`_monomial_gather`; None, None for any other),
-    and, for any other gate, the gather `front` that lays a row out as the
-    (d, 2**n // d) operand of the matrix product, the gate's qubits first,
-    and its inverse `back`. Both are None when the gate's qubits are the
-    register's last, in order, whose operand is a view of the rows."""
+    then the gather `front` that lays a row out as the (d, 2**n // d)
+    operand of the matrix product, the gate's qubits first, and its
+    inverse `back`, with which any other gate is applied."""
     d = len(gate.matrix)
     arity = d.bit_length() - 1
     if arity != len(qubits):
@@ -199,12 +198,8 @@ def _gate_plan(n: int, qubits: tuple[int, ...], gate: Gate):
     order = [q - 1 for q in qubits] + [q for q in range(n) if q + 1 not in qubits]
     front = np.arange(2 ** n).reshape((2,) * n).transpose(order).reshape(d, -1)
     back = np.argsort(front, axis=None)  # the inverse permutation
-    source, phase = _monomial_gather(gate.matrix, front, back)
-    if source is not None or qubits == tuple(range(n - arity + 1, n + 1)):
-        front = back = None
-    else:
-        front.flags.writeable = back.flags.writeable = False  # shared through the cache
-    return 2 ** n, gate.matrix, source, phase, front, back
+    front.flags.writeable = back.flags.writeable = False  # shared through the cache
+    return 2 ** n, gate.matrix, *_monomial_gather(gate.matrix, front, back), front, back
 
 
 def _monomial_gather(m: np.ndarray, front: np.ndarray, back: np.ndarray):
@@ -241,10 +236,6 @@ def _apply_plan(states: np.ndarray, plan: tuple) -> np.ndarray:
         out = flat.take(source, axis=1).astype(complex, copy=False)
         if phase is not None:
             out *= phase
-    elif front is None:
-        # the gate's qubits are the register's last, in order: the operand is
-        # a view, the rows as (K, d) transposed
-        out = (matrix @ flat.reshape(-1, len(matrix)).T).T.copy().reshape(-1, size)
     else:
         # the gate's qubits first, then the batch, then the rest: one C-ordered
         # (d, K) operand (a view of one row, a copy of more)
@@ -303,10 +294,9 @@ def basis_index(basis: str) -> int:
     return idx
 
 
-@functools.lru_cache(maxsize=64)
 def _marginal_plan(n: int, pattern: tuple[tuple[int, int], ...]) -> tuple:
     """The checked index of an n-qubit state's amplitudes, shape (2,)*n,
-    that fixes each (qubit, bit) of the pattern; no failure is cached."""
+    that fixes each (qubit, bit) of the pattern."""
     idx = [slice(None)] * n
     for q, bit in pattern:
         _check_qubit_index(q, n)
@@ -330,11 +320,10 @@ def marginal(amps: np.ndarray, *patterns: dict[int, int]) -> float | tuple[float
     1 = e), summed over all other qubits, for one state's 2**n amplitudes
     in an array of any shape (flat, or a batch of one).
 
-    Each pattern is a {qubit: bit} dict; its checked index is cached per
-    (n, pattern), and a qubit or bit out of range raises ValueError on
-    every call. Several patterns are read from one pass of |amplitude|^2
-    (`_read`) and returned as a tuple, in order; one pattern returns one
-    float."""
+    Each pattern is a {qubit: bit} dict, checked on every call: a qubit or
+    bit out of range raises ValueError. Several patterns are read from one
+    pass of |amplitude|^2 (`_read`) and returned as a tuple, in order; one
+    pattern returns one float."""
     n = amps.size.bit_length() - 1
     sums = _read(amps, [_marginal_plan(n, tuple(bits.items())) for bits in patterns])
     return sums[0] if len(sums) == 1 else tuple(sums)

@@ -3,7 +3,7 @@ the package against. The package itself never runs them."""
 import numpy as np
 
 from concmeter import cavity, gates, statevec
-from concmeter.cavity import ATOM5, DECOMPOSED_CNOT, PHOTON
+from concmeter.cavity import ATOM4, DECOMPOSED_CNOT, PHOTON
 from concmeter.concurrence import validate_density_matrix
 
 _SYSY = np.kron(gates.SIGMA_Y.matrix, gates.SIGMA_Y.matrix)
@@ -75,18 +75,12 @@ def binomial_thinning(counts: np.ndarray, model, rng: np.random.Generator) -> in
     return k
 
 
-def relay_swaps() -> dict:
-    """The relay program's SWAPs from a ground slot, as the relay fetches
-    them."""
-    return cavity._relay_program(gates.SIGMA_Y_PAIR, DECOMPOSED_CNOT, gates.R_MINUS)[1]
-
-
 def map_atom_to_photon(amps: np.ndarray) -> np.ndarray:
     """The relay's atom-2 -> photon step on six-qubit flat amplitudes, with
     the relay's arguments: the photon's vacuum check, then the hand-over;
     atom 2 exits in |g>."""
     return cavity._swap_from_ground(
-        amps.reshape((1,) + (2,) * 6), PHOTON, relay_swaps(),
+        amps.reshape((1,) + (2,) * 6), cavity._TO_PHOTON,
         "photon must be in vacuum before the atom-2 map", "atom-to-photon map").reshape(-1)
 
 
@@ -95,8 +89,17 @@ def map_photon_to_atom5(amps: np.ndarray) -> np.ndarray:
     the relay's arguments: atom 5's ground check, then the retrieval; the
     photon is left in vacuum."""
     return cavity._swap_from_ground(
-        amps.reshape((1,) + (2,) * 6), ATOM5, relay_swaps(),
+        amps.reshape((1,) + (2,) * 6), cavity._TO_ATOM5,
         "atom 5 must start in the ground state", "photon-to-atom map").reshape(-1)
+
+
+def cnot_steps_with_flipped_cphase() -> tuple:
+    """The relay's CNOT step plans with the sign CPHASE puts on |ee>
+    flipped, so the decomposition no longer composes to a CNOT."""
+    flipped = statevec.Gate(dict(DECOMPOSED_CNOT)["cphase"].matrix * [1, 1, 1, -1])
+    steps = list(cavity._CNOT_STEPS)
+    steps[1] = statevec._gate_plan(6, (PHOTON, ATOM4), flipped)
+    return tuple(steps)
 
 
 def order_at(cfg, t: float) -> tuple[int, ...]:

@@ -29,6 +29,7 @@ from concmeter.concurrence import PureState
 from concmeter.protocol import analytic_phi1_batch, run_circuit
 from concmeter.statevec import Gate, InvariantViolation
 from oracles import (
+    cnot_steps_with_flipped_cphase,
     composed_cnot_matrix,
     map_atom_to_photon,
     map_photon_to_atom5,
@@ -159,9 +160,7 @@ class TestCavityRealization:
 
     def test_relay_runs_the_decomposition(self, monkeypatch, tmp_path, capsys):
         # flip the sign CPHASE puts on |ee>: the relay must notice
-        sign_flipped = tuple((name, Gate(g.matrix * [1, 1, 1, -1]) if name == "cphase" else g)
-                             for name, g in DECOMPOSED_CNOT)
-        monkeypatch.setattr(cavity, "DECOMPOSED_CNOT", sign_flipped)
+        monkeypatch.setattr(cavity, "_CNOT_STEPS", cnot_steps_with_flipped_cphase())
         path = tmp_path / "bell.json"
         path.write_text('{"amplitudes": [[0, 0], [0.7071067811865476, 0], '
                         '[0.7071067811865476, 0], [0, 0]]}')
@@ -174,9 +173,11 @@ class TestCavityRealization:
         relay's SWAP from a ground atom 5."""
         relay_swap = cavity._swap_from_ground
 
-        def faulty(states, ground, *rest):
-            out = relay_swap(states, ground, *rest)
-            return statevec.apply_gate(out, gate, (qubit,)) if ground == ATOM5 else out
+        def faulty(states, hand_over, *rest):
+            out = relay_swap(states, hand_over, *rest)
+            if hand_over is not cavity._TO_ATOM5:
+                return out
+            return statevec.apply_gate(out, gate, (qubit,))
 
         monkeypatch.setattr(cavity, "_swap_from_ground", faulty)
 

@@ -195,6 +195,13 @@ class TestCmdSweep:
     def test_unwritable_path(self, tmp_path):
         assert main(["sweep", "1", "--out", str(tmp_path / "no/dir.csv")]) == 1
 
+    def test_one_state_is_the_smallest_sweep(self, tmp_path):
+        # the edge of the n_states >= 1 rule: the header and one row
+        out = tmp_path / "one.csv"
+        assert main(["sweep", "1", "--seed", "4", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0,")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_is_an_input_error(self, capsys):
         # opening /dev/full succeeds; writing to it, or flushing at close, fails

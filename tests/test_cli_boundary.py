@@ -442,6 +442,17 @@ class TestShotCountBoundary:
         assert main(["shots", bell, "--shots", str(2**63)]) == 1
         assert "n_shots must be in [1, 9223372036854775807]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("readout", [[], ["--p-dark", "0.1", "--p-bright-false", "0.05"]],
+                             ids=["ideal", "noisy"])
+    def test_largest_count_accepted(self, tmp_path, capsys, readout):
+        # the edge of the same rule, 2**63 - 1, with the readout thinning
+        # a count that large when it is noisy
+        bell = write_doc(tmp_path / "bell.json",
+                         {"amplitudes": [[0, 0], [SQ2, 0], [SQ2, 0], [0, 0]]})
+        with bounded():
+            assert main(["shots", bell, "--shots", str(2**63 - 1), *readout]) == 0
+        assert "n_shots           = 9223372036854775807" in capsys.readouterr().out
+
 
 class TestSeedBoundary:
     @pytest.mark.parametrize("command", ["sweep", "shots"])

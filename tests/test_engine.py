@@ -311,8 +311,9 @@ def relay_by_gates(psi):
 
 
 class TestStepPrograms:
-    """run_circuit and run_cavity_realization run cached step programs; each
-    must give what the same gates give through apply_gate, bit for bit."""
+    """run_circuit and run_cavity_realization run step programs resolved at
+    import; each must give what the same gates give through apply_gate,
+    bit for bit."""
 
     @pytest.mark.parametrize("run, by_gates", [(run_circuit, circuit_by_gates),
                                                (cavity.run_cavity_realization, relay_by_gates)],
@@ -326,10 +327,17 @@ class TestStepPrograms:
             assert res.final_state.view(float).tobytes() == final.view(float).tobytes()
             assert (res.p_gggg, res.p_egeg, res.oracle_residual) == (p_gggg, p_egeg, residual)
 
-    @pytest.mark.parametrize("program", [protocol._program, cavity._relay_program],
-                             ids=["circuit", "relay"])
-    def test_program_cache_bounded(self, program):
-        assert program.cache_info().maxsize is not None
+    def test_each_plan_holds_its_gate_constant(self):
+        assert protocol._COPY2[1] is gates.SIGMA_Y_PAIR.matrix
+        assert protocol._CNOT_24[1] is gates.CNOT.matrix
+        assert protocol._R_MINUS_2[1] is gates.R_MINUS.matrix
+        assert cavity._RAMSEY[1] is gates.SIGMA_Y_PAIR.matrix
+        assert cavity._TO_PHOTON[1][1] is cavity._SWAP.matrix
+        assert cavity._TO_ATOM5[1][1] is cavity._SWAP.matrix
+        assert len(cavity._CNOT_STEPS) == len(cavity.DECOMPOSED_CNOT)
+        for plan, (_, step) in zip(cavity._CNOT_STEPS, cavity.DECOMPOSED_CNOT):
+            assert plan[1] is step.matrix
+        assert cavity._FINAL_ROTATION[1] is gates.R_MINUS.matrix
 
 
 class TestEmptyBatch:
@@ -360,8 +368,13 @@ class TestSharedGates:
 
 
 class TestDiagnosableFailure:
+    @staticmethod
+    def rotate_qubit_2_with(monkeypatch, gate):
+        """Swap the circuit's final R- for `gate`, on the same qubit."""
+        monkeypatch.setattr(protocol, "_R_MINUS_2", statevec._gate_plan(4, (2,), gate))
+
     def test_wrong_sign_rotation_names_stage_row_and_tolerance(self, monkeypatch):
-        monkeypatch.setattr(gates, "R_MINUS", gates.R_PLUS)
+        self.rotate_qubit_2_with(monkeypatch, gates.R_PLUS)
         with pytest.raises(InvariantViolation) as info:
             run_batch(haar_batch(3, 9))
         exc = info.value
@@ -369,7 +382,7 @@ class TestDiagnosableFailure:
         assert exc.value > protocol.ORACLE_TOL
 
     def test_sweep_exit_2_names_row_0_and_seed(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(gates, "R_MINUS", gates.R_PLUS)
+        self.rotate_qubit_2_with(monkeypatch, gates.R_PLUS)
         assert main(["sweep", "5", "--seed", "17", "--out", str(tmp_path / "s.csv")]) == 2
         err = capsys.readouterr().err
         assert "amplitude table" in err and "row 0" in err and "seed 17" in err
@@ -387,7 +400,7 @@ class TestDiagnosableFailure:
         def breaks_from_row_5(psi):
             calls.append(psi)
             if len(calls) == 6:
-                monkeypatch.setattr(gates, "R_MINUS", Stretch())
+                self.rotate_qubit_2_with(monkeypatch, Stretch())
             return run_circuit(psi)
 
         monkeypatch.setattr(cli, "run_circuit", breaks_from_row_5)

@@ -2,7 +2,8 @@
 printed, byte for byte, and the stage, value, tolerance and row it
 carries. Each fault is injected through the path the other fault tests
 use; the relay's vacuum check serves two stages. Then the three
-tolerances that only these checks read, each pinned both ways."""
+tolerances that only these checks read, each pinned both ways, and
+the check itself at its edges, for each value shape it takes."""
 import dataclasses
 import math
 import pickle
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from concmeter import cavity, gates, protocol, statevec
-from concmeter.cavity import ATOM1, ATOM5, DECOMPOSED_CNOT, PHOTON, run_cavity_realization
+from concmeter.cavity import ATOM1, PHOTON, run_cavity_realization
 from concmeter.concurrence import PureState
 from concmeter.statevec import Gate, InvariantViolation
+from oracles import cnot_steps_with_flipped_cphase
 
 SQ2 = 1.0 / math.sqrt(2.0)
 BELL = PureState(0, SQ2, SQ2, 0)
@@ -32,7 +34,7 @@ def off_norm_table_row(monkeypatch):
 
 
 def wrong_sign_rotation(monkeypatch):
-    monkeypatch.setattr(gates, "R_MINUS", gates.R_PLUS)
+    monkeypatch.setattr(protocol, "_R_MINUS_2", statevec._gate_plan(4, (2,), gates.R_PLUS))
     protocol.run_batch(BELL.amplitudes[None])
 
 
@@ -52,9 +54,7 @@ def excited_atom5(monkeypatch):
 
 
 def sign_flipped_cphase(monkeypatch):
-    monkeypatch.setattr(cavity, "DECOMPOSED_CNOT", tuple(
-        (name, Gate(g.matrix * [1, 1, 1, -1]) if name == "cphase" else g)
-        for name, g in DECOMPOSED_CNOT))
+    monkeypatch.setattr(cavity, "_CNOT_STEPS", cnot_steps_with_flipped_cphase())
     run_cavity_realization(BELL)
 
 
@@ -63,9 +63,11 @@ def after_relay(monkeypatch, gate, qubit):
     photon-to-atom-5 map."""
     relay_swap = cavity._swap_from_ground
 
-    def faulty(states, ground, *rest):
-        out = relay_swap(states, ground, *rest)
-        return statevec.apply_gate(out, gate, (qubit,)) if ground == ATOM5 else out
+    def faulty(states, hand_over, *rest):
+        out = relay_swap(states, hand_over, *rest)
+        if hand_over is not cavity._TO_ATOM5:
+            return out
+        return statevec.apply_gate(out, gate, (qubit,))
 
     monkeypatch.setattr(cavity, "_swap_from_ground", faulty)
     run_cavity_realization(BELL)
@@ -165,3 +167,43 @@ def test_tolerance_pinned_both_ways(monkeypatch, fault, over, under, stage):
     assert info.value.stage == stage
     assert info.value.value == pytest.approx(over, rel=1e-3)
     fault(monkeypatch, under)
+
+
+# The one runtime check at its edges, for each value shape it takes; an array
+# goes through `_first_outside`. A value exactly at the tolerance, or at
+# either end of a bounds pair, passes; the next float past it fails. An array
+# of rows puts every edge value before the failing row and again after it,
+# so that the row named is the first one past the edge, not one at it.
+
+TOL = protocol.ORACLE_TOL
+LOW, HIGH = statevec._UNITARY_SQUARED_NORMS
+EDGES = {  # bounds, the values at its edges, one inside, each value just past
+    "tol": (None, (TOL,), 0.0, (math.nextafter(TOL, math.inf),)),
+    "bounds": ((LOW, HIGH), (LOW, HIGH), 1.0,
+               (math.nextafter(LOW, -math.inf), math.nextafter(HIGH, math.inf))),
+}
+
+
+def shaped(shape, x, edges, inside):
+    """x as a value of the given shape, and the row named when x fails."""
+    if shape == "float":
+        return x, None
+    if shape == "one_row":  # _first_outside's .item() path
+        return np.array([x]), 0
+    return np.array([inside, *edges, x, *edges]), 1 + len(edges)
+
+
+@pytest.mark.parametrize("shape", ["float", "one_row", "rows"])
+@pytest.mark.parametrize("edge", EDGES)
+def test_check_passes_at_its_edge_and_fails_one_ulp_past(edge, shape):
+    bounds, edges, inside, pasts = EDGES[edge]
+    for x in edges:
+        values, _ = shaped(shape, x, edges, inside)
+        statevec._check_invariant("edge", "at the edge", values, TOL, bounds)
+    for x in pasts:
+        values, row = shaped(shape, x, edges, inside)
+        with pytest.raises(InvariantViolation) as info:
+            statevec._check_invariant("edge", "past the edge", values, TOL, bounds)
+        exc = info.value
+        assert (exc.stage, exc.value, exc.tol, exc.row) == ("edge", x, TOL, row)
+
