@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import os
@@ -105,28 +106,33 @@ class _Parser(argparse.ArgumentParser):
         return argparse.Namespace(**values)
 
 
-def _open_nonblocking(path, flags):
-    # a FIFO with no writer would block open() until one comes; a terminal
-    # never becomes the process's controlling one
-    return os.open(path, flags | os.O_NONBLOCK | os.O_NOCTTY)
-
-
 def load_state_file(path: str, force_normalize: bool = False) -> PureState:
     """Read a JSON state file, UTF-8 whatever the locale, of at most
     STATE_FILE_CAP bytes: {"amplitudes": [[re, im] x 4], "normalize": bool
     (optional)}. A FIFO is refused."""
     try:
-        with open(path, "rb", opener=_open_nonblocking) as fh:
-            mode = os.fstat(fh.fileno()).st_mode
+        # a FIFO with no writer would block the open until one comes; a
+        # terminal never becomes the process's controlling one
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_NOCTTY)
+        try:
+            mode = os.fstat(fd).st_mode
             if stat.S_ISFIFO(mode):
                 raise ValueError(f"state file {path} is a FIFO, not a regular file")
+            if stat.S_ISDIR(mode):  # which open() refuses, but os.open does not
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             if not stat.S_ISREG(mode):  # a terminal is read as before
-                os.set_blocking(fh.fileno(), True)
-            # bounded, as the path may be endless (/dev/zero); a first request
-            # under 128 KiB, which a small file fills without an mmap of its own
-            data = fh.read(1 << 16)
-            if len(data) == 1 << 16:
-                data += fh.read(STATE_FILE_CAP + 1 - len(data))
+                os.set_blocking(fd, True)
+            # bounded, as the path may be endless (/dev/zero), and in requests
+            # of 64 KiB: glibc's malloc serves one of 128 KiB or more with an
+            # mmap of its own, and a whole-cap request raised peak memory
+            data = b""
+            while len(data) <= STATE_FILE_CAP:
+                chunk = os.read(fd, min(1 << 16, STATE_FILE_CAP + 1 - len(data)))
+                if not chunk:
+                    break
+                data += chunk
+        finally:
+            os.close(fd)
         if len(data) > STATE_FILE_CAP:
             raise ValueError(f"state file {path} exceeds the {STATE_FILE_CAP}-byte cap")
         # decoded here, not by json.loads, which would also take UTF-16 and UTF-32
@@ -137,17 +143,17 @@ def load_state_file(path: str, force_normalize: bool = False) -> PureState:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"malformed JSON in {path}: nested too deeply") from exc
-    if not isinstance(doc, dict) or "amplitudes" not in doc:
+    # json.loads builds no subclass, so an exact type test is isinstance's
+    # verdict, apart from bool: a subclass of int, but true/false are not amplitudes
+    if type(doc) is not dict or "amplitudes" not in doc:
         raise ValueError("state file must be an object with an 'amplitudes' field")
     raw = doc["amplitudes"]
-    if not isinstance(raw, list) or len(raw) != 4:
+    if type(raw) is not list or len(raw) != 4:
         raise ValueError("'amplitudes' must list exactly four [re, im] pairs")
     amps = []
     for i, pair in enumerate(raw):
-        # bool is a subclass of int, but true/false are not amplitudes
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in pair)):
+        if (type(pair) is not list or len(pair) != 2
+                or type(pair[0]) not in (int, float) or type(pair[1]) not in (int, float)):
             raise ValueError(f"'amplitudes[{i}]' must be a [re, im] number pair")
         try:
             amps.append(complex(pair[0], pair[1]))
@@ -165,11 +171,11 @@ def load_state_file(path: str, force_normalize: bool = False) -> PureState:
 def cmd_run(args) -> int:
     psi = load_state_file(args.state_file, args.normalize)
     result = run_circuit(psi)
-    print(f"C_analytic       = {concurrence_pure(psi)!r}")
-    print(f"P_gggg           = {result.p_gggg!r}")
-    print(f"P_egeg           = {result.p_egeg!r}")
-    print(f"C_measured       = {result.concurrence_measured!r}")
-    print(f"oracle_residual  = {result.oracle_residual!r}")
+    print(f"C_analytic       = {concurrence_pure(psi)!r}\n"
+          f"P_gggg           = {result.p_gggg!r}\n"
+          f"P_egeg           = {result.p_egeg!r}\n"
+          f"C_measured       = {result.concurrence_measured!r}\n"
+          f"oracle_residual  = {result.oracle_residual!r}")
     return EXIT_OK
 
 
@@ -209,11 +215,11 @@ def cmd_shots(args) -> int:
     psi = load_state_file(args.state_file, args.normalize)
     model = ReadoutModel(p_dark=args.p_dark, p_bright_false=args.p_bright_false)
     summary = simulate_shots(psi, args.shots, model, args.seed)
-    print(f"n_shots           = {summary.n_shots}")
-    print(f"n_no_fluorescence = {summary.n_no_fluorescence}")
-    print(f"p_hat             = {summary.p_hat!r}")
-    print(f"c_hat             = {summary.c_hat!r}")
-    print(f"ci_95             = [{summary.ci_low!r}, {summary.ci_high!r}]")
+    print(f"n_shots           = {summary.n_shots}\n"
+          f"n_no_fluorescence = {summary.n_no_fluorescence}\n"
+          f"p_hat             = {summary.p_hat!r}\n"
+          f"c_hat             = {summary.c_hat!r}\n"
+          f"ci_95             = [{summary.ci_low!r}, {summary.ci_high!r}]")
     return EXIT_OK
 
 
@@ -232,16 +238,16 @@ def cmd_cavity(args) -> int:
         if not report.feasible:
             print(f"infeasible: binding constraint {report.violations[0]}")
             return EXIT_INFEASIBLE
-        print(f"tau        = {cfg.tau!r} s")
-        print(f"tau_prime  = {cfg.tau_prime!r} s")
-        print(f"order_before_C = {report.order_before_C}")
-        print(f"order_after_C  = {report.order_after_C}")
-        print(f"order_at_D     = {report.order_at_D}")
-        print(f"pair12_cross   = {report.pair12_cross_position!r} m")
         # both pairs share tau, so the 3-4 pair crosses where the 1-2 pair does
-        print(f"pair34_cross   = {report.pair12_cross_position!r} m")
-        print(f"swap14         = {report.swap14_position!r} m")
-        print(f"feasible       = {report.feasible}")
+        print(f"tau        = {cfg.tau!r} s\n"
+              f"tau_prime  = {cfg.tau_prime!r} s\n"
+              f"order_before_C = {report.order_before_C}\n"
+              f"order_after_C  = {report.order_after_C}\n"
+              f"order_at_D     = {report.order_at_D}\n"
+              f"pair12_cross   = {report.pair12_cross_position!r} m\n"
+              f"pair34_cross   = {report.pair12_cross_position!r} m\n"
+              f"swap14         = {report.swap14_position!r} m\n"
+              f"feasible       = {report.feasible}")
         return EXIT_OK
     if given:
         raise ValueError(f"{' '.join(given)} given without --kinematics")
@@ -250,10 +256,10 @@ def cmd_cavity(args) -> int:
     psi = load_state_file(args.state_file, args.normalize)
     ideal = run_circuit(psi)
     real = cavity_mod.run_cavity_realization(psi)
-    print(f"P_gggg ideal     = {ideal.p_gggg!r}")
-    print(f"P_gggg cavity    = {real.p_gggg!r}")
-    print(f"deviation        = {abs(ideal.p_gggg - real.p_gggg)!r}")
-    print(f"C_measured       = {real.concurrence_measured!r}")
+    print(f"P_gggg ideal     = {ideal.p_gggg!r}\n"
+          f"P_gggg cavity    = {real.p_gggg!r}\n"
+          f"deviation        = {abs(ideal.p_gggg - real.p_gggg)!r}\n"
+          f"C_measured       = {real.concurrence_measured!r}")
     return EXIT_OK
 
 

@@ -21,7 +21,12 @@ _N_EXCITED = np.array([i.bit_count() for i in range(16)])
 class ReadoutModel:
     """p_dark: per-ion missed-detection probability for an excited ion;
     p_bright_false: spurious fluorescence on an all-ground register.
-    Defaults give the ideal binary readout."""
+    Defaults give the ideal binary readout.
+
+    The dark probability q of each of the 16 outcomes, in index order, is
+    tabled once, at construction, with the masks of the outcomes that
+    `simulate_shots` counts whole (q == 1) and of those it thins
+    (0 < q < 1)."""
 
     p_dark: float = 0.0
     p_bright_false: float = 0.0
@@ -29,6 +34,8 @@ class ReadoutModel:
     def __post_init__(self):
         if not (0.0 <= self.p_dark <= 1.0 and 0.0 <= self.p_bright_false <= 1.0):
             raise ValueError("readout probabilities must lie in [0, 1]")
+        q = np.array([self.dark_probability(m) for m in range(5)])[_N_EXCITED]
+        object.__setattr__(self, "_table", (q, q == 1.0, (0.0 < q) & (q < 1.0)))
 
     def dark_probability(self, n_excited: int) -> float:
         """Chance the global readout stays dark when a true outcome has
@@ -81,9 +88,9 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
 
     The 16 Born counts are drawn once, in index order, by
     statevec._born_counts; each outcome class is then thinned binomially
-    by its dark probability, taken from a table of
-    ReadoutModel.dark_probability per excitation count, from one
-    generator seeded once. A class with q == 1 counts whole.
+    by its dark probability, read from the model's table of
+    ReadoutModel.dark_probability per outcome, from one generator seeded
+    once. A class with q == 1 counts whole.
 
     Domain: pure input states only. The readout C = 2*sqrt(2*P_gggg) is
     the concurrence only for two copies of a pure state; a mixed pair
@@ -95,9 +102,9 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
     result = run_circuit(psi)
     rng = np.random.default_rng(seed)
     counts = statevec._born_counts(result.final_state, n, rng)
-    q = np.array([model.dark_probability(m) for m in range(5)])[_N_EXCITED]
-    k = int(np.add.reduce(counts[q == 1.0]))
-    thin = (counts > 0) & (0.0 < q) & (q < 1.0)
+    q, whole, thinned = model._table
+    k = int(np.add.reduce(counts[whole]))
+    thin = (counts > 0) & thinned
     if thin.any():  # with none, the call would draw nothing from the stream
         # one call draws the classes in index order, the same stream as one call per class
         k += int(np.add.reduce(rng.binomial(counts[thin], q[thin])))

@@ -11,9 +11,11 @@ resolves the one checked, cached plan per (n, qubits, gate): a gather
 with its phase, or one matrix product. The step kernel `_apply_plan`
 applies a plan to a batch of states, shape (N,) + (2,)*n (one state is a
 batch of one), returns a new array and checks every row after the gate
-in one vectorised pass. `apply_gate` is a plan lookup followed by that
-kernel; the fixed circuits of `protocol` and `cavity` resolve their plans
-once, at import, and then apply them. `marginal` is split the same way,
+in one vectorised pass; a matrix product on one row takes its operand
+straight from the flat row, through the plan's gather, with no
+transpose. `apply_gate` is a plan lookup followed by that kernel; the
+fixed circuits of `protocol` and `cavity` resolve their plans once, at
+import, and then apply them. `marginal` is split the same way,
 into its checked pattern index (`_marginal_plan`) and a read (`_read`).
 `accept_input` is the one rule for states entering the library.
 `_check_invariant` is the one runtime check of the package: NaN always
@@ -130,6 +132,14 @@ def _check_invariant(stage: str, message: str, values, tol: float,
     raise InvariantViolation(message, stage, report(value), tol, row)
 
 
+# amplitudes of any magnitude reach accept_input: a squared norm that overflows
+# fails its check there, with no numpy warning on the way (np.errstate as a
+# decorator costs about half of what a with block does per call)
+@np.errstate(over="ignore", invalid="ignore")
+def _squared_norms(states: np.ndarray) -> np.ndarray:
+    return np.vecdot(states, states).real
+
+
 def accept_input(states: np.ndarray) -> np.ndarray:
     """The one rule for states entering the library, given as an (N, d)
     batch, one state per row: each must be finite with a norm within
@@ -139,10 +149,7 @@ def accept_input(states: np.ndarray) -> np.ndarray:
     renormalised, so that no accepted input fails the check after its
     first gate. With no row off, returns `states` itself after one pass
     over the squared norms."""
-    # amplitudes of any magnitude arrive here: a squared norm that overflows
-    # fails the check below, with no numpy warning on the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        squared = np.vecdot(states, states).real
+    squared = _squared_norms(states)
     if _first_outside(squared, 1.0 - NORM_TOL_UNITARY, 1.0 + NORM_TOL_UNITARY) < 0:
         return states
     i = _first_outside(squared, *_INPUT_SQUARED_NORMS)  # NaN or Inf for a non-finite row
@@ -229,16 +236,24 @@ def _apply_plan(states: np.ndarray, plan: tuple) -> np.ndarray:
     batch of any shape (N, ...) of 2**n amplitudes per row, then check
     every row's norm; returns a new contiguous array of the same shape.
     `apply_gate` and the fixed circuits of `protocol` and `cavity` apply
-    every gate through it."""
+    every gate through it. A matrix product's operand is one C-ordered
+    (d, N * K) array, the gate's qubits first, then the batch, then the
+    rest; for one row, as every CLI command sends, `front` gathers it
+    straight from the flat row, with no transpose, and `back` puts the
+    product back."""
     size, matrix, source, phase, front, back = plan
     flat = states.reshape(-1, size)
     if source is not None:
         out = flat.take(source, axis=1).astype(complex, copy=False)
         if phase is not None:
             out *= phase
+    elif len(flat) == 1:
+        # one row: `front` gathers its (d, K) operand straight from the flat
+        # row, the same bytes as the transposed layout below
+        out = (matrix @ flat.take(front)).take(back)[None]
     else:
         # the gate's qubits first, then the batch, then the rest: one C-ordered
-        # (d, K) operand (a view of one row, a copy of more)
+        # (d, N * K) operand
         moved = flat.take(front, axis=1).swapaxes(0, 1)
         out = (matrix @ np.ascontiguousarray(moved.reshape(len(matrix), -1))).reshape(moved.shape)
         out = out.swapaxes(0, 1).reshape(-1, size).take(back, axis=1)
@@ -335,6 +350,6 @@ def _born_counts(amps: np.ndarray, n_shots: int, rng: np.random.Generator) -> np
     if not 1 <= n_shots <= _MAX_SHOTS:
         raise ValueError(f"n_shots must be in [1, {_MAX_SHOTS}]")
     probs = np.abs(amps) ** 2
-    probs = probs / probs.sum()  # remove roundoff before multinomial
+    probs = probs / np.add.reduce(probs)  # remove roundoff before multinomial
     return rng.multinomial(n_shots, probs)
 

@@ -136,6 +136,20 @@ class TestCmdRun:
         assert main(["run", str(fifo)]) == 1
         assert capsys.readouterr().err == message
 
+    def test_directory_refused_as_open_refuses_it(self, tmp_path, capsys):
+        # os.open opens a directory without complaint, so the read refuses
+        # it itself, with the error that open() raises
+        assert main(["run", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read state file: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_empty_character_device_is_malformed_json(self, capsys):
+        # not a regular file, so read blocking, to its immediate end
+        assert main(["run", "/dev/null"]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed JSON in /dev/null: Expecting value: line 1 column 1 (char 0)\n")
+
     @pytest.mark.skipif(pty is None, reason="needs the pty module")
     def test_terminal_waits_for_its_input(self, capsys):
         # opened without blocking, for the FIFO check, a terminal is read

@@ -183,6 +183,18 @@ PACKAGE_GATES = {
 }
 
 
+def random_unitary(d, seed):
+    """A seeded Haar-random d x d unitary, as a Gate."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return statevec.Gate(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+
+
+# the gates that take the matrix-product path: the package's and two random ones
+DENSE_GATES = {name: gate for name, (gate, monomial) in PACKAGE_GATES.items() if not monomial}
+DENSE_GATES.update(random_1q=random_unitary(2, 2311), random_2q=random_unitary(4, 2312))
+
+
 def product_reference(states, matrix, qubits):
     """The gate as one matrix product over the batch, with the gate's axes
     moved to the front: the kernel's product path, written out."""
@@ -226,6 +238,29 @@ class TestKernelPaths:
                     out = statevec.apply_gate(states, gate, qubits)
                     assert out.flags.c_contiguous
                     assert same_bits(out, product_reference(states, gate.matrix, qubits)), \
+                        (name, n_qubits, n_rows, qubits)
+
+    @pytest.mark.parametrize("name", sorted(DENSE_GATES))
+    def test_a_batch_equals_its_rows(self, name):
+        # one row's (d, K) operand is gathered straight from the row, a
+        # batch's (d, N * K) one through the transposed layout: BLAS must
+        # give each row the same bytes either way. Not so where K is 1 or 2
+        # (the gate on all qubits of the register, or all but one): a product
+        # that narrow runs another BLAS kernel than a wider one, so a row
+        # alone can differ from the same row in a batch by an ulp, whatever
+        # the operand's layout. No fixed circuit of the package applies a
+        # gate there (K is 8 in `protocol`, 16 or 32 in `cavity`).
+        gate = DENSE_GATES[name]
+        arity = len(gate.matrix).bit_length() - 1
+        for n_qubits in range(arity + 2, 7):
+            states = random_batch(3, n_qubits, seed=2300 + n_qubits)
+            for qubits in itertools.permutations(range(1, n_qubits + 1), arity):
+                assert statevec._gate_plan(n_qubits, qubits, gate)[2] is None
+                rows = [statevec.apply_gate(states[i:i + 1], gate, qubits) for i in range(3)]
+                for n_rows in (2, 3):
+                    batch = statevec.apply_gate(states[:n_rows], gate, qubits)
+                    assert (batch.view(float).tobytes()
+                            == np.concatenate(rows[:n_rows]).view(float).tobytes()), \
                         (name, n_qubits, n_rows, qubits)
 
     def test_a_phase_gate_takes_the_product_path(self):

@@ -107,6 +107,36 @@ class TestConfidenceInterval:
         assert abs(c_high - 2 * math.sqrt(2 * p_high)) < 1e-14
 
 
+class TestNoDrawContract:
+    """numpy's Generator.binomial draws nothing from its stream for a count
+    of 0 or a probability of 0, in the scalar and the array form. The
+    thinning mask of simulate_shots leaves those classes out; by this
+    contract, leaving them in would draw the same stream, so its
+    conditions `counts > 0` and `0 < q` change no count."""
+
+    @pytest.mark.parametrize("count, p", [(0, 0.3), (7, 0.0), (0, 0.0)])
+    def test_scalar_draws_nothing(self, count, p):
+        rng, twin = np.random.default_rng(2301), np.random.default_rng(2301)
+        assert rng.binomial(count, p) == 0
+        assert rng.random() == twin.random()
+
+    def test_array_draws_nothing(self):
+        rng, twin = np.random.default_rng(2302), np.random.default_rng(2302)
+        out = rng.binomial(np.array([0, 7, 0, 40]), np.array([0.3, 0.0, 0.0, 0.0]))
+        assert out.tolist() == [0, 0, 0, 0]
+        assert rng.random() == twin.random()
+
+    def test_array_entries_with_nothing_to_draw_leave_the_stream(self):
+        counts = np.array([0, 9, 5, 0, 40, 3])
+        p = np.array([0.3, 0.2, 0.0, 0.0, 0.7, 1e-3])
+        drawn = (counts > 0) & (p > 0.0)
+        rng, twin = np.random.default_rng(2303), np.random.default_rng(2303)
+        out = rng.binomial(counts, p)
+        assert out[drawn].tolist() == twin.binomial(counts[drawn], p[drawn]).tolist()
+        assert not out[~drawn].any()
+        assert rng.random() == twin.random()
+
+
 class TestSimulateShots:
     @pytest.mark.parametrize("p_dark", [0.0, 0.05, 0.5, 1.0])
     @pytest.mark.parametrize("p_bright_false", [0.0, 0.05, 0.5, 1.0])
