@@ -11,15 +11,15 @@ resolves the one checked, cached plan per (n, qubits, gate): a gather
 with its phase, or one matrix product. The step kernel `_apply_plan`
 applies a plan to a batch of states, shape (N,) + (2,)*n (one state is a
 batch of one), returns a new array and checks every row after the gate
-in one vectorised pass; a matrix product on one row takes its operand
-straight from the flat row, through the plan's gather, with no
-transpose. `apply_gate` is a plan lookup followed by that kernel; the
-fixed circuits of `protocol` and `cavity` resolve their plans once, at
-import, and then apply them. `marginal` is split the same way,
-into its checked pattern index (`_marginal_plan`) and a read (`_read`).
-`accept_input` is the one rule for states entering the library.
-`_check_invariant` is the one runtime check of the package: NaN always
-fails it, a Python float names no row, an (N,) array its first failing one.
+in one vectorised pass; a matrix product is one product per row, so a
+row gets the same bytes in a batch of any size. `apply_gate` is a plan
+lookup followed by that kernel; the fixed circuits of `protocol` and
+`cavity` resolve their plans once, at import, and then apply them.
+`marginal` is split the same way, into its checked pattern index
+(`_marginal_plan`) and a read (`_read`). `accept_input` is the one rule
+for states entering the library. `_check_invariant` is the one runtime
+check of the package: NaN always fails it, a Python float names no row,
+an (N,) array its first failing one.
 """
 from __future__ import annotations
 
@@ -90,22 +90,18 @@ _INPUT_SQUARED_NORMS = _squared_bounds(NORM_TOL_INPUT)
 
 
 def _first_outside(values: np.ndarray, low: float | None, high: float) -> int:
-    """Index of the first value not within [low, high], or -1; NaN is never
-    within. With low None, for values that cannot be negative, only the
-    upper bound is tested. A batch of one, as every CLI command sends, is
-    tested as one Python float; a larger one by ufunc reductions, which
-    skip the Python wrappers of ndarray.min/max, before any elementwise
-    pass."""
+    """Index of the first value not within [low, high], or -1 when every
+    value is (an empty array included); NaN is never within. With low
+    None, for values that cannot be negative, only the upper bound is
+    tested. A batch of one, as every CLI command sends, is tested as one
+    Python float; any other by one elementwise scan."""
     if len(values) == 1:
         value = values.item()
         return -1 if value <= high and (low is None or low <= value) else 0
-    if np.maximum.reduce(values, initial=-np.inf) <= high and (
-            low is None or low <= np.minimum.reduce(values, initial=np.inf)):
-        return -1
     inside = values <= high
     if low is not None:
         inside &= low <= values
-    return int(np.argmax(~inside))
+    return -1 if inside.all() else int(np.argmax(~inside))
 
 
 def _norm_deviation(squared: float) -> float:
@@ -144,13 +140,15 @@ def accept_input(states: np.ndarray) -> np.ndarray:
     """The one rule for states entering the library, given as an (N, d)
     batch, one state per row: each must be finite with a norm within
     NORM_TOL_INPUT of 1 (else ValueError for the first row that is not,
-    named by index when the batch has more than one row), and a row whose
-    squared norm is off by more than the gates' NORM_TOL_UNITARY is
+    named by index when the batch has more than one row), and each row
+    whose squared norm is outside 1 -/+ the gates' NORM_TOL_UNITARY is
     renormalised, so that no accepted input fails the check after its
-    first gate. With no row off, returns `states` itself after one pass
-    over the squared norms."""
+    first gate: a row's bytes never depend on its neighbours. With no
+    row off, returns `states` itself after one pass over the squared
+    norms."""
     squared = _squared_norms(states)
-    if _first_outside(squared, 1.0 - NORM_TOL_UNITARY, 1.0 + NORM_TOL_UNITARY) < 0:
+    low, high = 1.0 - NORM_TOL_UNITARY, 1.0 + NORM_TOL_UNITARY
+    if _first_outside(squared, low, high) < 0:
         return states
     i = _first_outside(squared, *_INPUT_SQUARED_NORMS)  # NaN or Inf for a non-finite row
     if i >= 0:
@@ -159,7 +157,7 @@ def accept_input(states: np.ndarray) -> np.ndarray:
             raise ValueError(f"{where}amplitudes contain NaN/Inf")
         raise ValueError(f"{where}state norm {math.sqrt(squared[i])!r} deviates from 1 "
                          f"beyond tolerance {NORM_TOL_INPUT}")
-    off = ~(np.abs(squared - 1.0) <= NORM_TOL_UNITARY)
+    off = ~((low <= squared) & (squared <= high))
     out = states.copy()
     out[off] = [normalized(row) for row in states[off]]
     return out
@@ -168,10 +166,10 @@ def accept_input(states: np.ndarray) -> np.ndarray:
 def normalized(amps) -> np.ndarray:
     """amps / ||amps||, scaled by the largest component first so that
     amplitudes of any finite magnitude neither underflow nor overflow."""
-    parts = np.ascontiguousarray(amps, dtype=complex).reshape(-1).view(float)
+    parts = np.asarray(amps, dtype=complex).ravel().view(float)
     if not np.all(np.isfinite(parts)):
         raise ValueError("amplitudes contain NaN/Inf")
-    scale = np.max(np.abs(parts), initial=0.0)
+    scale = np.abs(parts).max() if parts.size else 0.0
     if scale == 0.0:
         raise ValueError("cannot normalize the zero vector")
     # real division: a complex one by a subnormal scale overflows
@@ -192,8 +190,8 @@ def _gate_plan(n: int, qubits: tuple[int, ...], gate: Gate):
     for a gate with one nonzero entry per row, each 1, -1, 1j or -1j, the
     gather that applies it (`_monomial_gather`; None, None for any other),
     then the gather `front` that lays a row out as the (d, 2**n // d)
-    operand of the matrix product, the gate's qubits first, and its
-    inverse `back`, with which any other gate is applied."""
+    operand of its matrix product, the gate's qubits first, and its
+    inverse `back`, with which any other gate is applied, row by row."""
     d = len(gate.matrix)
     arity = d.bit_length() - 1
     if arity != len(qubits):
@@ -236,27 +234,18 @@ def _apply_plan(states: np.ndarray, plan: tuple) -> np.ndarray:
     batch of any shape (N, ...) of 2**n amplitudes per row, then check
     every row's norm; returns a new contiguous array of the same shape.
     `apply_gate` and the fixed circuits of `protocol` and `cavity` apply
-    every gate through it. A matrix product's operand is one C-ordered
-    (d, N * K) array, the gate's qubits first, then the batch, then the
-    rest; for one row, as every CLI command sends, `front` gathers it
-    straight from the flat row, with no transpose, and `back` puts the
-    product back."""
+    every gate through it. A matrix product is one (d, d) @ (d, K)
+    product per row: `front` gathers every row's operand, the gate's
+    qubits first, into an (N, d, K) stack, which matmul multiplies row by
+    row, and `back` puts each product back."""
     size, matrix, source, phase, front, back = plan
     flat = states.reshape(-1, size)
     if source is not None:
         out = flat.take(source, axis=1).astype(complex, copy=False)
         if phase is not None:
             out *= phase
-    elif len(flat) == 1:
-        # one row: `front` gathers its (d, K) operand straight from the flat
-        # row, the same bytes as the transposed layout below
-        out = (matrix @ flat.take(front)).take(back)[None]
     else:
-        # the gate's qubits first, then the batch, then the rest: one C-ordered
-        # (d, N * K) operand
-        moved = flat.take(front, axis=1).swapaxes(0, 1)
-        out = (matrix @ np.ascontiguousarray(moved.reshape(len(matrix), -1))).reshape(moved.shape)
-        out = out.swapaxes(0, 1).reshape(-1, size).take(back, axis=1)
+        out = (matrix @ flat.take(front, axis=1)).reshape(-1, size).take(back, axis=1)
     _check_invariant("gate application", "state norm not preserved", np.vecdot(out, out).real,
                      NORM_TOL_UNITARY, _UNITARY_SQUARED_NORMS, _norm_deviation)
     return out.reshape(states.shape)
@@ -280,9 +269,10 @@ def apply_gate(states: np.ndarray, gate: Gate,
     zero, and a product with +/-1 or +/-1j is exact, so the result is
     the product's bit for bit for finite rows, up to the sign of a zero
     (an infinite amplitude stays infinite, where the product's 0 * inf
-    gives NaN). Any other gate is one (d, d) @ (d, K) matrix product
-    whose operand holds each state's amplitudes with the gate's qubits
-    first, then the batch, then the other qubits, in index order.
+    gives NaN). Any other gate is one (d, d) @ (d, K) matrix product per
+    state, whose operand holds the state's amplitudes with the gate's
+    qubits first, then the other qubits, in index order; a state's result
+    does not depend on the batch it comes in.
 
     Every row is checked once, for the whole batch, to be finite
     with a norm within NORM_TOL_UNITARY of 1: one np.vecdot of the flat

@@ -2,21 +2,20 @@
 bound is accepted and the next float past it is refused, so that no
 comparison can move between strict and non-strict unseen.
 
-Pinned here: accept_input's bound for returning a batch as it is
-(|squared norm - 1| within NORM_TOL_UNITARY, as bounds on the squared
-norm), Gate's unitarity bound (deviation > UNITARITY_TOL), and
-validate_density_matrix's Hermiticity bound, the imaginary half of its
-trace bound and its eigenvalue floor.
+Pinned here: accept_input's one pair of bounds on the squared norm,
+1 -/+ NORM_TOL_UNITARY, both where it returns a batch as it is and where
+it picks the rows to renormalise, Gate's unitarity bound (deviation >
+UNITARITY_TOL), and validate_density_matrix's Hermiticity bound, the
+imaginary half of its trace bound and its eigenvalue floor.
 
-Two comparisons cannot be pinned so, as no input reaches their edge:
-- accept_input's renormalisation mask, |squared - 1| <= NORM_TOL_UNITARY,
-  which only runs once some row fails the bound above;
-- validate_density_matrix's trace bound on the real part,
-  |Re tr(rho) - 1| > DM_TRACE_TOL.
-Near 1, x - 1.0 is exact (Sterbenz), a multiple of 2**-53, and neither
-1e-12 nor 1e-10 is such a multiple: the difference never equals the
-tolerance, so `<` and `<=` agree on every input.
-`test_no_difference_from_one_equals_these_tolerances` checks that premise.
+One comparison cannot be pinned so, as no input reaches its edge:
+validate_density_matrix's trace bound on the real part,
+|Re tr(rho) - 1| > DM_TRACE_TOL. Near 1, x - 1.0 is exact (Sterbenz), a
+multiple of 2**-53, and neither 1e-10 nor 1e-12 is such a multiple: the
+difference never equals the tolerance, so `<` and `<=` agree on every
+input. `test_no_difference_from_one_equals_these_tolerances` checks that
+premise; for NORM_TOL_UNITARY it is why accept_input states its bounds
+on the squared norm itself, where an input can sit exactly at the edge.
 """
 import math
 
@@ -61,6 +60,16 @@ class TestAcceptInputEdge:
     def test_kept_at_the_edge(self, edge, n_rows):
         states = np.repeat(row_with_squared_norm(edge), n_rows, axis=0)
         assert statevec.accept_input(states) is states
+
+    @pytest.mark.parametrize("edge", [UPPER, LOWER], ids=["upper", "lower"])
+    def test_kept_at_the_edge_next_to_a_row_renormalised(self, edge):
+        # the row at the edge keeps its bytes whether or not its neighbour
+        # makes accept_input renormalise the batch
+        states = np.concatenate([row_with_squared_norm(edge),
+                                 row_with_squared_norm(1.0 + 1e-11)])
+        out = statevec.accept_input(states)
+        assert out[0].tobytes() == states[0].tobytes()
+        np.testing.assert_array_equal(out[1], statevec.normalized(states[1]))
 
     @pytest.mark.parametrize("past", [math.nextafter(UPPER, math.inf),
                                       math.nextafter(LOWER, -math.inf)],

@@ -53,6 +53,16 @@ FAULTS = pytest.mark.parametrize("fault", [
     pytest.param("inf", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))])
 
 
+def assert_rows_are_run_circuit(batch, states):
+    """Row i of a BatchResult holds run_circuit(states[i])'s final
+    amplitudes, probabilities and residual, byte for byte."""
+    singles = [run_circuit(psi) for psi in states]
+    assert batch.amplitudes.tobytes() == np.array([r.final_state for r in singles]).tobytes()
+    for field in ("p_gggg", "p_egeg", "oracle_residual"):
+        expected = np.array([getattr(r, field) for r in singles])
+        assert getattr(batch, field).tobytes() == expected.tobytes(), field
+
+
 class TestRunBatch:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
@@ -60,12 +70,17 @@ class TestRunBatch:
         amps = haar_batch(n, seed)
         batch = run_batch(amps)
         assert batch.amplitudes.shape == (n, 16)
-        for i, row in enumerate(amps):
-            single = run_circuit(PureState(*row))
-            assert np.max(np.abs(batch.amplitudes[i] - single.final_state)) <= 1e-15
-            assert abs(batch.p_gggg[i] - single.p_gggg) <= 1e-15
-            assert abs(batch.p_egeg[i] - single.p_egeg) <= 1e-15
-            assert abs(batch.oracle_residual[i] - single.oracle_residual) <= 1e-15
+        assert_rows_are_run_circuit(batch, [PureState(*row) for row in amps])
+
+    def test_sweep_states_in_blocks(self):
+        # the first 3000 states of `sweep 3000 --seed 11`, run a block at a
+        # time: every block size gives each row run_circuit's bytes
+        states = [PureState.haar_random(np.random.default_rng([11, i])) for i in range(3000)]
+        amps = np.array([psi.amplitudes for psi in states])
+        for block in (1, 7, 256, 3000):
+            for start in range(0, len(states), block):
+                assert_rows_are_run_circuit(run_batch(amps[start:start + block]),
+                                            states[start:start + block])
 
     def test_bell_and_product_rows(self):
         batch = run_batch([[0, SQ2, SQ2, 0], [1, 0, 0, 0]])
@@ -196,13 +211,16 @@ DENSE_GATES.update(random_1q=random_unitary(2, 2311), random_2q=random_unitary(4
 
 
 def product_reference(states, matrix, qubits):
-    """The gate as one matrix product over the batch, with the gate's axes
-    moved to the front: the kernel's product path, written out."""
+    """The gate as one matrix product per row, with the gate's axes moved
+    to the front: the kernel's product path, written out row by row."""
     n = states.ndim - 1
-    perm = (*qubits, *(ax for ax in range(n + 1) if ax not in qubits))
-    moved = states.transpose(perm)
-    out = (matrix @ moved.reshape(len(matrix), -1)).reshape(moved.shape)
-    return out.transpose(np.argsort(perm))
+    perm = (*(q - 1 for q in qubits), *(ax for ax in range(n) if ax + 1 not in qubits))
+    rows = []
+    for row in states:
+        moved = row.transpose(perm)
+        out = (matrix @ moved.reshape(len(matrix), -1)).reshape(moved.shape)
+        rows.append(out.transpose(np.argsort(perm)))
+    return np.stack(rows)
 
 
 def random_batch(n_rows, n_qubits, seed):
@@ -242,22 +260,15 @@ class TestKernelPaths:
 
     @pytest.mark.parametrize("name", sorted(DENSE_GATES))
     def test_a_batch_equals_its_rows(self, name):
-        # one row's (d, K) operand is gathered straight from the row, a
-        # batch's (d, N * K) one through the transposed layout: BLAS must
-        # give each row the same bytes either way. Not so where K is 1 or 2
-        # (the gate on all qubits of the register, or all but one): a product
-        # that narrow runs another BLAS kernel than a wider one, so a row
-        # alone can differ from the same row in a batch by an ulp, whatever
-        # the operand's layout. No fixed circuit of the package applies a
-        # gate there (K is 8 in `protocol`, 16 or 32 in `cavity`).
+        # every placement, the gate on all qubits of the register included
         gate = DENSE_GATES[name]
         arity = len(gate.matrix).bit_length() - 1
-        for n_qubits in range(arity + 2, 7):
-            states = random_batch(3, n_qubits, seed=2300 + n_qubits)
+        for n_qubits in range(arity, 7):
+            states = random_batch(300, n_qubits, seed=2300 + n_qubits)
             for qubits in itertools.permutations(range(1, n_qubits + 1), arity):
                 assert statevec._gate_plan(n_qubits, qubits, gate)[2] is None
-                rows = [statevec.apply_gate(states[i:i + 1], gate, qubits) for i in range(3)]
-                for n_rows in (2, 3):
+                rows = [statevec.apply_gate(states[i:i + 1], gate, qubits) for i in range(300)]
+                for n_rows in (2, 3, 300):
                     batch = statevec.apply_gate(states[:n_rows], gate, qubits)
                     assert (batch.view(float).tobytes()
                             == np.concatenate(rows[:n_rows]).view(float).tobytes()), \
