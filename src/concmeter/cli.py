@@ -321,33 +321,27 @@ _shared_parser = functools.cache(build_parser)
 
 
 def _parse(argv) -> argparse.Namespace:
-    """Parse a command line as argparse's nested parse would, scanning it
-    at most once.
+    """Parse a command line as argparse's nested parse would.
 
-    A plain line is read straight from its command's arguments: the
-    command's positionals first, as tokens that do not start with "-";
+    A plain line is read by its command's `read_plain`, without argparse:
+    the command's positionals first, as tokens that do not start with "-";
     then exact option names, each at most once, a valued one followed by
     one token that does not start with "-"; every value converted by its
     argument's own type, and no required option missing. On such a line
     argparse itself takes the same tokens in the same roles and stores the
     same values and defaults, so the two namespaces agree
     (`tests/test_cli_boundary.py` checks this against argparse on drawn
-    lines). Every other line (help, abbreviations, "--opt=value", "--",
-    values starting with "-", repeats, reordering, extra tokens, failed
-    conversions) goes to the command's own argparse parser, which prints
-    help and every usage error; a line that does not start with a command
-    name goes to the top-level parser.
+    lines). Every other line (no command name, help, abbreviations,
+    "--opt=value", "--", values starting with "-", repeats, reordering,
+    extra tokens, failed conversions) goes to argparse's nested parse,
+    which prints help and every usage error.
     """
     parser = _shared_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = command.read_plain(argv[1:])
+    args = command.read_plain(argv[1:]) if command is not None else None
     if args is None:
-        args, extra = command.parse_known_args(argv[1:])
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        return parser.parse_args(argv)
     args.command = argv[0]
     return args
 

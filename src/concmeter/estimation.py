@@ -3,11 +3,11 @@ readout: one yes/no bit per shot (total darkness = all ions ground)."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevec
 from .concurrence import PureState
 from .protocol import extract_concurrence, run_circuit
 
@@ -15,6 +15,7 @@ from .protocol import extract_concurrence, run_circuit
 _Z95 = 1.959963984540054
 # the number of excited ions in each of the 16 outcomes, in index order
 _N_EXCITED = np.array([i.bit_count() for i in range(16)])
+_MAX_SHOTS = np.iinfo(np.int64).max  # the largest count numpy's samplers take
 
 
 @dataclass(frozen=True)
@@ -59,20 +60,14 @@ def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Wilson score interval on a binomial proportion."""
     if n < 1 or not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n with n >= 1")
-    # at the extremes one endpoint is exactly 0 or 1; snap past roundoff
-    if k == 0:
-        return 0.0, _wilson_raw(0, n)[1]
-    if k == n:
-        return _wilson_raw(n, n)[0], 1.0
-    return _wilson_raw(k, n)
-
-
-def _wilson_raw(k: int, n: int) -> tuple[float, float]:
     p_hat = k / n
     denom = 1.0 + _Z95 * _Z95 / n
     center = (p_hat + _Z95 * _Z95 / (2 * n)) / denom
     margin = (_Z95 / denom) * math.sqrt(p_hat * (1 - p_hat) / n + _Z95 * _Z95 / (4 * n * n))
-    return max(0.0, center - margin), min(1.0, center + margin)
+    # at the extremes one endpoint is exactly 0 or 1; snap past roundoff
+    low = 0.0 if k == 0 else max(0.0, center - margin)
+    high = 1.0 if k == n else min(1.0, center + margin)
+    return low, high
 
 
 def confidence_interval(k: int, n: int) -> tuple[float, float]:
@@ -82,13 +77,24 @@ def confidence_interval(k: int, n: int) -> tuple[float, float]:
     return extract_concurrence(p_low), extract_concurrence(p_high)
 
 
+def _born_counts(amps: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Born-rule sampling of one state's flat amplitudes: the count of each
+    basis state in index order, drawn from rng."""
+    probs = np.abs(amps) ** 2
+    probs = probs / np.add.reduce(probs)  # remove roundoff before multinomial
+    return rng.multinomial(n_shots, probs)
+
+
 def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
                    seed: int = 0) -> ShotSummary:
     """Sample n protocol shots and summarize the yes/no readout record.
 
-    The 16 Born counts are drawn once, in index order, by
-    statevec._born_counts; each outcome class is then thinned binomially
-    by its dark probability, read from the model's table of
+    n is taken with operator.index, so a numpy integer gives what the
+    Python int gives and a float is a TypeError; it is checked here, once:
+    below 1, or beyond 2**63 - 1 (the largest count numpy's samplers
+    take), it is a ValueError. The 16 Born counts are then drawn once, in
+    index order, by _born_counts; each outcome class is thinned
+    binomially by its dark probability, read from the model's table of
     ReadoutModel.dark_probability per outcome, from one generator seeded
     once. A class with q == 1 counts whole.
 
@@ -97,11 +103,14 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
     gives no such relation (the maximally mixed state has P_gggg = 1/16,
     which reads as C = 0.707 where its concurrence is 0).
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _MAX_SHOTS:
+        raise ValueError(f"n_shots must be in [1, {_MAX_SHOTS}]")
     result = run_circuit(psi)
     rng = np.random.default_rng(seed)
-    counts = statevec._born_counts(result.final_state, n, rng)
+    counts = _born_counts(result.final_state, n, rng)
     q, whole, thinned = model._table
     k = int(np.add.reduce(counts[whole]))
     thin = (counts > 0) & thinned

@@ -32,7 +32,6 @@ import numpy as np
 NORM_TOL_INPUT = 1e-9
 NORM_TOL_UNITARY = 1e-12
 UNITARITY_TOL = 1e-12
-_MAX_SHOTS = np.iinfo(np.int64).max  # the largest count numpy's samplers take
 
 
 class InvariantViolation(Exception):
@@ -332,14 +331,3 @@ def marginal(amps: np.ndarray, *patterns: dict[int, int]) -> float | tuple[float
     n = amps.size.bit_length() - 1
     sums = _read(amps, [_marginal_plan(n, tuple(bits.items())) for bits in patterns])
     return sums[0] if len(sums) == 1 else tuple(sums)
-
-
-def _born_counts(amps: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Born-rule sampling of one state's flat amplitudes: the count of each
-    basis state in index order, drawn from rng."""
-    if not 1 <= n_shots <= _MAX_SHOTS:
-        raise ValueError(f"n_shots must be in [1, {_MAX_SHOTS}]")
-    probs = np.abs(amps) ** 2
-    probs = probs / np.add.reduce(probs)  # remove roundoff before multinomial
-    return rng.multinomial(n_shots, probs)
-

@@ -100,9 +100,10 @@ def _outcome(argv, capsys):
 
 
 class TestSingleParse:
-    """main() parses a command line once, with the command's own parser; it
-    must read every command line as argparse's nested parse does: the same
-    namespace, or the same exit code, stdout and stderr."""
+    """main() reads a plain line with its command's `read_plain` and hands
+    every other line to argparse's nested parse; it must read every command
+    line as argparse's nested parse does: the same namespace, or the same
+    exit code, stdout and stderr."""
 
     ARGVS = [
         ["run", "{bell}"], ["run", "--normalize", "{bell}"], ["run", "{bell}", "--normalize"],
@@ -253,6 +254,7 @@ class TestPlainReader:
         def refuse(*args, **kwargs):
             raise AssertionError("a plain line went to argparse")
 
+        monkeypatch.setattr(cli._shared_parser(), "parse_args", refuse)
         for command in COMMANDS.values():
             monkeypatch.setattr(command, "parse_known_args", refuse)
         assert vars(cli._parse(argv)) == vars(_nested_parse(argv))

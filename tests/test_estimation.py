@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concmeter import statevec
 from concmeter.concurrence import PureState, concurrence_pure
-from concmeter.estimation import ReadoutModel, confidence_interval, simulate_shots, wilson_interval
-from concmeter.protocol import run_circuit
+from concmeter.estimation import (ReadoutModel, _born_counts, confidence_interval,
+                                  simulate_shots, wilson_interval)
+from concmeter.protocol import analytic_phi1_batch, run_circuit
+from concmeter.statevec import basis_index
 from oracles import binomial_thinning, shelving_readout
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -73,8 +74,9 @@ class TestWilsonInterval:
         assert high > 0.0
 
     def test_all_successes(self):
+        # unsnapped, the upper endpoint at n = 10 is 1 - 2**-53
         low, high = wilson_interval(10, 10)
-        assert high <= 1.0
+        assert high == 1.0
         assert low < 1.0
 
     def test_bad_inputs(self):
@@ -137,6 +139,40 @@ class TestNoDrawContract:
         assert rng.random() == twin.random()
 
 
+class TestSampleOutcomes:
+    """Born-rule sampling of one state's outcomes: index-ordered counts."""
+
+    def test_deterministic_state(self):
+        ground = np.eye(1, 16, dtype=complex)[0]
+        counts = _born_counts(ground, 1000, np.random.default_rng(3))
+        assert counts.tolist() == [1000] + [0] * 15
+
+    def test_bell_binomial(self):
+        n = 10**6
+        counts = _born_counts(BELL.amplitudes, n, np.random.default_rng(7))
+        sigma = math.sqrt(0.25 / n)
+        assert abs(counts[basis_index("ge")] / n - 0.5) < 5 * sigma
+        assert counts.sum() == n
+
+    def test_same_seed_identical(self):
+        draws = [_born_counts(BELL.amplitudes, 5000, np.random.default_rng(11)) for _ in range(2)]
+        assert np.array_equal(*draws)
+
+    def test_chi_square_goodness_of_fit(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(13)
+        for trial in range(5):
+            r = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            r /= np.linalg.norm(r)
+            n = 10**5
+            observed = _born_counts(r, n, np.random.default_rng(100 + trial))
+            probs = np.abs(r) ** 2
+            keep = probs * n >= 5  # chi-square validity threshold
+            _, p_value = stats.chisquare(observed[keep], probs[keep] / probs[keep].sum() * observed[keep].sum())
+            assert p_value > 0.001
+
+
 class TestSimulateShots:
     @pytest.mark.parametrize("p_dark", [0.0, 0.05, 0.5, 1.0])
     @pytest.mark.parametrize("p_bright_false", [0.0, 0.05, 0.5, 1.0])
@@ -149,7 +185,7 @@ class TestSimulateShots:
         for i, psi in enumerate(states):
             for seed in (0, 17, 2**40 + i):
                 rng = np.random.default_rng(seed)
-                counts = statevec._born_counts(run_circuit(psi).final_state, 5000, rng)
+                counts = _born_counts(run_circuit(psi).final_state, 5000, rng)
                 expected = binomial_thinning(counts, model, rng)
                 got = simulate_shots(psi, 5000, model, seed).n_no_fluorescence
                 assert got == expected, (i, seed)
@@ -163,7 +199,7 @@ class TestSimulateShots:
         psi = PureState.haar_random(np.random.default_rng(state_seed))
         model = ReadoutModel(p_dark=p_dark, p_bright_false=p_bright_false)
         rng = np.random.default_rng(seed)
-        counts = statevec._born_counts(run_circuit(psi).final_state, n, rng)
+        counts = _born_counts(run_circuit(psi).final_state, n, rng)
         expected = binomial_thinning(counts, model, rng)
         assert simulate_shots(psi, n, model, seed).n_no_fluorescence == expected
 
@@ -171,6 +207,37 @@ class TestSimulateShots:
     def test_no_shots_rejected(self, n):
         with pytest.raises(ValueError, match="n must be >= 1"):
             simulate_shots(BELL, n)
+
+    @pytest.mark.parametrize("n", [10.5, 1000.0, np.float64(1000.0)])
+    def test_non_integer_count_rejected(self, n):
+        # a float count once drew int(n) shots and reported n
+        with pytest.raises(TypeError):
+            simulate_shots(BELL, n)
+
+    @pytest.mark.parametrize("model", [IDEAL, ReadoutModel(p_dark=0.05, p_bright_false=0.02)])
+    def test_numpy_count_reads_as_its_int(self, model):
+        # a numpy count once gave numpy floats in the summary
+        got = simulate_shots(BELL, np.int64(1000), model, seed=3)
+        assert got == simulate_shots(BELL, 1000, model, seed=3)
+        assert [type(v) for v in vars(got).values()] == [int, int, float, float, float, float]
+
+    @pytest.mark.parametrize("p_dark, p_bright_false",
+                             [(0.0, 0.0), (0.05, 0.02), (0.5, 0.0), (0.0, 0.3)])
+    def test_dark_rate_against_the_table(self, p_dark, p_bright_false):
+        # the pooled dark count against the exact rate sum |phi1|^2 q, with
+        # phi1 from the polynomial table and q from dark_probability, so the
+        # expected count comes from neither the sampler nor the thinning
+        model = ReadoutModel(p_dark=p_dark, p_bright_false=p_bright_false)
+        q = np.array([model.dark_probability(i.bit_count()) for i in range(16)])
+        states = [PureState(1, 0, 0, 0), BELL]
+        states += [PureState.haar_random(np.random.default_rng(s)) for s in (31, 32, 33)]
+        n, seeds = 10**5, range(20)
+        for psi in states:
+            rate = float(np.abs(analytic_phi1_batch(psi.amplitudes[None])[0]) ** 2 @ q)
+            k = sum(simulate_shots(psi, n, model, seed).n_no_fluorescence for seed in seeds)
+            total = n * len(seeds)
+            sigma = math.sqrt(total * rate * (1.0 - rate))
+            assert abs(k - total * rate) <= 5 * sigma, (psi, k, total * rate)
 
     def test_bell_large_n(self):
         summary = simulate_shots(BELL, 10**6, IDEAL, seed=5)

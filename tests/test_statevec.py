@@ -363,39 +363,3 @@ class TestMarginalPlan:
         assert marginal(r, *patterns) == one_each
         assert marginal(batch_of_one(r), *patterns) == one_each
         assert all(type(p) is float for p in one_each)
-
-
-class TestSampleOutcomes:
-    """Born-rule sampling of one state's outcomes: index-ordered counts."""
-
-    def test_deterministic_state(self):
-        counts = statevec._born_counts(ground(4), 1000, np.random.default_rng(3))
-        assert counts.tolist() == [1000] + [0] * 15
-
-    def test_bell_binomial(self):
-        n = 10**6
-        counts = statevec._born_counts(BELL, n, np.random.default_rng(7))
-        sigma = math.sqrt(0.25 / n)
-        assert abs(counts[basis_index("ge")] / n - 0.5) < 5 * sigma
-        assert counts.sum() == n
-
-    def test_same_seed_identical(self):
-        draws = [statevec._born_counts(BELL, 5000, np.random.default_rng(11)) for _ in range(2)]
-        assert np.array_equal(*draws)
-
-    def test_chi_square_goodness_of_fit(self):
-        from scipy import stats
-
-        rng = np.random.default_rng(13)
-        for trial in range(5):
-            r = random_state(rng, 3)
-            n = 10**5
-            observed = statevec._born_counts(r, n, np.random.default_rng(100 + trial))
-            probs = np.abs(r) ** 2
-            keep = probs * n >= 5  # chi-square validity threshold
-            _, p_value = stats.chisquare(observed[keep], probs[keep] / probs[keep].sum() * observed[keep].sum())
-            assert p_value > 0.001
-
-    def test_zero_shots_rejected(self):
-        with pytest.raises(ValueError):
-            statevec._born_counts(ground(1), 0, np.random.default_rng(0))
