@@ -5,7 +5,10 @@ then R- on qubit 2. The concurrence of |psi> is read out from the
 all-ground probability as C = 2*sqrt(2*P_gggg).
 
 `run_batch` runs the circuit on N input states at once; `run_circuit` is
-a batch of one. Both run one step program, the plans of the three gates
+a batch of one, which simulates and checks each distinct input once per
+process and returns the kept result on a repeat (a memo of the last 16
+inputs, keyed by their bytes; `run_batch` keeps nothing). Both run one
+step program, the plans of the three gates
 (`_COPY2`, `_CNOT_24`, `_R_MINUS_2`), resolved once, at import, and
 applied with no per-gate lookup. `analytic_phi1_batch` computes the
 post-circuit amplitudes directly as polynomials in c0..c3, never touching
@@ -14,6 +17,7 @@ the gate simulator, so the two paths cross-check each other row by row.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,19 +152,44 @@ def _run(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return final, np.abs(final.take(_READOUT_KETS, axis=1)) ** 2, residual  # one gather
 
 
+# A shot study runs copies of a few states again and again: the results of
+# the last _MEMO_SIZE distinct inputs, each checked once, by input bytes. A
+# lookup is one atomic dict read; the lock keeps a store and its eviction
+# one step for callers on several threads.
+_MEMO_SIZE = 16
+_memo: dict[bytes, ProtocolResult] = {}
+_memo_lock = threading.Lock()
+
+
 def run_circuit(psi: PureState) -> ProtocolResult:
     """Execute the full circuit and extract concurrence, with the analytic
     amplitude table checked ket-by-ket (phase-strict): a batch of one,
     whose input PureState has already been validated. Both probabilities
-    are read as Python floats in one .tolist()."""
+    are read as Python floats in one .tolist().
+
+    Each distinct input is simulated and checked once per process: the
+    frozen result that passed every check is kept, keyed by the exact
+    bytes of `psi.amplitudes` (so -0.0 and 0.0 are different inputs), and
+    a repeat returns that same object. The memo holds the last
+    _MEMO_SIZE distinct inputs and drops the oldest first; a failed check
+    stores nothing, so it raises again on every call."""
+    key = psi.amplitudes.tobytes()
+    result = _memo.get(key)
+    if result is not None:
+        return result
     final, probs, residual = _run(psi.amplitudes[None])
     (p_gggg, p_egeg), = probs.tolist()
     final = final[0]  # checked by the step kernel
     final.flags.writeable = False
-    return ProtocolResult(
+    result = ProtocolResult(
         final_state=final,
         p_gggg=p_gggg,
         p_egeg=p_egeg,
         concurrence_measured=extract_concurrence(p_gggg),
         oracle_residual=residual.item(),
     )
+    with _memo_lock:
+        if len(_memo) == _MEMO_SIZE:
+            del _memo[next(iter(_memo))]  # the oldest: a dict keeps insertion order
+        _memo[key] = result
+    return result

@@ -86,6 +86,9 @@ def _squared_bounds(tol: float) -> tuple[float, float]:
 # the bounds of apply_gate and accept_input, computed once
 _UNITARY_SQUARED_NORMS = _squared_bounds(NORM_TOL_UNITARY)
 _INPUT_SQUARED_NORMS = _squared_bounds(NORM_TOL_INPUT)
+# the squared norms that accept_input keeps as given: half the gates'
+# tolerance, as the two-copy product doubles a row's deviation
+_KEPT_SQUARED_NORMS = 1.0 - NORM_TOL_UNITARY / 2, 1.0 + NORM_TOL_UNITARY / 2
 
 
 def _first_outside(values: np.ndarray, low: float | None, high: float) -> int:
@@ -140,13 +143,15 @@ def accept_input(states: np.ndarray) -> np.ndarray:
     batch, one state per row: each must be finite with a norm within
     NORM_TOL_INPUT of 1 (else ValueError for the first row that is not,
     named by index when the batch has more than one row), and each row
-    whose squared norm is outside 1 -/+ the gates' NORM_TOL_UNITARY is
-    renormalised, so that no accepted input fails the check after its
-    first gate: a row's bytes never depend on its neighbours. With no
-    row off, returns `states` itself after one pass over the squared
-    norms."""
+    whose squared norm is outside 1 -/+ NORM_TOL_UNITARY / 2 is
+    renormalised. A product of two copies, as the circuit's second stage
+    is, has the square of a row's squared norm, twice its deviation from
+    1: so within that band neither a row nor its product fails the gates'
+    check, at NORM_TOL_UNITARY on the norm, and a row's bytes never
+    depend on its neighbours. With no row off, returns `states` itself
+    after one pass over the squared norms."""
     squared = _squared_norms(states)
-    low, high = 1.0 - NORM_TOL_UNITARY, 1.0 + NORM_TOL_UNITARY
+    low, high = _KEPT_SQUARED_NORMS
     if _first_outside(squared, low, high) < 0:
         return states
     i = _first_outside(squared, *_INPUT_SQUARED_NORMS)  # NaN or Inf for a non-finite row

@@ -26,3 +26,17 @@ def test_output_unchanged(case, tmp_path, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("case", [c for c in GOLDEN["cases"] if c["argv"][0] == "shots"],
+                         ids=_case_id)
+def test_shots_twice_in_one_process(case, tmp_path, capsys):
+    # the second run finds its circuit result kept by the first
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(GOLDEN["states"][case["state"]]))
+    argv = [str(path) if a == "{state}" else a for a in case["argv"]]
+    for _ in range(2):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (case["exit"], case["stdout"],
+                                                      case["stderr"])

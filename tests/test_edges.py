@@ -3,8 +3,8 @@ bound is accepted and the next float past it is refused, so that no
 comparison can move between strict and non-strict unseen.
 
 Pinned here: accept_input's one pair of bounds on the squared norm,
-1 -/+ NORM_TOL_UNITARY, both where it returns a batch as it is and where
-it picks the rows to renormalise, Gate's unitarity bound (deviation >
+1 -/+ NORM_TOL_UNITARY / 2, both where it returns a batch as it is and
+where it picks the rows to renormalise, Gate's unitarity bound (deviation >
 UNITARITY_TOL), and validate_density_matrix's Hermiticity bound, the
 imaginary half of its trace bound and its eigenvalue floor.
 
@@ -17,13 +17,16 @@ input. `test_no_difference_from_one_equals_these_tolerances` checks that
 premise; for NORM_TOL_UNITARY it is why accept_input states its bounds
 on the squared norm itself, where an input can sit exactly at the edge.
 """
+import json
 import math
 
 import numpy as np
 import pytest
 
 from concmeter import concurrence, statevec
+from concmeter.cli import main
 from concmeter.concurrence import validate_density_matrix
+from concmeter.protocol import run_batch
 from concmeter.statevec import Gate
 
 
@@ -40,8 +43,8 @@ def row_with_squared_norm(target):
     raise AssertionError(f"no row found with squared norm {target!r}")
 
 
-UPPER = 1.0 + statevec.NORM_TOL_UNITARY
-LOWER = 1.0 - statevec.NORM_TOL_UNITARY
+UPPER = 1.0 + statevec.NORM_TOL_UNITARY / 2
+LOWER = 1.0 - statevec.NORM_TOL_UNITARY / 2
 
 
 @pytest.mark.parametrize("tol", [statevec.NORM_TOL_UNITARY, concurrence.DM_TRACE_TOL])
@@ -52,7 +55,7 @@ def test_no_difference_from_one_equals_these_tolerances(tol):
 
 
 class TestAcceptInputEdge:
-    """A state whose squared norm is exactly 1 +/- NORM_TOL_UNITARY is
+    """A state whose squared norm is exactly 1 +/- NORM_TOL_UNITARY / 2 is
     returned as it is; one a float past it is renormalised."""
 
     @pytest.mark.parametrize("edge", [UPPER, LOWER], ids=["upper", "lower"])
@@ -81,6 +84,95 @@ class TestAcceptInputEdge:
         assert out is not states
         for row, original in zip(out, states):
             np.testing.assert_array_equal(row, statevec.normalized(original))
+
+
+# A state file whose squared norm is exactly 1 + 4504 * 2**-52: within
+# NORM_TOL_UNITARY of 1, but outside the half band that accept_input keeps
+# as given. Kept as given, its two-copy product, with twice its deviation,
+# fails the gates' norm check at the next gate (exit 2).
+REPRODUCER = [[0.1032448350663118, -0.08115119883235708],
+              [0.496961973274439, 0.41438613212697445],
+              [0.198773325032076, -0.6915562830758951],
+              [0.016328932476063786, 0.21457016600487655]]
+REPRODUCER_ROW = np.array([[complex(*pair) for pair in REPRODUCER]])
+# the edge floats of a kept band of 1 -/+ NORM_TOL_UNITARY, where that fails
+WIDE_EDGES = {"upper": 1.0 + 4504 * 2.0**-52, "lower": 1.0 - 9007 * 2.0**-53}
+
+
+def analytic_concurrence(rows):
+    """2|c1 c2 - c0 c3| of each row once normalised: divided by its squared norm."""
+    c = np.asarray(rows, dtype=complex)
+    return 2.0 * np.abs(c[:, 1] * c[:, 2] - c[:, 0] * c[:, 3]) / np.vecdot(c, c).real
+
+
+def scaled_to_squared_norm(direction, target):
+    """A unit `direction` scaled so that its squared norm, as accept_input
+    computes it, is exactly `target`, with the real part of c0 walked
+    float by float; None when the walk steps over it."""
+    parts = (direction * math.sqrt(target)).view(float).copy()
+    row = parts.view(complex)[None]
+    for _ in range(8):
+        squared = np.vecdot(row, row).real.item()
+        if squared == target:
+            return row[0]
+        grow = math.copysign(math.inf, parts[0])
+        parts[0] = math.nextafter(parts[0], grow if squared < target else -grow)
+    return None
+
+
+class TestRenormalisedWithinTheGateTolerance:
+    """A state within NORM_TOL_UNITARY of 1 but outside the kept half band
+    is renormalised, so its two-copy product stays inside the gates' check
+    and every command exits 0."""
+
+    def test_reproducer_squared_norm(self):
+        assert np.vecdot(REPRODUCER_ROW, REPRODUCER_ROW).real.item() == WIDE_EDGES["upper"]
+
+    @pytest.mark.parametrize("command", ["run", "cavity"])
+    def test_commands_exit_0(self, command, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"amplitudes": REPRODUCER}))
+        assert main([command, str(path)]) == 0
+        out = capsys.readouterr().out
+        printed = {key.strip(): value
+                   for key, value in (line.split("=") for line in out.splitlines())}
+        expected, = analytic_concurrence(REPRODUCER_ROW)
+        assert abs(float(printed["C_measured"]) - expected) <= 1e-9
+
+    def test_shots_exit_0(self, tmp_path, capsys):
+        # an estimate: it must print what the renormalised file prints, and
+        # its interval must hold the analytic C
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"amplitudes": REPRODUCER}))
+        normalised = tmp_path / "normalised.json"
+        normalised.write_text(json.dumps({"amplitudes": REPRODUCER, "normalize": True}))
+        outputs = []
+        for state in (path, normalised):
+            assert main(["shots", str(state), "--seed", "26"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        low, high = json.loads(outputs[0].splitlines()[-1].split("=")[1])
+        expected, = analytic_concurrence(REPRODUCER_ROW)
+        assert low <= expected <= high
+
+    @pytest.mark.parametrize("edge", sorted(WIDE_EDGES))
+    def test_run_batch_at_the_wide_edge(self, edge):
+        # Haar directions scaled exactly to the edge: kept as given, about a
+        # quarter of them (upper) and most (lower) fail alone
+        rng = np.random.default_rng(26)
+        rows = []
+        while len(rows) < 64:
+            x = rng.standard_normal(8)
+            direction = x[:4] + 1j * x[4:]
+            row = scaled_to_squared_norm(direction / np.linalg.norm(direction),
+                                         WIDE_EDGES[edge])
+            if row is not None:
+                rows.append(row)
+        rows = np.array(rows)
+        measured = 2.0 * np.sqrt(2.0 * run_batch(rows).p_gggg)
+        np.testing.assert_allclose(measured, analytic_concurrence(rows), rtol=0, atol=1e-9)
+        for row in rows:  # and each alone
+            run_batch(row[None])
 
 
 class TestGateEdge:

@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from concmeter import gates, statevec
+from concmeter import gates, protocol, statevec
 from concmeter.concurrence import PureState, concurrence_pure, concurrence_wootters
 from concmeter.protocol import analytic_phi1_batch, extract_concurrence, run_batch, run_circuit
+from concmeter.statevec import InvariantViolation
 from oracles import circuit_unitary
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -104,6 +107,91 @@ class TestRunCircuit:
             c_woot = concurrence_wootters(psi.density_matrix())
             assert abs(res.concurrence_measured - c_pure) < 1e-8
             assert abs(c_woot - c_pure) < 1e-8
+
+
+class TestCircuitMemo:
+    """run_circuit checks each distinct input once per process and returns
+    the kept result on a repeat, keyed by the input's bytes; every test
+    starts with an empty memo (tests/conftest.py)."""
+
+    @staticmethod
+    def break_rotation(monkeypatch):
+        monkeypatch.setattr(protocol, "_R_MINUS_2", statevec._gate_plan(4, (2,), gates.R_PLUS))
+
+    def test_repeat_returns_the_identical_result(self):
+        first = run_circuit(BELL)
+        assert run_circuit(BELL) is first
+        # an equal state built anew has the same bytes, so the same entry
+        assert run_circuit(PureState(0, SQ2, SQ2, 0)) is first
+        assert list(protocol._memo) == [BELL.amplitudes.tobytes()]
+
+    def test_sign_of_a_zero_is_another_input(self):
+        plus, minus = PureState(1, 0, 0, 0), PureState(1, -0.0, 0, 0)
+        assert plus == minus  # PureState equality does not see the sign
+        assert run_circuit(plus) is not run_circuit(minus)
+        assert list(protocol._memo) == [plus.amplitudes.tobytes(), minus.amplitudes.tobytes()]
+        assert run_circuit(minus).final_state.tobytes() == \
+            run_batch(minus.amplitudes[None]).amplitudes[0].tobytes()
+
+    def test_bounded_and_the_oldest_dropped(self):
+        states = haar_states(protocol._MEMO_SIZE + 1, seed=26)
+        results = [run_circuit(psi) for psi in states]
+        assert len(protocol._memo) == protocol._MEMO_SIZE
+        assert list(protocol._memo) == [psi.amplitudes.tobytes() for psi in states[1:]]
+        assert all(run_circuit(psi) is res for psi, res in zip(states[1:], results[1:]))
+        again = run_circuit(states[0])  # simulated anew, and kept in place of states[1]
+        assert again is not results[0]
+        assert again.final_state.tobytes() == results[0].final_state.tobytes()
+        assert states[1].amplitudes.tobytes() not in protocol._memo
+
+    def test_failed_check_kept_nowhere(self, monkeypatch):
+        self.break_rotation(monkeypatch)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvariantViolation) as info:
+                run_circuit(BELL)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and messages[0].startswith("amplitude table:")
+        assert protocol._memo == {}
+
+    def test_shared_by_threads(self):
+        # more threads than cores, switching every microsecond, each cycling
+        # over more states than the memo holds: a store and its eviction
+        # interleaved would raise, or let the memo outgrow its bound
+        states = haar_states(3 * protocol._MEMO_SIZE, seed=27)
+        expected = [run_batch(psi.amplitudes[None]).amplitudes[0].tobytes() for psi in states]
+        errors = []
+
+        def cycle(offset):
+            try:
+                for k in range(3000):
+                    i = (offset + 7 * k) % len(states)
+                    if run_circuit(states[i]).final_state.tobytes() != expected[i]:
+                        errors.append(i)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=cycle, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(protocol._memo) <= protocol._MEMO_SIZE
+
+    def test_run_batch_keeps_nothing(self, monkeypatch):
+        kept = run_circuit(BELL)
+        self.break_rotation(monkeypatch)
+        # the memo returns what passed every check; run_batch simulates again
+        assert run_circuit(BELL) is kept
+        with pytest.raises(InvariantViolation, match="amplitude table"):
+            run_batch(BELL.amplitudes[None])
 
 
 class TestNearNormalisedInput:

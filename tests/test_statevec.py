@@ -76,7 +76,7 @@ class TestGateValidation:
 
 class TestAcceptInput:
     """The one input rule: within NORM_TOL_INPUT, renormalised when the
-    squared norm is off by more than NORM_TOL_UNITARY."""
+    squared norm is off by more than NORM_TOL_UNITARY / 2."""
 
     def test_normalised_batch_returned_as_is(self):
         states = np.array([BELL, [1, 0, 0, 0]], dtype=complex)
