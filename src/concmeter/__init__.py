@@ -19,11 +19,7 @@ from .cavity import (
     run_cavity_realization,
     solve_delays,
 )
-from .statevec import (
-    Gate,
-    InvariantViolation,
-    apply_gate,
-)
+from .statevec import InvariantViolation
 
 __all__ = [
     "PureState", "concurrence_pure", "concurrence_wootters",
@@ -32,7 +28,7 @@ __all__ = [
     "run_batch", "run_circuit",
     "FlightConfig", "OrderingReport",
     "kinematics_report", "run_cavity_realization", "solve_delays",
-    "Gate", "InvariantViolation", "apply_gate",
+    "InvariantViolation",
 ]
 
 __version__ = "0.1.0"

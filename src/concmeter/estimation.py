@@ -90,13 +90,13 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
     """Sample n protocol shots and summarize the yes/no readout record.
 
     n is taken with operator.index, so a numpy integer gives what the
-    Python int gives and a float is a TypeError; it is checked here, once:
-    below 1, or beyond 2**63 - 1 (the largest count numpy's samplers
-    take), it is a ValueError. The 16 Born counts are then drawn once, in
-    index order, by _born_counts; each outcome class is thinned
-    binomially by its dark probability, read from the model's table of
-    ReadoutModel.dark_probability per outcome, from one generator seeded
-    once. A class with q == 1 counts whole.
+    Python int gives and a float is a TypeError; it is checked here, once,
+    by one rule with one message: outside [1, 2**63 - 1] (2**63 - 1 is the
+    largest count numpy's samplers take), it is a ValueError. The 16 Born
+    counts are then drawn once, in index order, by _born_counts; each
+    outcome class is thinned binomially by its dark probability, read from
+    the model's table of ReadoutModel.dark_probability per outcome, from
+    one generator seeded once. A class with q == 1 counts whole.
 
     Domain: pure input states only. The readout C = 2*sqrt(2*P_gggg) is
     the concurrence only for two copies of a pure state; a mixed pair
@@ -104,10 +104,8 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
     which reads as C = 0.707 where its concurrence is 0).
     """
     n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > _MAX_SHOTS:
-        raise ValueError(f"n_shots must be in [1, {_MAX_SHOTS}]")
+    if not 1 <= n <= _MAX_SHOTS:
+        raise ValueError(f"shot count must be in [1, {_MAX_SHOTS}]")
     result = run_circuit(psi)
     rng = np.random.default_rng(seed)
     counts = _born_counts(result.final_state, n, rng)

@@ -7,25 +7,22 @@ Conventions (pinned by the test suite):
 - |g> maps to bit 0, |e> maps to bit 1.
 
 Every gate is applied in two parts, resolve and apply. `_gate_plan`
-resolves the one checked, cached plan per (n, qubits, gate): a gather
-with its phase, or one matrix product. The step kernel `_apply_plan`
-applies a plan to a batch of states, shape (N,) + (2,)*n (one state is a
-batch of one), returns a new array and checks every row after the gate
-in one vectorised pass; a matrix product is one product per row, so a
-row gets the same bytes in a batch of any size. `apply_gate` is a plan
-lookup followed by that kernel; the fixed circuits of `protocol` and
-`cavity` resolve their plans once, at import, and then apply them.
-`marginal` is split the same way, into its checked pattern index
-(`_marginal_plan`) and a read (`_read`). `accept_input` is the one rule
-for states entering the library. `_check_invariant` is the one runtime
-check of the package: NaN always fails it, a Python float names no row,
-an (N,) array its first failing one.
+checks and resolves the plan for (n, qubits, gate): a gather with its
+phase, or one matrix product. The step kernel `_apply_plan` applies a
+plan to a batch of states, shape (N,) + (2,)*n (one state is a batch of
+one), returns a new array and checks every row after the gate in one
+vectorised pass; a matrix product is one product per row, so a row gets
+the same bytes in a batch of any size. A marginal is split the same way,
+into its checked pattern index (`_marginal_plan`) and a read (`_read`).
+The fixed circuits of `protocol` and `cavity` resolve every plan and
+index once, at import, and then apply them. `accept_input` is the one
+rule for states entering the library. `_check_invariant` is the one
+runtime check of the package: NaN always fails it, a Python float names
+no row, an (N,) array its first failing one.
 """
 from __future__ import annotations
 
-import functools
 import math
-import operator
 
 import numpy as np
 
@@ -83,7 +80,7 @@ def _squared_bounds(tol: float) -> tuple[float, float]:
     return (1.0 - tol) ** 2, (1.0 + tol) ** 2
 
 
-# the bounds of apply_gate and accept_input, computed once
+# the bounds of _apply_plan and accept_input, computed once
 _UNITARY_SQUARED_NORMS = _squared_bounds(NORM_TOL_UNITARY)
 _INPUT_SQUARED_NORMS = _squared_bounds(NORM_TOL_INPUT)
 # the squared norms that accept_input keeps as given: half the gates'
@@ -186,16 +183,16 @@ def _check_qubit_index(q: int, n: int) -> None:
         raise ValueError(f"qubit index {q} out of range 1..{n}")
 
 
-@functools.lru_cache(maxsize=64)
 def _gate_plan(n: int, qubits: tuple[int, ...], gate: Gate):
     """The checked plan for `gate` on the given qubits of a batch of n-qubit
-    states, as `_apply_plan` takes it; no failure is cached. It is a tuple
-    (size, matrix, source, phase, front, back): 2**n, the gate's matrix,
-    for a gate with one nonzero entry per row, each 1, -1, 1j or -1j, the
-    gather that applies it (`_monomial_gather`; None, None for any other),
-    then the gather `front` that lays a row out as the (d, 2**n // d)
-    operand of its matrix product, the gate's qubits first, and its
-    inverse `back`, with which any other gate is applied, row by row."""
+    states, as `_apply_plan` takes it: resolved once, at import, and shared
+    by every call. It is a tuple (size, matrix, source, phase, front,
+    back): 2**n, the gate's matrix, for a gate with one nonzero entry per
+    row, each 1, -1, 1j or -1j, the gather that applies it
+    (`_monomial_gather`; None, None for any other), then the gather
+    `front` that lays a row out as the (d, 2**n // d) operand of its
+    matrix product, the gate's qubits first, and its inverse `back`, with
+    which any other gate is applied, row by row."""
     d = len(gate.matrix)
     arity = d.bit_length() - 1
     if arity != len(qubits):
@@ -207,7 +204,7 @@ def _gate_plan(n: int, qubits: tuple[int, ...], gate: Gate):
     order = [q - 1 for q in qubits] + [q for q in range(n) if q + 1 not in qubits]
     front = np.arange(2 ** n).reshape((2,) * n).transpose(order).reshape(d, -1)
     back = np.argsort(front, axis=None)  # the inverse permutation
-    front.flags.writeable = back.flags.writeable = False  # shared through the cache
+    front.flags.writeable = back.flags.writeable = False  # shared by every call
     return 2 ** n, gate.matrix, *_monomial_gather(gate.matrix, front, back), front, back
 
 
@@ -229,7 +226,7 @@ def _monomial_gather(m: np.ndarray, front: np.ndarray, back: np.ndarray):
     # output amplitude front[i, k] is input amplitude front[cols[i], k] times entries[i]
     source = front[cols].reshape(-1)[back]
     phase = np.repeat(entries, front.shape[1])[back]
-    source.flags.writeable = phase.flags.writeable = False  # shared through the cache
+    source.flags.writeable = phase.flags.writeable = False  # shared by every call
     return source, (None if np.all(phase == 1) else phase)
 
 
@@ -237,11 +234,14 @@ def _apply_plan(states: np.ndarray, plan: tuple) -> np.ndarray:
     """The step kernel: apply a resolved `_gate_plan` to every row of a
     batch of any shape (N, ...) of 2**n amplitudes per row, then check
     every row's norm; returns a new contiguous array of the same shape.
-    `apply_gate` and the fixed circuits of `protocol` and `cavity` apply
-    every gate through it. A matrix product is one (d, d) @ (d, K)
-    product per row: `front` gathers every row's operand, the gate's
-    qubits first, into an (N, d, K) stack, which matmul multiplies row by
-    row, and `back` puts each product back."""
+    The fixed circuits of `protocol` and `cavity` apply every gate
+    through it. A gather gives the matrix product's result bit for bit
+    for finite rows, up to the sign of a zero (an infinite amplitude
+    stays infinite, where the product's 0 * inf gives NaN). A matrix
+    product is one (d, d) @ (d, K) product per row: `front` gathers every
+    row's operand, the gate's qubits first, into an (N, d, K) stack,
+    which matmul multiplies row by row, and `back` puts each product
+    back."""
     size, matrix, source, phase, front, back = plan
     flat = states.reshape(-1, size)
     if source is not None:
@@ -253,41 +253,6 @@ def _apply_plan(states: np.ndarray, plan: tuple) -> np.ndarray:
     _check_invariant("gate application", "state norm not preserved", np.vecdot(out, out).real,
                      NORM_TOL_UNITARY, _UNITARY_SQUARED_NORMS, _norm_deviation)
     return out.reshape(states.shape)
-
-
-def apply_gate(states: np.ndarray, gate: Gate,
-               qubits: tuple[int, ...]) -> np.ndarray:
-    """Apply a one- or two-qubit gate to the given qubits (1-based, 1 =
-    leftmost, in the gate's order) of every state in a batch of shape
-    (N,) + (2,)*n; one state's flat array `a` of 2**n amplitudes is the
-    batch `a.reshape((1,) + (2,) * n)`. Returns a new contiguous array.
-    It looks up the gate's plan, cached per (n, qubits, gate), and runs
-    the step kernel `_apply_plan`, so `gate` must be hashable and its
-    matrix must not change after its first use (every Gate is hashable,
-    its matrix read-only).
-
-    A gate with one nonzero entry per row, each 1, -1, 1j or -1j (sigma_y,
-    CNOT, CPHASE, SWAP and their tensor products), is applied as one
-    gather of each state's amplitudes, times its phase factors when any
-    is not 1: every other term of the matrix product is a product with
-    zero, and a product with +/-1 or +/-1j is exact, so the result is
-    the product's bit for bit for finite rows, up to the sign of a zero
-    (an infinite amplitude stays infinite, where the product's 0 * inf
-    gives NaN). Any other gate is one (d, d) @ (d, K) matrix product per
-    state, whose operand holds the state's amplitudes with the gate's
-    qubits first, then the other qubits, in index order; a state's result
-    does not depend on the batch it comes in.
-
-    Every row is checked once, for the whole batch, to be finite
-    with a norm within NORM_TOL_UNITARY of 1: one np.vecdot of the flat
-    (N, 2**n) result, against bounds on the squared norm computed once,
-    at import, by _check_invariant. Since the gate is unitary and its
-    input normalised, a row that fails is an InvariantViolation.
-    Input outside that contract (never through accept_input) fails the
-    same way, and a squared norm that overflows may first make numpy warn
-    (raised instead under -W error): the kernel sets no np.errstate."""
-    plan = _gate_plan(states.ndim - 1, tuple(map(operator.index, qubits)), gate)
-    return _apply_plan(states, plan)
 
 
 def basis_index(basis: str) -> int:
@@ -305,7 +270,7 @@ def basis_index(basis: str) -> int:
 
 def _marginal_plan(n: int, pattern: tuple[tuple[int, int], ...]) -> tuple:
     """The checked index of an n-qubit state's amplitudes, shape (2,)*n,
-    that fixes each (qubit, bit) of the pattern."""
+    that fixes each (qubit, bit) of the pattern: resolved once, at import."""
     idx = [slice(None)] * n
     for q, bit in pattern:
         _check_qubit_index(q, n)
@@ -322,17 +287,3 @@ def _read(amps: np.ndarray, indices) -> list[float]:
     probs = np.abs(amps.reshape((2,) * (amps.size.bit_length() - 1))) ** 2
     # np.add.reduce is np.sum's reduction, without its Python wrapper
     return [float(np.add.reduce(probs[idx], axis=None)) for idx in indices]
-
-
-def marginal(amps: np.ndarray, *patterns: dict[int, int]) -> float | tuple[float, ...]:
-    """Probability that each given qubit (1-based) reads its bit (0 = g,
-    1 = e), summed over all other qubits, for one state's 2**n amplitudes
-    in an array of any shape (flat, or a batch of one).
-
-    Each pattern is a {qubit: bit} dict, checked on every call: a qubit or
-    bit out of range raises ValueError. Several patterns are read from one
-    pass of |amplitude|^2 (`_read`) and returned as a tuple, in order; one
-    pattern returns one float."""
-    n = amps.size.bit_length() - 1
-    sums = _read(amps, [_marginal_plan(n, tuple(bits.items())) for bits in patterns])
-    return sums[0] if len(sums) == 1 else tuple(sums)

@@ -7,8 +7,9 @@ Runs pytest on tests/ in this process under a `sys.settrace` line
 recorder and exits 1 when a statement of src/concmeter never runs,
 apart from those in EXCLUDED, or when the tests fail. Both branches of
 every `if` are statements of their own, so the gather and the matrix
-product of `statevec.apply_gate` must each run. Tracing slows the tests
-several times, so this is a CI step of its own, not part of tier-1.
+product of the step kernel `statevec._apply_plan` must each run.
+Tracing slows the tests several times, so this is a CI step of its own,
+not part of tier-1.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from concmeter import cavity, gates, statevec
+from concmeter import cavity, gates
 from concmeter.cavity import (
     ATOM1,
     ATOM2,
@@ -28,6 +28,7 @@ from concmeter.cli import main
 from concmeter.concurrence import PureState
 from concmeter.protocol import analytic_phi1_batch, run_circuit
 from concmeter.statevec import Gate, InvariantViolation
+from kernel import apply_gate, marginal
 from oracles import (
     cnot_steps_with_flipped_cphase,
     composed_cnot_matrix,
@@ -57,7 +58,7 @@ def relay_with(atom2_amps, atom4_amps=(1, 0), photon_amps=(1, 0),
 def photonic_cphase(r):
     """The relay's CPHASE step on (photon, atom 4); six-qubit amplitudes."""
     cphase = dict(DECOMPOSED_CNOT)["cphase"]
-    out = statevec.apply_gate(r.reshape((1,) + (2,) * 6), cphase, (PHOTON, ATOM4))
+    out = apply_gate(r.reshape((1,) + (2,) * 6), cphase, (PHOTON, ATOM4))
     return out.reshape([2] * 6)
 
 
@@ -177,7 +178,7 @@ class TestCavityRealization:
             out = relay_swap(states, hand_over, *rest)
             if hand_over is not cavity._TO_ATOM5:
                 return out
-            return statevec.apply_gate(out, gate, (qubit,))
+            return apply_gate(out, gate, (qubit,))
 
         monkeypatch.setattr(cavity, "_swap_from_ground", faulty)
 
@@ -216,14 +217,14 @@ class TestCavityRealization:
 
     def test_final_reads_equal_one_marginal_per_pattern(self):
         # the relay reads all four from one pass; each must be what a
-        # marginal call of its own gives, bit for bit
+        # `kernel.marginal` call of its own gives, bit for bit
         for psi in haar_states(2000, seed=43):
             res = run_cavity_realization(psi)
             final = res.final_state
-            assert res.p_gggg == statevec.marginal(final, {ATOM1: 0, ATOM5: 0, ATOM3: 0, ATOM4: 0})
-            assert res.p_egeg == statevec.marginal(final, {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0})
-            assert statevec.marginal(final, {ATOM2: 1}) == 0.0
-            assert statevec.marginal(final, {ATOM2: 0, PHOTON: 1}) == 0.0
+            assert res.p_gggg == marginal(final, {ATOM1: 0, ATOM5: 0, ATOM3: 0, ATOM4: 0})
+            assert res.p_egeg == marginal(final, {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0})
+            assert marginal(final, {ATOM2: 1}) == 0.0
+            assert marginal(final, {ATOM2: 0, PHOTON: 1}) == 0.0
 
     @pytest.mark.parametrize("run, size", [(run_circuit, 16), (run_cavity_realization, 64)])
     def test_final_state_is_a_read_only_flat_array(self, run, size):

@@ -442,7 +442,16 @@ class TestShotCountBoundary:
         bell = write_doc(tmp_path / "bell.json",
                          {"amplitudes": [[0, 0], [SQ2, 0], [SQ2, 0], [0, 0]]})
         assert main(["shots", bell, "--shots", str(2**63)]) == 1
-        assert "n_shots must be in [1, 9223372036854775807]" in capsys.readouterr().err
+        assert "shot count must be in [1, 9223372036854775807]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [0, -5, 2**63])
+    def test_one_message_on_either_side(self, tmp_path, capsys, count):
+        # one rule, one check and one message: below 1 and beyond 2**63 - 1
+        # once printed two wordings
+        bell = write_doc(tmp_path / "bell.json",
+                         {"amplitudes": [[0, 0], [SQ2, 0], [SQ2, 0], [0, 0]]})
+        assert main(["shots", bell, "--shots", str(count)]) == 1
+        assert capsys.readouterr().err == "error: shot count must be in [1, 9223372036854775807]\n"
 
     @pytest.mark.parametrize("readout", [[], ["--p-dark", "0.1", "--p-bright-false", "0.05"]],
                              ids=["ideal", "noisy"])

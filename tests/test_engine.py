@@ -1,4 +1,5 @@
-"""The batched circuit engine: `statevec.apply_gate`, `protocol.run_batch`
+"""The batched circuit engine: the step kernel `statevec._apply_plan`
+(driven gate by gate through `kernel.apply_gate`), `protocol.run_batch`
 and `protocol.analytic_phi1_batch`, checked against single states and
 dense matrix products."""
 import itertools
@@ -15,6 +16,7 @@ from concmeter.cli import main
 from concmeter.concurrence import PureState
 from concmeter.protocol import analytic_phi1_batch, run_batch, run_circuit
 from concmeter.statevec import InvariantViolation
+from kernel import apply_gate, marginal
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -140,8 +142,8 @@ class TestApplyGate:
         states = haar_batch(6, 5).reshape(6, 2, 2)
         ry = statevec.Gate(np.linalg.qr(rng.standard_normal((2, 2))
                                         + 1j * rng.standard_normal((2, 2)))[0])
-        one = statevec.apply_gate(states, ry, (2,))
-        two = statevec.apply_gate(states, gates.CNOT, (2, 1))
+        one = apply_gate(states, ry, (2,))
+        two = apply_gate(states, gates.CNOT, (2, 1))
         # ry on qubit 2, and CNOT with control 2 and target 1, as 4x4 matrices
         dense_one = np.kron(np.eye(2), ry.matrix)
         dense_two = gates.CNOT.matrix[:, [0, 2, 1, 3]][[0, 2, 1, 3]]
@@ -150,19 +152,19 @@ class TestApplyGate:
             np.testing.assert_allclose(one[i].reshape(4), dense_one @ s, rtol=0, atol=ulp)
             np.testing.assert_array_equal(two[i].reshape(4), dense_two @ s)
             # one row alone: the matrix product may take another BLAS path
-            alone = statevec.apply_gate(states[i:i + 1], ry, (2,))
+            alone = apply_gate(states[i:i + 1], ry, (2,))
             np.testing.assert_allclose(alone.reshape(4), one[i].reshape(4), rtol=0, atol=ulp)
 
     def test_qubit_count_must_match_gate(self):
         states = haar_batch(2, 6).reshape(2, 2, 2)
         with pytest.raises(ValueError, match="acts on 2 qubits"):
-            statevec.apply_gate(states, gates.CNOT, (1,))
+            apply_gate(states, gates.CNOT, (1,))
 
     def test_norm_checked_after_the_gate(self):
         states = haar_batch(3, 7).reshape(3, 2, 2)
         states[1] *= 2.0
         with pytest.raises(InvariantViolation) as info:
-            statevec.apply_gate(states, gates.SIGMA_Y, (1,))
+            apply_gate(states, gates.SIGMA_Y, (1,))
         exc = info.value
         assert (exc.stage, exc.row, exc.tol) == ("gate application", 1,
                                                  statevec.NORM_TOL_UNITARY)
@@ -172,19 +174,19 @@ class TestApplyGate:
     def test_norm_checked_on_the_last_row(self, fault):
         states = faulty_batch(fault, 10).reshape(300, 2, 2)
         with pytest.raises(InvariantViolation) as info:
-            statevec.apply_gate(states, gates.CNOT, (1, 2))
+            apply_gate(states, gates.CNOT, (1, 2))
         assert (info.value.stage, info.value.row) == ("gate application", 299)
         check_fault_value(info.value.value, fault)
 
     def test_input_left_untouched(self):
         states = haar_batch(2, 8).reshape(2, 2, 2)
         before = states.copy()
-        statevec.apply_gate(states, gates.R_MINUS, (1,))
+        apply_gate(states, gates.R_MINUS, (1,))
         np.testing.assert_array_equal(states, before)
 
 
 # every gate the package builds, and whether it is a permutation with signs
-# or phases, which apply_gate takes as a gather
+# or phases, which the kernel applies as a gather
 PACKAGE_GATES = {
     "sigma_y": (gates.SIGMA_Y, True),
     "r_plus": (gates.R_PLUS, False),
@@ -240,7 +242,7 @@ def same_bits(x, y):
 
 
 class TestKernelPaths:
-    """apply_gate's two paths, the gather and the matrix product, against
+    """The kernel's two paths, the gather and the matrix product, against
     the product written out, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(PACKAGE_GATES))
@@ -253,7 +255,7 @@ class TestKernelPaths:
                 for qubits in itertools.permutations(range(1, n_qubits + 1), arity):
                     plan = statevec._gate_plan(n_qubits, qubits, gate)
                     assert (plan[2] is not None) == monomial
-                    out = statevec.apply_gate(states, gate, qubits)
+                    out = apply_gate(states, gate, qubits)
                     assert out.flags.c_contiguous
                     assert same_bits(out, product_reference(states, gate.matrix, qubits)), \
                         (name, n_qubits, n_rows, qubits)
@@ -267,9 +269,9 @@ class TestKernelPaths:
             states = random_batch(300, n_qubits, seed=2300 + n_qubits)
             for qubits in itertools.permutations(range(1, n_qubits + 1), arity):
                 assert statevec._gate_plan(n_qubits, qubits, gate)[2] is None
-                rows = [statevec.apply_gate(states[i:i + 1], gate, qubits) for i in range(300)]
+                rows = [apply_gate(states[i:i + 1], gate, qubits) for i in range(300)]
                 for n_rows in (2, 3, 300):
-                    batch = statevec.apply_gate(states[:n_rows], gate, qubits)
+                    batch = apply_gate(states[:n_rows], gate, qubits)
                     assert (batch.view(float).tobytes()
                             == np.concatenate(rows[:n_rows]).view(float).tobytes()), \
                         (name, n_qubits, n_rows, qubits)
@@ -280,13 +282,13 @@ class TestKernelPaths:
             states = random_batch(n_rows, 3, seed=n_rows)
             for q in (1, 2, 3):
                 assert statevec._gate_plan(3, (q,), gate)[2] is None
-                out = statevec.apply_gate(states, gate, (q,))
+                out = apply_gate(states, gate, (q,))
                 assert same_bits(out, product_reference(states, gate.matrix, (q,)))
 
     def test_real_input_gives_complex_output_on_both_paths(self):
         states = np.array([[1.0, 0.0]])
         for gate in (gates.SIGMA_Y, gates.R_MINUS):
-            out = statevec.apply_gate(states, gate, (1,))
+            out = apply_gate(states, gate, (1,))
             assert out.dtype == complex
             assert same_bits(out, product_reference(states, gate.matrix, (1,)))
 
@@ -299,7 +301,7 @@ class TestKernelPaths:
         gate = Stretch()
         gate.matrix = matrix
         with pytest.raises(InvariantViolation) as info:
-            statevec.apply_gate(random_batch(n_rows, 2, seed=4), gate, (2,))
+            apply_gate(random_batch(n_rows, 2, seed=4), gate, (2,))
         exc = info.value
         assert (exc.stage, exc.row, exc.tol) == ("gate application", 0,
                                                  statevec.NORM_TOL_UNITARY)
@@ -311,7 +313,7 @@ class TestKernelPaths:
     def test_fault_caught_on_the_last_row(self, name, n_rows, fault):
         states = faulty_batch(fault, 11, n=n_rows).reshape(n_rows, 2, 2)
         with pytest.raises(InvariantViolation) as info:
-            statevec.apply_gate(states, PACKAGE_GATES[name][0], (2, 1))
+            apply_gate(states, PACKAGE_GATES[name][0], (2, 1))
         exc = info.value
         assert (exc.stage, exc.row, exc.tol) == ("gate application", n_rows - 1,
                                                  statevec.NORM_TOL_UNITARY)
@@ -325,13 +327,13 @@ class TestKernelPaths:
 
 
 def circuit_by_gates(psi):
-    """The circuit driven gate by gate through the public apply_gate: final
+    """The circuit driven gate by gate through `kernel.apply_gate`: final
     amplitudes, P_gggg, P_egeg and the oracle residual."""
     a = psi.amplitudes[None]
-    copy2 = statevec.apply_gate(a.reshape(1, 2, 2), gates.SIGMA_Y_PAIR, (1, 2))
+    copy2 = apply_gate(a.reshape(1, 2, 2), gates.SIGMA_Y_PAIR, (1, 2))
     reg = (a[:, :, None] * copy2.reshape(1, 1, 4)).reshape(1, 2, 2, 2, 2)
-    reg = statevec.apply_gate(reg, gates.CNOT, (2, 4))
-    final = statevec.apply_gate(reg, gates.R_MINUS, (2,)).reshape(1, 16)
+    reg = apply_gate(reg, gates.CNOT, (2, 4))
+    final = apply_gate(reg, gates.R_MINUS, (2,)).reshape(1, 16)
     kets = [statevec.basis_index("gggg"), statevec.basis_index("egeg")]
     (p_gggg, p_egeg), = (np.abs(final.take(kets, axis=1)) ** 2).tolist()
     residual = np.max(np.abs(final - analytic_phi1_batch(a))).item()
@@ -339,18 +341,18 @@ def circuit_by_gates(psi):
 
 
 def relay_by_gates(psi):
-    """The cavity relay driven gate by gate through the public apply_gate
-    and marginal, on the same six-slot register."""
+    """The cavity relay driven gate by gate through `kernel.apply_gate`
+    and `kernel.marginal`, on the same six-slot register."""
     a = psi.amplitudes
     reg = (a[:, None, None] * a[:, None] * cavity._VACUUM).reshape((1,) + (2,) * 6)
-    reg = statevec.apply_gate(reg, gates.SIGMA_Y_PAIR, (ATOM3, ATOM4))
-    reg = statevec.apply_gate(reg, cavity._SWAP, (ATOM2, PHOTON))
+    reg = apply_gate(reg, gates.SIGMA_Y_PAIR, (ATOM3, ATOM4))
+    reg = apply_gate(reg, cavity._SWAP, (ATOM2, PHOTON))
     for _, step in cavity.DECOMPOSED_CNOT:
-        reg = statevec.apply_gate(reg, step, (PHOTON, ATOM4))
-    reg = statevec.apply_gate(reg, cavity._SWAP, (PHOTON, ATOM5))
-    final = statevec.apply_gate(reg, gates.R_MINUS, (ATOM5,))
-    p_gggg, p_egeg = statevec.marginal(final, {ATOM1: 0, ATOM5: 0, ATOM3: 0, ATOM4: 0},
-                                       {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0})
+        reg = apply_gate(reg, step, (PHOTON, ATOM4))
+    reg = apply_gate(reg, cavity._SWAP, (PHOTON, ATOM5))
+    final = apply_gate(reg, gates.R_MINUS, (ATOM5,))
+    p_gggg, p_egeg = marginal(final, {ATOM1: 0, ATOM5: 0, ATOM3: 0, ATOM4: 0},
+                              {ATOM1: 1, ATOM5: 0, ATOM3: 1, ATOM4: 0})
     logical = final[:, :, 0, :, :, 0, :].transpose(0, 1, 4, 2, 3).reshape(1, 16)
     residual = float(np.max(np.abs(logical - analytic_phi1_batch(a[None]))))
     return final.reshape(-1), p_gggg, p_egeg, residual
@@ -358,8 +360,8 @@ def relay_by_gates(psi):
 
 class TestStepPrograms:
     """run_circuit and run_cavity_realization run step programs resolved at
-    import; each must give what the same gates give through apply_gate,
-    bit for bit."""
+    import; each must give what the same gates give one call at a time
+    through `kernel.apply_gate`, bit for bit."""
 
     @pytest.mark.parametrize("run, by_gates", [(run_circuit, circuit_by_gates),
                                                (cavity.run_cavity_realization, relay_by_gates)],
@@ -394,7 +396,7 @@ class TestEmptyBatch:
                                               (gates.R_MINUS, (2,))],
                              ids=["gather_1q", "gather_2q", "product"])
     def test_apply_gate(self, gate, qubits):
-        out = statevec.apply_gate(np.zeros((0, 2, 2), complex), gate, qubits)
+        out = apply_gate(np.zeros((0, 2, 2), complex), gate, qubits)
         assert out.shape == (0, 2, 2) and out.dtype == complex
 
     def test_analytic_table(self):

@@ -205,7 +205,7 @@ class TestSimulateShots:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_shots_rejected(self, n):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match=r"^shot count must be in \[1, 9223372036854775807\]$"):
             simulate_shots(BELL, n)
 
     @pytest.mark.parametrize("n", [10.5, 1000.0, np.float64(1000.0)])

@@ -15,6 +15,7 @@ from concmeter import cavity, gates, protocol, statevec
 from concmeter.cavity import ATOM1, PHOTON, run_cavity_realization
 from concmeter.concurrence import PureState
 from concmeter.statevec import Gate, InvariantViolation
+from kernel import apply_gate
 from oracles import cnot_steps_with_flipped_cphase
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -24,7 +25,7 @@ BELL = PureState(0, SQ2, SQ2, 0)
 def stretched_row(monkeypatch):
     states = np.array([[1, 0, 0, 0], BELL.amplitudes, [0, 0, 0, 1]]).reshape(3, 2, 2)
     states[1] *= 2.0
-    statevec.apply_gate(states, gates.SIGMA_Y, (1,))
+    apply_gate(states, gates.SIGMA_Y, (1,))
 
 
 def off_norm_table_row(monkeypatch):
@@ -67,7 +68,7 @@ def after_relay(monkeypatch, gate, qubit):
         out = relay_swap(states, hand_over, *rest)
         if hand_over is not cavity._TO_ATOM5:
             return out
-        return statevec.apply_gate(out, gate, (qubit,))
+        return apply_gate(out, gate, (qubit,))
 
     monkeypatch.setattr(cavity, "_swap_from_ground", faulty)
     run_cavity_realization(BELL)

@@ -9,6 +9,7 @@ from concmeter import gates, protocol, statevec
 from concmeter.concurrence import PureState, concurrence_pure, concurrence_wootters
 from concmeter.protocol import analytic_phi1_batch, extract_concurrence, run_batch, run_circuit
 from concmeter.statevec import InvariantViolation
+from kernel import apply_gate
 from oracles import circuit_unitary
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -25,8 +26,8 @@ def prepared_input(psi):
     """The circuit's input |psi> x (sigma_y x sigma_y)|psi>, recovered from
     run_batch's final state by undoing R- on qubit 2 and CNOT(2, 4)."""
     final = run_batch([psi.amplitudes]).amplitudes.reshape(1, 2, 2, 2, 2)
-    undone = statevec.apply_gate(final, gates.R_PLUS, (2,))
-    return statevec.apply_gate(undone, gates.CNOT, (2, 4)).reshape(16)
+    undone = apply_gate(final, gates.R_PLUS, (2,))
+    return apply_gate(undone, gates.CNOT, (2, 4)).reshape(16)
 
 
 class TestPrepareInput:

