@@ -28,6 +28,7 @@ EXIT_INPUT = 1
 EXIT_INVARIANT = 2
 EXIT_INFEASIBLE = 3
 
+CAVITY_LENGTH = 0.02  # m, of C and of D when --lc or --ld is not given
 STATE_FILE_CAP = 1 << 20  # bytes; a valid state file is under 1 KB
 
 SWEEP_COLUMNS = [
@@ -168,14 +169,28 @@ def load_state_file(path: str, force_normalize: bool = False) -> PureState:
         raise ValueError(f"invalid state in 'amplitudes': {exc}") from exc
 
 
+def _print(text: str) -> None:
+    """Print a command's report, flushed at once: a failed write to
+    standard output is an input error, as a failed write of sweep's CSV is."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit, which would fail as
+        # well: point the descriptor at os.devnull first
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ValueError(f"cannot write standard output: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     psi = load_state_file(args.state_file, args.normalize)
     result = run_circuit(psi)
-    print(f"C_analytic       = {concurrence_pure(psi)!r}\n"
-          f"P_gggg           = {result.p_gggg!r}\n"
-          f"P_egeg           = {result.p_egeg!r}\n"
-          f"C_measured       = {result.concurrence_measured!r}\n"
-          f"oracle_residual  = {result.oracle_residual!r}")
+    _print(f"C_analytic       = {concurrence_pure(psi)!r}\n"
+           f"P_gggg           = {result.p_gggg!r}\n"
+           f"P_egeg           = {result.p_egeg!r}\n"
+           f"C_measured       = {result.concurrence_measured!r}\n"
+           f"oracle_residual  = {result.oracle_residual!r}")
     return EXIT_OK
 
 
@@ -205,9 +220,9 @@ def cmd_sweep(args) -> int:
                                  result.concurrence_measured, result.oracle_residual])
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote {args.n_states} rows to {args.out}; "
-          f"max |C_measured - C_analytic| = {max_dev:.3e}, "
-          f"max oracle residual = {max_residual:.3e}")
+    _print(f"wrote {args.n_states} rows to {args.out}; "
+           f"max |C_measured - C_analytic| = {max_dev:.3e}, "
+           f"max oracle residual = {max_residual:.3e}")
     return EXIT_OK
 
 
@@ -215,39 +230,41 @@ def cmd_shots(args) -> int:
     psi = load_state_file(args.state_file, args.normalize)
     model = ReadoutModel(p_dark=args.p_dark, p_bright_false=args.p_bright_false)
     summary = simulate_shots(psi, args.shots, model, args.seed)
-    print(f"n_shots           = {summary.n_shots}\n"
-          f"n_no_fluorescence = {summary.n_no_fluorescence}\n"
-          f"p_hat             = {summary.p_hat!r}\n"
-          f"c_hat             = {summary.c_hat!r}\n"
-          f"ci_95             = [{summary.ci_low!r}, {summary.ci_high!r}]")
+    _print(f"n_shots           = {summary.n_shots}\n"
+           f"n_no_fluorescence = {summary.n_no_fluorescence}\n"
+           f"p_hat             = {summary.p_hat!r}\n"
+           f"c_hat             = {summary.c_hat!r}\n"
+           f"ci_95             = [{summary.ci_low!r}, {summary.ci_high!r}]")
     return EXIT_OK
 
 
 def cmd_cavity(args) -> int:
     # the kinematics inputs have no default, so a line that gives one is seen
-    flags = ("--v", "--w", "--xc", "--xd")
+    required = ("--v", "--w", "--xc", "--xd")
+    flags = required + ("--lc", "--ld")
     given = [f for f in flags if getattr(args, f[2:]) is not None]
     if args.kinematics:
         if args.state_file is not None:
             raise ValueError("--kinematics takes no state file")
-        missing = [f for f in flags if f not in given]
+        missing = [f for f in required if f not in given]
         if missing:
             raise ValueError(f"--kinematics requires {' '.join(missing)}")
-        cfg = cavity_mod.solve_delays(args.v, args.w, args.xc, args.xd, args.lc, args.ld)
+        lc, ld = (CAVITY_LENGTH if x is None else x for x in (args.lc, args.ld))
+        cfg = cavity_mod.solve_delays(args.v, args.w, args.xc, args.xd, lc, ld)
         report = cavity_mod.kinematics_report(cfg)
         if not report.feasible:
-            print(f"infeasible: binding constraint {report.violations[0]}")
+            _print(f"infeasible: binding constraint {report.violations[0]}")
             return EXIT_INFEASIBLE
         # both pairs share tau, so the 3-4 pair crosses where the 1-2 pair does
-        print(f"tau        = {cfg.tau!r} s\n"
-              f"tau_prime  = {cfg.tau_prime!r} s\n"
-              f"order_before_C = {report.order_before_C}\n"
-              f"order_after_C  = {report.order_after_C}\n"
-              f"order_at_D     = {report.order_at_D}\n"
-              f"pair12_cross   = {report.pair12_cross_position!r} m\n"
-              f"pair34_cross   = {report.pair12_cross_position!r} m\n"
-              f"swap14         = {report.swap14_position!r} m\n"
-              f"feasible       = {report.feasible}")
+        _print(f"tau        = {cfg.tau!r} s\n"
+               f"tau_prime  = {cfg.tau_prime!r} s\n"
+               f"order_before_C = {report.order_before_C}\n"
+               f"order_after_C  = {report.order_after_C}\n"
+               f"order_at_D     = {report.order_at_D}\n"
+               f"pair12_cross   = {report.pair12_cross_position!r} m\n"
+               f"pair34_cross   = {report.pair12_cross_position!r} m\n"
+               f"swap14         = {report.swap14_position!r} m\n"
+               f"feasible       = {report.feasible}")
         return EXIT_OK
     if given:
         raise ValueError(f"{' '.join(given)} given without --kinematics")
@@ -256,10 +273,10 @@ def cmd_cavity(args) -> int:
     psi = load_state_file(args.state_file, args.normalize)
     ideal = run_circuit(psi)
     real = cavity_mod.run_cavity_realization(psi)
-    print(f"P_gggg ideal     = {ideal.p_gggg!r}\n"
-          f"P_gggg cavity    = {real.p_gggg!r}\n"
-          f"deviation        = {abs(ideal.p_gggg - real.p_gggg)!r}\n"
-          f"C_measured       = {real.concurrence_measured!r}")
+    _print(f"P_gggg ideal     = {ideal.p_gggg!r}\n"
+           f"P_gggg cavity    = {real.p_gggg!r}\n"
+           f"deviation        = {abs(ideal.p_gggg - real.p_gggg)!r}\n"
+           f"C_measured       = {real.concurrence_measured!r}")
     return EXIT_OK
 
 
@@ -310,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cav.add_argument("--w", type=float, help="fast-atom speed (m/s)")
     p_cav.add_argument("--xc", type=float, help="cavity-C center (m)")
     p_cav.add_argument("--xd", type=float, help="cavity-D center (m)")
-    p_cav.add_argument("--lc", type=float, default=0.02, help="cavity-C length (m)")
-    p_cav.add_argument("--ld", type=float, default=0.02, help="cavity-D length (m)")
+    p_cav.add_argument("--lc", type=float,
+                       help=f"cavity-C length (m), default {CAVITY_LENGTH}")
+    p_cav.add_argument("--ld", type=float,
+                       help=f"cavity-D length (m), default {CAVITY_LENGTH}")
     p_cav.set_defaults(func=cmd_cavity)
     return parser
 

@@ -292,6 +292,8 @@ class TestCmdCavity:
           "--xd", "0.6"], "--kinematics takes no state file"),
         (["cavity", "--v", "300", "{bell}"], "--v given without --kinematics"),
         (["cavity", "--xc", "0.2", "--xd", "0.6"], "--xc --xd given without --kinematics"),
+        (["cavity", "{bell}", "--lc", "0.5"], "--lc given without --kinematics"),
+        (["cavity", "{bell}", "--ld", "0.5"], "--ld given without --kinematics"),
     ])
     def test_modes_do_not_mix(self, argv, message, bell_file, capsys):
         # the state file or the kinematics inputs would be ignored
@@ -300,3 +302,53 @@ class TestCmdCavity:
 
     def test_no_input_at_all(self, capsys):
         assert main(["cavity"]) == 1
+
+
+class TestFailedStdout:
+    """A failed write to standard output is an input error, as a failed
+    write of sweep's CSV is: exit 1 and one line on stderr, with no
+    traceback and no second failure when the interpreter flushes at exit."""
+
+    @staticmethod
+    def child(argv, stdout):
+        # default buffering, so an unflushed report would fail only at exit
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(concmeter.__file__))}
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run([sys.executable, "-m", "concmeter.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{bell}"],
+        ["shots", "{bell}", "--shots", "1000"],
+        ["cavity", "{bell}"],
+        ["cavity", "--kinematics", "--v", "300", "--w", "500", "--xc", "0.2", "--xd", "0.6"],
+        ["sweep", "2", "--out", "{csv}"],
+    ])
+    def test_closed_pipe(self, argv, bell_file, tmp_path):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            proc = self.child([a.format(bell=bell_file, csv=tmp_path / "s.csv") for a in argv],
+                              write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: cannot write standard output: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self, bell_file):
+        with open("/dev/full", "w") as full:
+            proc = self.child(["run", bell_file], full)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: cannot write standard output: [Errno 28] No space left on device\n")
+
+    def test_in_process(self, bell_file, monkeypatch, capsys):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert main(["run", bell_file]) == 1
+            monkeypatch.undo()
+        # the descriptor now writes to os.devnull, so the close flushed without error
+        assert capsys.readouterr() == (
+            "", "error: cannot write standard output: [Errno 32] Broken pipe\n")

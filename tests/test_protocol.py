@@ -112,8 +112,13 @@ class TestRunCircuit:
 
 class TestCircuitMemo:
     """run_circuit checks each distinct input once per process and returns
-    the kept result on a repeat, keyed by the input's bytes; every test
-    starts with an empty memo (tests/conftest.py)."""
+    the kept result on a repeat, keyed by the input's bytes, from an LRU
+    memo of _MEMO_SIZE entries; every test starts with an empty memo
+    (tests/conftest.py)."""
+
+    @staticmethod
+    def memo():
+        return protocol._circuit_result.cache_info()
 
     @staticmethod
     def break_rotation(monkeypatch):
@@ -124,26 +129,33 @@ class TestCircuitMemo:
         assert run_circuit(BELL) is first
         # an equal state built anew has the same bytes, so the same entry
         assert run_circuit(PureState(0, SQ2, SQ2, 0)) is first
-        assert list(protocol._memo) == [BELL.amplitudes.tobytes()]
+        assert self.memo().currsize == 1 and self.memo().misses == 1
 
     def test_sign_of_a_zero_is_another_input(self):
         plus, minus = PureState(1, 0, 0, 0), PureState(1, -0.0, 0, 0)
         assert plus == minus  # PureState equality does not see the sign
         assert run_circuit(plus) is not run_circuit(minus)
-        assert list(protocol._memo) == [plus.amplitudes.tobytes(), minus.amplitudes.tobytes()]
+        assert self.memo().currsize == 2 and self.memo().hits == 0
         assert run_circuit(minus).final_state.tobytes() == \
             run_batch(minus.amplitudes[None]).amplitudes[0].tobytes()
 
     def test_bounded_and_the_oldest_dropped(self):
         states = haar_states(protocol._MEMO_SIZE + 1, seed=26)
         results = [run_circuit(psi) for psi in states]
-        assert len(protocol._memo) == protocol._MEMO_SIZE
-        assert list(protocol._memo) == [psi.amplitudes.tobytes() for psi in states[1:]]
+        assert self.memo().currsize == self.memo().maxsize == protocol._MEMO_SIZE
         assert all(run_circuit(psi) is res for psi, res in zip(states[1:], results[1:]))
         again = run_circuit(states[0])  # simulated anew, and kept in place of states[1]
         assert again is not results[0]
         assert again.final_state.tobytes() == results[0].final_state.tobytes()
-        assert states[1].amplitudes.tobytes() not in protocol._memo
+        assert run_circuit(states[1]) is not results[1]
+
+    def test_a_hit_refreshes_an_entry(self):
+        states = haar_states(protocol._MEMO_SIZE + 1, seed=28)
+        results = [run_circuit(psi) for psi in states[:-1]]
+        assert run_circuit(states[0]) is results[0]  # now the most recently used
+        run_circuit(states[-1])  # drops states[1], the least recently used
+        assert run_circuit(states[0]) is results[0]
+        assert run_circuit(states[1]) is not results[1]
 
     def test_failed_check_kept_nowhere(self, monkeypatch):
         self.break_rotation(monkeypatch)
@@ -153,7 +165,7 @@ class TestCircuitMemo:
                 run_circuit(BELL)
             messages.append(str(info.value))
         assert messages[0] == messages[1] and messages[0].startswith("amplitude table:")
-        assert protocol._memo == {}
+        assert self.memo().currsize == 0
 
     def test_shared_by_threads(self):
         # more threads than cores, switching every microsecond, each cycling
@@ -184,7 +196,7 @@ class TestCircuitMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(protocol._memo) <= protocol._MEMO_SIZE
+        assert self.memo().currsize <= protocol._MEMO_SIZE
 
     def test_run_batch_keeps_nothing(self, monkeypatch):
         kept = run_circuit(BELL)
