@@ -107,10 +107,65 @@ class _Parser(argparse.ArgumentParser):
         return argparse.Namespace(**values)
 
 
+class _MalformedJSON(ValueError):
+    """Bytes that are not a UTF-8 JSON document that json.loads can read;
+    load_state_file names the file."""
+
+
+# A shot study reads the same few state files again and again: the state
+# of each of the 16 most recently used distinct (bytes, force_normalize)
+# keys, parsed and checked once. functools.lru_cache keeps only a returned
+# value, so a failed input stores nothing. The keys hold at most 16 *
+# STATE_FILE_CAP bytes (16 MiB); a valid state file is under 1 KB.
+@functools.lru_cache(maxsize=16)
+def _parsed_state(data: bytes, force_normalize: bool) -> PureState:
+    try:
+        # decoded here, not by json.loads, which would also take UTF-16 and UTF-32
+        doc = json.loads(data.decode("utf-8"))
+    except RecursionError as exc:
+        raise _MalformedJSON("nested too deeply") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _MalformedJSON(exc) from exc
+    except ValueError as exc:
+        # json.loads's one plain ValueError: an integer literal past the
+        # interpreter's digit limit, which PYTHONINTMAXSTRDIGITS may move
+        raise _MalformedJSON(f"an integer literal has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from exc
+    # json.loads builds no subclass, so an exact type test is isinstance's
+    # verdict, apart from bool: a subclass of int, but true/false are not amplitudes
+    if type(doc) is not dict or "amplitudes" not in doc:
+        raise ValueError("state file must be an object with an 'amplitudes' field")
+    raw = doc["amplitudes"]
+    if type(raw) is not list or len(raw) != 4:
+        raise ValueError("'amplitudes' must list exactly four [re, im] pairs")
+    amps = []
+    for i, pair in enumerate(raw):
+        if (type(pair) is not list or len(pair) != 2
+                or type(pair[0]) not in (int, float) or type(pair[1]) not in (int, float)):
+            raise ValueError(f"'amplitudes[{i}]' must be a [re, im] number pair")
+        try:
+            amps.append(complex(pair[0], pair[1]))
+        except OverflowError as exc:  # a JSON integer beyond float range
+            raise ValueError(f"'amplitudes[{i}]': {exc}") from exc
+    normalize = doc.get("normalize", False)
+    if not isinstance(normalize, bool):
+        raise ValueError("'normalize' must be true or false")
+    try:
+        return PureState(*(normalized(amps) if normalize or force_normalize else amps))
+    except ValueError as exc:
+        raise ValueError(f"invalid state in 'amplitudes': {exc}") from exc
+
+
 def load_state_file(path: str, force_normalize: bool = False) -> PureState:
     """Read a JSON state file, UTF-8 whatever the locale, of at most
     STATE_FILE_CAP bytes: {"amplitudes": [[re, im] x 4], "normalize": bool
-    (optional)}. A FIFO is refused."""
+    (optional)}. A FIFO is refused.
+
+    The file is opened, checked and read on every call, so a rewritten
+    file is always seen. Its bytes, with force_normalize, are then parsed
+    and validated once per process: a repeat of the same content, at any
+    path, returns the same frozen PureState (see `_parsed_state`). An
+    input that fails stores nothing and raises again on every call."""
     try:
         # a FIFO with no writer would block the open until one comes; a
         # terminal never becomes the process's controlling one
@@ -136,37 +191,12 @@ def load_state_file(path: str, force_normalize: bool = False) -> PureState:
             os.close(fd)
         if len(data) > STATE_FILE_CAP:
             raise ValueError(f"state file {path} exceeds the {STATE_FILE_CAP}-byte cap")
-        # decoded here, not by json.loads, which would also take UTF-16 and UTF-32
-        doc = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ValueError(f"cannot read state file: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
-    except RecursionError as exc:
-        raise ValueError(f"malformed JSON in {path}: nested too deeply") from exc
-    # json.loads builds no subclass, so an exact type test is isinstance's
-    # verdict, apart from bool: a subclass of int, but true/false are not amplitudes
-    if type(doc) is not dict or "amplitudes" not in doc:
-        raise ValueError("state file must be an object with an 'amplitudes' field")
-    raw = doc["amplitudes"]
-    if type(raw) is not list or len(raw) != 4:
-        raise ValueError("'amplitudes' must list exactly four [re, im] pairs")
-    amps = []
-    for i, pair in enumerate(raw):
-        if (type(pair) is not list or len(pair) != 2
-                or type(pair[0]) not in (int, float) or type(pair[1]) not in (int, float)):
-            raise ValueError(f"'amplitudes[{i}]' must be a [re, im] number pair")
-        try:
-            amps.append(complex(pair[0], pair[1]))
-        except OverflowError as exc:  # a JSON integer beyond float range
-            raise ValueError(f"'amplitudes[{i}]': {exc}") from exc
-    normalize = doc.get("normalize", False)
-    if not isinstance(normalize, bool):
-        raise ValueError("'normalize' must be true or false")
     try:
-        return PureState(*(normalized(amps) if normalize or force_normalize else amps))
-    except ValueError as exc:
-        raise ValueError(f"invalid state in 'amplitudes': {exc}") from exc
+        return _parsed_state(data, force_normalize)
+    except _MalformedJSON as exc:
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _print(text: str) -> None:

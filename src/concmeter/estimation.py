@@ -2,6 +2,7 @@
 readout: one yes/no bit per shot (total darkness = all ions ground)."""
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -25,9 +26,10 @@ class ReadoutModel:
     Defaults give the ideal binary readout.
 
     The dark probability q of each of the 16 outcomes, in index order, is
-    tabled once, at construction, with the masks of the outcomes that
-    `simulate_shots` counts whole (q == 1) and of those it thins
-    (0 < q < 1)."""
+    tabled with the masks of the outcomes that `simulate_shots` counts
+    whole (q == 1) and of those it thins (0 < q < 1): once per distinct
+    model per process, not once per construction. Equal models share one
+    read-only table (see `_readout_table`)."""
 
     p_dark: float = 0.0
     p_bright_false: float = 0.0
@@ -35,8 +37,7 @@ class ReadoutModel:
     def __post_init__(self):
         if not (0.0 <= self.p_dark <= 1.0 and 0.0 <= self.p_bright_false <= 1.0):
             raise ValueError("readout probabilities must lie in [0, 1]")
-        q = np.array([self.dark_probability(m) for m in range(5)])[_N_EXCITED]
-        object.__setattr__(self, "_table", (q, q == 1.0, (0.0 < q) & (q < 1.0)))
+        object.__setattr__(self, "_table", _readout_table(self))
 
     def dark_probability(self, n_excited: int) -> float:
         """Chance the global readout stays dark when a true outcome has
@@ -44,6 +45,20 @@ class ReadoutModel:
         if n_excited == 0:
             return 1.0 - self.p_bright_false
         return self.p_dark**n_excited
+
+
+# A shot study reads out with one or two models again and again: the table
+# of each of the 16 most recently used distinct models, built once. The
+# frozen dataclass hashes and compares by (p_dark, p_bright_false), so
+# -0.0 and 0.0 share a table; a q of either sign is neither counted whole
+# nor thinned, so they give the same counts.
+@functools.lru_cache(maxsize=16)
+def _readout_table(model: ReadoutModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    q = np.array([model.dark_probability(m) for m in range(5)])[_N_EXCITED]
+    table = q, q == 1.0, (0.0 < q) & (q < 1.0)
+    for a in table:
+        a.flags.writeable = False  # shared by every equal model
+    return table
 
 
 @dataclass(frozen=True)

@@ -64,3 +64,15 @@ def test_plans_resolved_only_at_import():
     sites = package_call_sites("_gate_plan") + package_call_sites("_marginal_plan")
     assert {path for path, _ in sites} == {"protocol.py", "cavity.py"}
     assert all(where == "<module>" for _, where in sites), sites
+
+
+def test_every_process_cache_is_emptied_between_tests(process_caches):
+    # conftest.py finds the caches by scanning the module globals and
+    # empties each before every test; a cache added later joins this list
+    # on purpose, so a value kept from an earlier test never hides a fault
+    assert sorted(process_caches) == [
+        "concmeter.cli._parsed_state",
+        "concmeter.cli._shared_parser",
+        "concmeter.estimation._readout_table",
+        "concmeter.protocol._circuit_result",
+    ]

@@ -3,12 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import concmeter
-from concmeter.cli import STATE_FILE_CAP, main
+from concmeter import cli
+from concmeter.cli import STATE_FILE_CAP, load_state_file, main
 
 try:
     import resource
@@ -166,6 +170,78 @@ class TestCmdRun:
             os.close(terminal)
         assert not typist.is_alive()
         assert capsys.readouterr().out.startswith("C_analytic       = ")
+
+
+class TestStateFileMemo:
+    """A state file is read on every call and parsed once per distinct
+    content: the memo is keyed by the file's bytes and force_normalize,
+    never by its path or mtime, and keeps only a state that passed."""
+
+    def test_same_bytes_at_two_paths_share_one_state(self, tmp_path):
+        first = write_state(tmp_path / "a.json", [0, SQ2, SQ2, 0])
+        second = write_state(tmp_path / "b.json", [0, SQ2, SQ2, 0])
+        assert load_state_file(second) is load_state_file(first)
+        assert cli._parsed_state.cache_info().currsize == 1
+
+    def test_rewritten_file_with_the_same_size_and_mtime_seen(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}')
+        stamp = os.stat(path).st_mtime_ns
+        assert load_state_file(str(path)).amplitudes.tolist() == [1, 0, 0, 0]
+        path.write_text('{"amplitudes": [[0, 0], [0, 0], [0, 0], [1, 0]]}')
+        os.utime(path, ns=(stamp, stamp))
+        assert os.stat(path).st_mtime_ns == stamp
+        assert load_state_file(str(path)).amplitudes.tolist() == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"amplitudes": [[1, 0], [1, 0], [0, 0], [0, 0]]}', "invalid state in 'amplitudes'"),
+        ("{not json", "malformed JSON in {path}: "),
+    ])
+    def test_failed_file_stores_nothing(self, tmp_path, text, message):
+        for name in ("one.json", "two.json", "one.json"):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ValueError, match="^" + message.format(path=path)):
+                load_state_file(str(path))
+        assert cli._parsed_state.cache_info().currsize == 0
+
+    def test_normalize_flag_is_part_of_the_key(self, tmp_path):
+        path = write_state(tmp_path / "raw.json", [1, 1, 0, 0])
+        psi = load_state_file(path, True)
+        assert psi.amplitudes.tolist() == [SQ2, SQ2, 0, 0]
+        with pytest.raises(ValueError, match="^invalid state in 'amplitudes'"):
+            load_state_file(path)
+        assert load_state_file(path, True) is psi
+        assert cli._parsed_state.cache_info().currsize == 1
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 0.5, SQ2, -SQ2,
+                                               1e-200, 3.0]),
+                              st.sampled_from([0.0, -0.0, 5e-324, 0.5, -1.0])),
+                    min_size=4, max_size=4),
+           st.sampled_from([None, True, False]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_hit_equals_a_cold_parse(self, pairs, normalize, force):
+        doc = {"amplitudes": [list(p) for p in pairs]}
+        if normalize is not None:
+            doc["normalize"] = normalize
+        data = json.dumps(doc).encode()
+
+        def outcome(load):
+            try:
+                return load().amplitudes.tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "state.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            cold = outcome(lambda: cli._parsed_state.__wrapped__(data, force))
+            first = outcome(lambda: load_state_file(path, force))
+            hit = outcome(lambda: load_state_file(path, force))
+            if isinstance(cold, bytes):  # a state: the second load was a hit
+                assert load_state_file(path, force) is load_state_file(path, force)
+        assert first == hit == cold
 
 
 class TestCmdSweep:

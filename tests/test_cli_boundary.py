@@ -9,6 +9,7 @@ import json
 import math
 import os
 import signal
+import sys
 import tempfile
 
 import numpy as np
@@ -254,8 +255,9 @@ class TestPlainReader:
         def refuse(*args, **kwargs):
             raise AssertionError("a plain line went to argparse")
 
-        monkeypatch.setattr(cli._shared_parser(), "parse_args", refuse)
-        for command in COMMANDS.values():
+        parser = cli._shared_parser()  # built afresh for each test
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        for command in parser.commands.values():
             monkeypatch.setattr(command, "parse_known_args", refuse)
         assert vars(cli._parse(argv)) == vars(_nested_parse(argv))
 
@@ -385,6 +387,20 @@ class TestStateFileBoundary:
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert "nested too deeply" in err and "Traceback" not in err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="needs the interpreter's integer digit limit")
+    @pytest.mark.parametrize("command", ["run", "shots", "cavity"])
+    def test_integer_literal_past_the_digit_limit_rejected(self, tmp_path, capsys, command):
+        # json.loads refuses an integer literal longer than the interpreter's
+        # digit limit with a plain ValueError, whose text advises a call to
+        # sys.set_int_max_str_digits that no command line can make
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.json"
+        path.write_text('{"amplitudes": [[' + "1" * (limit + 1) + ", 0], [0, 0], [0, 0], [0, 0]]}")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: malformed JSON in {path}: an integer "
+                                           f"literal has more than {limit} digits\n")
 
     def test_integer_beyond_float_range_rejected(self, tmp_path, capsys):
         path = write_doc(tmp_path / "big.json",

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concmeter.concurrence import PureState, concurrence_pure
-from concmeter.estimation import (ReadoutModel, _born_counts, confidence_interval,
-                                  simulate_shots, wilson_interval)
+from concmeter.estimation import (ReadoutModel, _born_counts, _readout_table,
+                                  confidence_interval, simulate_shots, wilson_interval)
 from concmeter.protocol import analytic_phi1_batch, run_circuit
 from concmeter.statevec import basis_index
 from oracles import binomial_thinning, shelving_readout
@@ -61,6 +61,51 @@ class TestShelvingReadout:
     def test_invalid_model(self):
         with pytest.raises(ValueError):
             ReadoutModel(p_dark=1.5)
+
+
+class TestReadoutTableMemo:
+    """A model's table is built once per distinct model per process; equal
+    models, which hash and compare by their two probabilities, share it."""
+
+    def test_equal_models_share_one_table(self):
+        tables = [ReadoutModel(0.05, 0.02)._table for _ in range(3)]
+        assert tables[0] is tables[1] is tables[2]
+        assert ReadoutModel(0.05, 0.03)._table is not tables[0]
+        assert _readout_table.cache_info().currsize == 2
+        assert not any(a.flags.writeable for a in tables[0])
+
+    @pytest.mark.parametrize("signed_zeros", [
+        [(-0.0, 0.0), (0.0, 0.0), (0, 0), (0.0, -0.0)],
+        [(-0.0, 0.3), (0.0, 0.3), (0, 0.3)],
+        [(0.05, -0.0), (0.05, 0.0), (0.05, 0)],
+    ])
+    @given(st.integers(0, 2**32), st.integers(1, 10**6), st.integers(0, 2**64 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_signed_zeros_count_alike(self, signed_zeros, state_seed, n, seed):
+        # each model with a table of its own, then all sharing the first's:
+        # a q of -0.0 is neither counted whole nor thinned, as 0.0 is not
+        psi = PureState.haar_random(np.random.default_rng(state_seed))
+        summaries = []
+        for args in signed_zeros:
+            _readout_table.cache_clear()
+            summaries.append(simulate_shots(psi, n, ReadoutModel(*args), seed))
+        summaries += [simulate_shots(psi, n, ReadoutModel(*args), seed) for args in signed_zeros]
+        assert _readout_table.cache_info().currsize == 1
+        assert all(s == summaries[0] for s in summaries)
+
+    def test_a_negative_zero_is_tabled_as_given(self):
+        _readout_table.cache_clear()
+        q, whole, thinned = ReadoutModel(-0.0, 0.0)._table
+        assert np.signbit(q).sum() == 8  # the outcomes with an odd count of excited ions
+        assert not (whole | thinned)[q == 0.0].any()
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.0), (0.0, math.nan), (1.5, 0.0),
+                                      (0.0, -1e-300), (-0.5, 0.5)])
+    def test_invalid_model_raises_every_time_and_stores_nothing(self, args):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"^readout probabilities must lie in \[0, 1\]$"):
+                ReadoutModel(*args)
+        assert _readout_table.cache_info() == (0, 0, 16, 0)
 
 
 class TestWilsonInterval:
