@@ -276,6 +276,8 @@ def cmd_cavity(args) -> int:
     if args.kinematics:
         if args.state_file is not None:
             raise ValueError("--kinematics takes no state file")
+        if args.normalize:
+            raise ValueError("--kinematics takes no --normalize")
         missing = [f for f in required if f not in given]
         if missing:
             raise ValueError(f"--kinematics requires {' '.join(missing)}")

@@ -25,11 +25,12 @@ class ReadoutModel:
     p_bright_false: spurious fluorescence on an all-ground register.
     Defaults give the ideal binary readout.
 
-    The dark probability q of each of the 16 outcomes, in index order, is
-    tabled with the masks of the outcomes that `simulate_shots` counts
-    whole (q == 1) and of those it thins (0 < q < 1): once per distinct
-    model per process, not once per construction. Equal models share one
-    read-only table (see `_readout_table`)."""
+    The model is tabled as `simulate_shots` reads it out: the indices of
+    the outcomes it counts whole (q == 1), the indices of those it thins
+    (0 < q < 1) and the dark probability q of each thinned one, with q
+    from `dark_probability` per outcome. The table is built once per
+    distinct model per process, not once per construction, and equal
+    models share one read-only table (see `_readout_table`)."""
 
     p_dark: float = 0.0
     p_bright_false: float = 0.0
@@ -55,10 +56,23 @@ class ReadoutModel:
 @functools.lru_cache(maxsize=16)
 def _readout_table(model: ReadoutModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = np.array([model.dark_probability(m) for m in range(5)])[_N_EXCITED]
-    table = q, q == 1.0, (0.0 < q) & (q < 1.0)
+    thinned = np.flatnonzero((0.0 < q) & (q < 1.0))
+    table = np.flatnonzero(q == 1.0), thinned, q[thinned]
     for a in table:
         a.flags.writeable = False  # shared by every equal model
     return table
+
+
+# A shot study samples one prepared state again and again, and the circuit
+# memo returns the same final amplitudes on a repeat: the normalised Born
+# distribution of each of the 16 most recently used distinct final states,
+# by their bytes. A circuit that fails its checks never reaches here.
+@functools.lru_cache(maxsize=16)
+def _born_distribution(final_state: bytes) -> np.ndarray:
+    probs = np.abs(np.frombuffer(final_state, dtype=complex)) ** 2
+    probs = probs / np.add.reduce(probs)  # remove roundoff before multinomial
+    probs.flags.writeable = False  # shared by every equal state
+    return probs
 
 
 @dataclass(frozen=True)
@@ -92,14 +106,6 @@ def confidence_interval(k: int, n: int) -> tuple[float, float]:
     return extract_concurrence(p_low), extract_concurrence(p_high)
 
 
-def _born_counts(amps: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Born-rule sampling of one state's flat amplitudes: the count of each
-    basis state in index order, drawn from rng."""
-    probs = np.abs(amps) ** 2
-    probs = probs / np.add.reduce(probs)  # remove roundoff before multinomial
-    return rng.multinomial(n_shots, probs)
-
-
 def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
                    seed: int = 0) -> ShotSummary:
     """Sample n protocol shots and summarize the yes/no readout record.
@@ -107,11 +113,15 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
     n is taken with operator.index, so a numpy integer gives what the
     Python int gives and a float is a TypeError; it is checked here, once,
     by one rule with one message: outside [1, 2**63 - 1] (2**63 - 1 is the
-    largest count numpy's samplers take), it is a ValueError. The 16 Born
-    counts are then drawn once, in index order, by _born_counts; each
-    outcome class is thinned binomially by its dark probability, read from
-    the model's table of ReadoutModel.dark_probability per outcome, from
-    one generator seeded once. A class with q == 1 counts whole.
+    largest count numpy's samplers take), it is a ValueError. From one
+    generator seeded once, the 16 Born counts are drawn in index order by
+    one multinomial on the final state's Born distribution (kept per
+    distinct final state, see `_born_distribution`); the classes the
+    model's table counts whole (q == 1) are summed, and the classes it
+    thins (0 < q < 1) are drawn by one binomial call, in index order,
+    which a model that thins nothing skips. A class with a count of 0
+    draws nothing from the stream, so the draws are those of one scalar
+    binomial per sampled class.
 
     Domain: pure input states only. The readout C = 2*sqrt(2*P_gggg) is
     the concurrence only for two copies of a pure state; a mixed pair
@@ -123,13 +133,12 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
         raise ValueError(f"shot count must be in [1, {_MAX_SHOTS}]")
     result = run_circuit(psi)
     rng = np.random.default_rng(seed)
-    counts = _born_counts(result.final_state, n, rng)
-    q, whole, thinned = model._table
-    k = int(np.add.reduce(counts[whole]))
-    thin = (counts > 0) & thinned
-    if thin.any():  # with none, the call would draw nothing from the stream
+    counts = rng.multinomial(n, _born_distribution(result.final_state.tobytes()))
+    whole, thinned, q = model._table
+    k = int(np.add.reduce(counts.take(whole)))
+    if thinned.size:
         # one call draws the classes in index order, the same stream as one call per class
-        k += int(np.add.reduce(rng.binomial(counts[thin], q[thin])))
+        k += int(np.add.reduce(rng.binomial(counts.take(thinned), q)))
     p_hat = k / n
     ci_low, ci_high = confidence_interval(k, n)
     return ShotSummary(

@@ -4,7 +4,8 @@ The package keeps what it derived from an input for the rest of the
 process, each in a `functools.lru_cache`: `protocol.run_circuit` the
 checked circuit result of each distinct input, `cli.load_state_file` the
 parsed state of each distinct file content, `ReadoutModel` the table of
-each distinct model, and `cli` its one shared parser. A test that
+each distinct model, `estimation.simulate_shots` the Born distribution of
+each distinct final state, and `cli` its one shared parser. A test that
 injects a fault (for example by patching `protocol._R_MINUS_2`) expects
 the code to run; a value kept by an earlier test for the same input would
 skip it and hide the fault. The caches are found by scanning the globals

@@ -73,6 +73,7 @@ def test_every_process_cache_is_emptied_between_tests(process_caches):
     assert sorted(process_caches) == [
         "concmeter.cli._parsed_state",
         "concmeter.cli._shared_parser",
+        "concmeter.estimation._born_distribution",
         "concmeter.estimation._readout_table",
         "concmeter.protocol._circuit_result",
     ]

@@ -370,9 +370,11 @@ class TestCmdCavity:
         (["cavity", "--xc", "0.2", "--xd", "0.6"], "--xc --xd given without --kinematics"),
         (["cavity", "{bell}", "--lc", "0.5"], "--lc given without --kinematics"),
         (["cavity", "{bell}", "--ld", "0.5"], "--ld given without --kinematics"),
+        (["cavity", "--kinematics", "--normalize", "--v", "250", "--w", "600", "--xc", "0.3",
+          "--xd", "1.0"], "--kinematics takes no --normalize"),
     ])
     def test_modes_do_not_mix(self, argv, message, bell_file, capsys):
-        # the state file or the kinematics inputs would be ignored
+        # the state file, --normalize or the kinematics inputs would be ignored
         assert main([a.format(bell=bell_file) for a in argv]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concmeter import protocol, statevec
 from concmeter.concurrence import PureState, concurrence_pure
-from concmeter.estimation import (ReadoutModel, _born_counts, _readout_table,
+from concmeter.estimation import (ReadoutModel, ShotSummary, _born_distribution, _readout_table,
                                   confidence_interval, simulate_shots, wilson_interval)
-from concmeter.protocol import analytic_phi1_batch, run_circuit
-from concmeter.statevec import basis_index
+from concmeter.gates import R_PLUS
+from concmeter.protocol import analytic_phi1_batch, extract_concurrence, run_circuit
+from concmeter.statevec import InvariantViolation, basis_index
 from oracles import binomial_thinning, shelving_readout
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -23,6 +25,13 @@ PROBABILITIES = st.one_of(
     st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2**-53,
                      1e-80, 1e-110, 1e-160, 1e-300]),
 )
+
+
+def born_counts(amps, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The 16 Born counts of flat amplitudes, in index order, as
+    simulate_shots draws them: one multinomial on the memoised
+    distribution."""
+    return rng.multinomial(n, _born_distribution(np.asarray(amps, dtype=complex).tobytes()))
 
 
 class TestShelvingReadout:
@@ -94,10 +103,14 @@ class TestReadoutTableMemo:
         assert all(s == summaries[0] for s in summaries)
 
     def test_a_negative_zero_is_tabled_as_given(self):
+        # the -0.0 model is tabled first, so the memo keeps its table: the
+        # outcomes with an odd count of excited ions have q = -0.0 there,
+        # and are neither counted whole nor thinned, as under a 0.0 model
         _readout_table.cache_clear()
-        q, whole, thinned = ReadoutModel(-0.0, 0.0)._table
-        assert np.signbit(q).sum() == 8  # the outcomes with an odd count of excited ions
-        assert not (whole | thinned)[q == 0.0].any()
+        signed = ReadoutModel(-0.0, 0.0)._table
+        unsigned = _readout_table.__wrapped__(ReadoutModel(0.0, 0.0))
+        assert ReadoutModel(0.0, 0.0)._table is signed
+        assert [a.tolist() for a in signed] == [a.tolist() for a in unsigned] == [[0], [], []]
 
     @pytest.mark.parametrize("args", [(math.nan, 0.0), (0.0, math.nan), (1.5, 0.0),
                                       (0.0, -1e-300), (-0.5, 0.5)])
@@ -106,6 +119,35 @@ class TestReadoutTableMemo:
             with pytest.raises(ValueError, match=r"^readout probabilities must lie in \[0, 1\]$"):
                 ReadoutModel(*args)
         assert _readout_table.cache_info() == (0, 0, 16, 0)
+
+
+class TestBornDistributionMemo:
+    """The normalised Born distribution is computed once per distinct final
+    state per process; equal final states, by their bytes, share it."""
+
+    def test_equal_final_states_share_one_read_only_array(self):
+        final = run_circuit(BELL).final_state
+        probs = _born_distribution(final.tobytes())
+        assert _born_distribution(final.copy().tobytes()) is probs
+        assert not probs.flags.writeable
+        simulate_shots(BELL, 1000, IDEAL, 1)
+        simulate_shots(BELL, 1000, ReadoutModel(0.05, 0.02), 2)
+        assert _born_distribution.cache_info()[:2] == (3, 1)  # hits, misses
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=50, deadline=None)
+    def test_a_hit_is_a_cold_computation(self, state_seed):
+        key = run_circuit(PureState.haar_random(np.random.default_rng(state_seed))).final_state.tobytes()
+        cold = _born_distribution.__wrapped__(key)
+        for _ in range(2):  # a miss, then a hit
+            assert _born_distribution(key).tobytes() == cold.tobytes()
+
+    def test_a_failed_circuit_stores_nothing(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_R_MINUS_2", statevec._gate_plan(4, (2,), R_PLUS))
+        for _ in range(2):
+            with pytest.raises(InvariantViolation):
+                simulate_shots(BELL, 1000)
+        assert _born_distribution.cache_info().currsize == 0
 
 
 class TestWilsonInterval:
@@ -194,9 +236,9 @@ class TestExactCoverage:
 class TestNoDrawContract:
     """numpy's Generator.binomial draws nothing from its stream for a count
     of 0 or a probability of 0, in the scalar and the array form. The
-    thinning mask of simulate_shots leaves those classes out; by this
-    contract, leaving them in would draw the same stream, so its
-    conditions `counts > 0` and `0 < q` change no count."""
+    thinned classes of simulate_shots are those with 0 < q < 1, whatever
+    their count: by this contract a class with a count of 0 draws what
+    leaving it out would, and so would a class with q == 0 left in."""
 
     @pytest.mark.parametrize("count, p", [(0, 0.3), (7, 0.0), (0, 0.0)])
     def test_scalar_draws_nothing(self, count, p):
@@ -226,18 +268,18 @@ class TestSampleOutcomes:
 
     def test_deterministic_state(self):
         ground = np.eye(1, 16, dtype=complex)[0]
-        counts = _born_counts(ground, 1000, np.random.default_rng(3))
+        counts = born_counts(ground, 1000, np.random.default_rng(3))
         assert counts.tolist() == [1000] + [0] * 15
 
     def test_bell_binomial(self):
         n = 10**6
-        counts = _born_counts(BELL.amplitudes, n, np.random.default_rng(7))
+        counts = born_counts(BELL.amplitudes, n, np.random.default_rng(7))
         sigma = math.sqrt(0.25 / n)
         assert abs(counts[basis_index("ge")] / n - 0.5) < 5 * sigma
         assert counts.sum() == n
 
     def test_same_seed_identical(self):
-        draws = [_born_counts(BELL.amplitudes, 5000, np.random.default_rng(11)) for _ in range(2)]
+        draws = [born_counts(BELL.amplitudes, 5000, np.random.default_rng(11)) for _ in range(2)]
         assert np.array_equal(*draws)
 
     def test_chi_square_goodness_of_fit(self):
@@ -248,11 +290,47 @@ class TestSampleOutcomes:
             r = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             r /= np.linalg.norm(r)
             n = 10**5
-            observed = _born_counts(r, n, np.random.default_rng(100 + trial))
+            observed = born_counts(r, n, np.random.default_rng(100 + trial))
             probs = np.abs(r) ** 2
             keep = probs * n >= 5  # chi-square validity threshold
             _, p_value = stats.chisquare(observed[keep], probs[keep] / probs[keep].sum() * observed[keep].sum())
             assert p_value > 0.001
+
+
+def mask_formula_summary(psi: PureState, n: int, model: ReadoutModel, seed: int) -> ShotSummary:
+    """A reference for simulate_shots by boolean masks over the 16 classes:
+    one multinomial on |amp|^2 / sum, the classes with q == 1 counted
+    whole, and one binomial over the sampled classes with 0 < q < 1."""
+    rng = np.random.default_rng(seed)
+    probs = np.abs(run_circuit(psi).final_state) ** 2
+    counts = rng.multinomial(n, probs / np.add.reduce(probs))
+    q = np.array([model.dark_probability(i.bit_count()) for i in range(16)])
+    k = int(np.add.reduce(counts[q == 1.0]))
+    thin = (counts > 0) & (0.0 < q) & (q < 1.0)
+    if thin.any():
+        k += int(np.add.reduce(rng.binomial(counts[thin], q[thin])))
+    ci_low, ci_high = confidence_interval(k, n)
+    return ShotSummary(n_shots=n, n_no_fluorescence=k, p_hat=k / n,
+                       c_hat=extract_concurrence(k / n), ci_low=ci_low, ci_high=ci_high)
+
+
+@st.composite
+def states_with_zeros(draw):
+    """A Haar state with a drawn set of its amplitudes made exactly 0."""
+    amps = PureState.haar_random(np.random.default_rng(draw(st.integers(0, 2**32)))).amplitudes
+    keep = draw(st.lists(st.booleans(), min_size=4, max_size=4).filter(any))
+    return PureState(*statevec.normalized(np.where(keep, amps, 0.0)).tolist())
+
+
+class TestSamplerAgainstTheMaskFormula:
+    @given(states_with_zeros(),
+           st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-0.0, 0.0),
+                            (5e-324, 0.0)]) | st.tuples(PROBABILITIES, PROBABILITIES),
+           st.sampled_from([1, 2, 7, 10**5, 2**63 - 1]), st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_every_field_equal(self, psi, probabilities, n, seed):
+        model = ReadoutModel(*probabilities)
+        assert simulate_shots(psi, n, model, seed) == mask_formula_summary(psi, n, model, seed)
 
 
 class TestSimulateShots:
@@ -267,7 +345,7 @@ class TestSimulateShots:
         for i, psi in enumerate(states):
             for seed in (0, 17, 2**40 + i):
                 rng = np.random.default_rng(seed)
-                counts = _born_counts(run_circuit(psi).final_state, 5000, rng)
+                counts = born_counts(run_circuit(psi).final_state, 5000, rng)
                 expected = binomial_thinning(counts, model, rng)
                 got = simulate_shots(psi, 5000, model, seed).n_no_fluorescence
                 assert got == expected, (i, seed)
@@ -281,7 +359,7 @@ class TestSimulateShots:
         psi = PureState.haar_random(np.random.default_rng(state_seed))
         model = ReadoutModel(p_dark=p_dark, p_bright_false=p_bright_false)
         rng = np.random.default_rng(seed)
-        counts = _born_counts(run_circuit(psi).final_state, n, rng)
+        counts = born_counts(run_circuit(psi).final_state, n, rng)
         expected = binomial_thinning(counts, model, rng)
         assert simulate_shots(psi, n, model, seed).n_no_fluorescence == expected
 
