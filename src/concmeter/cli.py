@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 input error, 2 internal invariant violation,
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import functools
 import json
@@ -224,18 +223,46 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _seed_words(n: int) -> list[int]:
+    """The little-endian 32-bit words of a non-negative integer, [0] for 0:
+    the words numpy's SeedSequence takes from an int in a seed list, so
+    default_rng(np.array(_seed_words(s) + _seed_words(i), dtype=np.uint32))
+    draws what default_rng([s, i]) draws."""
+    if n < 0:  # numpy's seeds are non-negative; a negative n would loop forever
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
+def _csv_line(values) -> str:
+    """One CSV line as csv.writer writes it, for values that need no
+    quoting (names, ints and floats): str of each, comma-separated, CRLF."""
+    return ",".join(map(str, values)) + "\r\n"
+
+
 def cmd_sweep(args) -> int:
     if args.n_states < 1:
         raise ValueError("n_states must be >= 1")
     max_dev = 0.0
     max_residual = 0.0
+    seed_words = _seed_words(args.seed)
     try:  # a failed open, write or close: the last flush happens at close
-        with open(args.out, "w", newline="") as out:
-            writer = csv.writer(out)
-            writer.writerow(SWEEP_COLUMNS)
+        # opened without blocking, so a FIFO with no reader fails at once
+        # (ENXIO) instead of waiting for one; a terminal never becomes the
+        # process's controlling one
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK
+                     | os.O_NOCTTY, 0o666)
+        with open(fd, "w", newline="") as out:
+            os.set_blocking(fd, True)
+            out.write(_csv_line(SWEEP_COLUMNS))
             for i in range(args.n_states):
                 # row i is reproducible on its own from default_rng([seed, i])
-                psi = PureState.haar_random(np.random.default_rng([args.seed, i]))
+                words = np.array(seed_words + _seed_words(i), dtype=np.uint32)
+                psi = PureState.haar_random(np.random.default_rng(words))
                 try:
                     result = run_circuit(psi)
                 except InvariantViolation as exc:
@@ -244,10 +271,9 @@ def cmd_sweep(args) -> int:
                 c_analytic = concurrence_pure(psi)
                 max_dev = max(max_dev, abs(result.concurrence_measured - c_analytic))
                 max_residual = max(max_residual, result.oracle_residual)
-                # csv writes a Python float as its repr; every value here is one
-                writer.writerow([i, *psi.amplitudes.view(float).tolist(),
-                                 c_analytic, result.p_gggg, result.p_egeg,
-                                 result.concurrence_measured, result.oracle_residual])
+                out.write(_csv_line([i, *psi.amplitudes.view(float).tolist(),
+                                     c_analytic, result.p_gggg, result.p_egeg,
+                                     result.concurrence_measured, result.oracle_residual]))
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc}") from exc
     _print(f"wrote {args.n_states} rows to {args.out}; "

@@ -47,8 +47,11 @@ class PureState:
         # normalized complex Gaussian vector = uniform on the state sphere;
         # one draw of 8 is the same stream as two draws of 4
         x = rng.standard_normal(8)
-        a = x[:4] + 1j * x[4:]
-        # np.linalg.norm(a)'s own arithmetic, without its Python wrapper
+        # the values of x[:4] + 1j * x[4:], built by one interleave of the
+        # (re, im) pairs viewed as complex
+        a = x.reshape(2, 4).T.copy().view(complex).ravel()
+        # np.linalg.norm(a)'s own arithmetic, without its Python wrapper; the
+        # complex division a / norm, as x / norm differs from it in last bits
         norm = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
         return cls(*(a / norm).tolist())
 

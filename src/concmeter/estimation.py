@@ -117,11 +117,9 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
     generator seeded once, the 16 Born counts are drawn in index order by
     one multinomial on the final state's Born distribution (kept per
     distinct final state, see `_born_distribution`); the classes the
-    model's table counts whole (q == 1) are summed, and the classes it
-    thins (0 < q < 1) are drawn by one binomial call, in index order,
-    which a model that thins nothing skips. A class with a count of 0
-    draws nothing from the stream, so the draws are those of one scalar
-    binomial per sampled class.
+    model's table counts whole (q == 1) are summed, and each class it
+    thins (0 < q < 1) with a non-zero count draws one scalar binomial, in
+    index order.
 
     Domain: pure input states only. The readout C = 2*sqrt(2*P_gggg) is
     the concurrence only for two copies of a pure state; a mixed pair
@@ -135,10 +133,11 @@ def simulate_shots(psi: PureState, n: int, model: ReadoutModel = ReadoutModel(),
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, _born_distribution(result.final_state.tobytes()))
     whole, thinned, q = model._table
-    k = int(np.add.reduce(counts.take(whole)))
-    if thinned.size:
-        # one call draws the classes in index order, the same stream as one call per class
-        k += int(np.add.reduce(rng.binomial(counts.take(thinned), q)))
+    counts = counts.tolist()
+    k = sum([counts[j] for j in whole.tolist()])
+    for j, q_j in zip(thinned.tolist(), q.tolist()):
+        if counts[j]:  # a scalar draw gives a Python int, so p_hat stays a float
+            k += rng.binomial(counts[j], q_j)
     p_hat = k / n
     ci_low, ci_high = confidence_interval(k, n)
     return ShotSummary(

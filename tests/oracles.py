@@ -29,6 +29,15 @@ def shelving_readout(outcome: str, model, rng: np.random.Generator) -> bool:
     return bool(rng.random() < p)
 
 
+def split_haar_amplitudes(rng: np.random.Generator) -> list[complex]:
+    """A Haar state's amplitudes by the split construction: eight standard
+    normals, the first four the real parts and the last four the imaginary
+    parts, joined as x[:4] + 1j * x[4:] and divided by their norm."""
+    x = rng.standard_normal(8)
+    a = x[:4] + 1j * x[4:]
+    return (a / np.linalg.norm(a)).tolist()
+
+
 def spin_flip(rho) -> np.ndarray:
     """(sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
     rho = validate_density_matrix(rho)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -302,6 +303,66 @@ class TestCmdSweep:
 
     def test_zero_states_rejected(self, tmp_path):
         assert main(["sweep", "0", "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_standard_output_pipe_gets_the_file_bytes(self, tmp_path):
+        # /dev/stdout opens the child's pipe again, with its reader present
+        regular = tmp_path / "s.csv"
+        argv = ["sweep", "5", "--seed", "3", "--out"]
+        assert main(argv + [str(regular)]) == 0
+        src = os.path.dirname(os.path.dirname(concmeter.__file__))
+        proc = subprocess.run([sys.executable, "-m", "concmeter.cli", *argv, "/dev/stdout"],
+                              capture_output=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(regular.read_bytes() + b"wrote 5 rows to /dev/stdout; ")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_with_no_reader_fails_at_once(self, tmp_path, capsys):
+        # a plain open() of a FIFO for writing waits for a reader, and none
+        # comes: in a child first, under a timeout, then in process
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        message = (f"error: cannot write {fifo}: [Errno 6] No such device or address: "
+                   f"'{fifo}'\n")
+        src = os.path.dirname(os.path.dirname(concmeter.__file__))
+        proc = subprocess.run([sys.executable, "-m", "concmeter.cli", "sweep", "2",
+                               "--out", str(fifo)], capture_output=True, text=True,
+                              timeout=10, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+        assert main(["sweep", "2", "--out", str(fifo)]) == 1
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_with_a_reader_gets_the_file_bytes(self, tmp_path):
+        # more than a pipe buffer of rows, and a reader that starts late, so
+        # the writer must wait for it: the descriptor blocks again after its open
+        regular, fifo = tmp_path / "s.csv", tmp_path / "out.fifo"
+        argv = ["sweep", "500", "--seed", "3", "--out"]
+        assert main(argv + [str(regular)]) == 0
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as fh:  # waits for the writer
+                time.sleep(0.5)
+                received.append(fh.read())
+
+        # a reader from the start, so the child's open never finds none
+        held = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            src = os.path.dirname(os.path.dirname(concmeter.__file__))
+            proc = subprocess.run([sys.executable, "-m", "concmeter.cli", *argv, str(fifo)],
+                                  capture_output=True, text=True, timeout=60,
+                                  env={**os.environ, "PYTHONPATH": src})
+            reader.join(10)
+        finally:
+            os.close(held)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert not reader.is_alive()
+        assert received == [regular.read_bytes()]
 
 
 class TestCmdShots:

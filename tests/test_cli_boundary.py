@@ -541,6 +541,46 @@ class TestSweepStream:
                    .hexdigest() for k in cli.SWEEP_COLUMNS}
         assert digests == self.COLUMN_DIGESTS
 
+    # SHA-256 of `sweep 200 --seed S` for seeds of two and of three 32-bit
+    # words, as written with numpy's seed list [S, i] for row i
+    MULTI_WORD = {
+        1099511627781: "ec7b7a957106acae785bc5110e114b7529596fe80bc3140f75450cc05afdb100",
+        18446744073709551616: "66b4d8891c299978a7ca693ef382f6656f446a32fa2f1f47a3058ba695ddcc1b",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(MULTI_WORD))
+    def test_multi_word_seed_pinned(self, tmp_path, seed):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "200", "--seed", str(seed), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MULTI_WORD[seed]
+
+    @given(st.lists(st.one_of(
+        st.integers(),
+        st.floats(),
+        st.floats().map(np.float64),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308,
+                         1.7e308, -1.7e308])), min_size=1, max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_row_writer_equals_csv_writer(self, row):
+        expected = io.StringIO()
+        csv.writer(expected).writerow(row)
+        assert cli._csv_line(row) == expected.getvalue()
+
+    @given(st.integers(0, 2**128 - 1), st.integers(0, 2**64 - 1))
+    @example(0, 0)
+    @example(2**32 - 1, 2**32 - 1)
+    @example(2**32, 2**32)
+    @example(2**64, 2**64)
+    @settings(max_examples=200, deadline=None)
+    def test_seed_words_draw_what_the_seed_list_draws(self, seed, i):
+        words = np.array(cli._seed_words(seed) + cli._seed_words(i), dtype=np.uint32)
+        drawn = np.random.default_rng(words).standard_normal(8)
+        assert drawn.tobytes() == np.random.default_rng([seed, i]).standard_normal(8).tobytes()
+
+    def test_negative_seed_has_no_words(self):
+        with pytest.raises(ValueError, match="^expected a non-negative integer, got -1$"):
+            cli._seed_words(-1)
+
     def test_row_reproducible_alone(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "11", "--seed", "6", "--out", str(out)]) == 0

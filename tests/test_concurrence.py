@@ -11,7 +11,7 @@ from concmeter.concurrence import (
     validate_density_matrix,
 )
 from concmeter.statevec import normalized
-from oracles import spin_flip
+from oracles import spin_flip, split_haar_amplitudes
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -47,6 +47,13 @@ class TestPureState:
     def test_haar_states_normalized(self):
         for s in haar_states(20, seed=3):
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
+
+    def test_haar_random_keeps_the_split_construction(self):
+        # the interleave gives the bytes of x[:4] + 1j * x[4:] on every draw
+        drawn, split = np.random.default_rng(2026), np.random.default_rng(2026)
+        for _ in range(10_000):
+            assert (PureState.haar_random(drawn).amplitudes.tobytes()
+                    == PureState(*split_haar_amplitudes(split)).amplitudes.tobytes())
 
     def test_amplitudes_built_once_and_read_only(self):
         s = PureState(0.6, 0.0, 0.0, 0.8j)

@@ -236,9 +236,11 @@ class TestExactCoverage:
 class TestNoDrawContract:
     """numpy's Generator.binomial draws nothing from its stream for a count
     of 0 or a probability of 0, in the scalar and the array form. The
-    thinned classes of simulate_shots are those with 0 < q < 1, whatever
-    their count: by this contract a class with a count of 0 draws what
-    leaving it out would, and so would a class with q == 0 left in."""
+    thinned classes of simulate_shots are those with 0 < q < 1, and it
+    draws for those with a non-zero count: by this contract that is the
+    stream of one draw per thinned class, zero counts included, or of one
+    array draw over them, and a class with q == 0 left in would change
+    nothing either."""
 
     @pytest.mark.parametrize("count, p", [(0, 0.3), (7, 0.0), (0, 0.0)])
     def test_scalar_draws_nothing(self, count, p):
@@ -354,7 +356,7 @@ class TestSimulateShots:
            st.integers(0, 2**64 - 1))
     @settings(max_examples=200, deadline=None)
     def test_thinning_stream_property(self, state_seed, n, p_dark, p_bright_false, seed):
-        # the vectorised thinning draws what one scalar draw per class would,
+        # the thinning draws what one scalar draw per sampled class would,
         # for Haar states and readout probabilities at every edge of q
         psi = PureState.haar_random(np.random.default_rng(state_seed))
         model = ReadoutModel(p_dark=p_dark, p_bright_false=p_bright_false)
